@@ -1,8 +1,7 @@
-"""E18 — columnar engine: layouts, snapshots, incremental re-chase.
+"""E18 — columnar engine: speed, snapshots, incremental re-chase.
 
-The columnar (arrays) store layout must produce results equivalent to
-the PR 4 sets layout, the term-level compiled pipeline and the legacy
-rescan while being measurably faster; snapshots must round-trip
+The columnar fact-store engine must produce results equivalent to the
+legacy rescan while being measurably faster; snapshots must round-trip
 losslessly; and ``resume_from`` re-chase of a database delta must equal
 the cold run.  ``python -m repro bench-engine`` regenerates the full
 BENCH_engine.json report; this benchmark keeps a small always-on smoke
@@ -32,13 +31,12 @@ def test_engine_speed_report(benchmark, report):
         variants=("semi_oblivious",),
         budget=ChaseBudget(max_atoms=100_000),
         repeats=1,
-        layout="both",
     )
-    report("E18: columnar layout vs sets layout vs plans vs legacy", rows)
+    report("E18: columnar store engine vs legacy", rows)
     # Equivalence is a hard requirement; speed is reported, not asserted,
     # to keep the suite robust on loaded CI machines.
     assert all(row.measured["equivalent"] for row in rows)
-    assert all("layout_speedup" in row.measured for row in rows)
+    assert all("speedup_vs_legacy" in row.measured for row in rows)
     # Profiled repeats ride along every row; the strict 1.10x overhead
     # gate lives in 'bench-engine --quick' where repeats amortise noise
     # — here we only guard against a per-trigger-clock-read regression,

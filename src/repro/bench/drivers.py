@@ -269,31 +269,12 @@ def ucq_data_complexity_rows(
 
 
 # --------------------------------------------------------------------------
-# E18: columnar engine — layouts, snapshots, incremental re-chase
+# E18: columnar engine — speed, snapshots, incremental re-chase
 # --------------------------------------------------------------------------
 
-#: The three engine implementations the report compares, slow to fast
+#: The engine implementations the report compares, slow to fast
 #: (ENGINES lists them fast to slow).
 _ENGINE_ORDER = tuple(reversed(ENGINES))
-
-
-@contextmanager
-def _store_layout(layout: Optional[str]):
-    """Pin the store layout through the REPRO_STORE_LAYOUT knob."""
-    from repro.model.store import LAYOUT_ENV_VAR
-
-    if layout is None:
-        yield
-        return
-    previous = os.environ.get(LAYOUT_ENV_VAR)
-    os.environ[LAYOUT_ENV_VAR] = layout
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(LAYOUT_ENV_VAR, None)
-        else:
-            os.environ[LAYOUT_ENV_VAR] = previous
 
 
 @contextmanager
@@ -301,8 +282,8 @@ def _gc_paused():
     """Collect, then disable the GC for the timed region.
 
     Collector pauses land arbitrarily inside timed runs and were the
-    dominant noise source when comparing layouts (the columnar layout
-    allocates differently, so pauses bias the ratio, not just the
+    dominant noise source when comparing engines (the two data planes
+    allocate differently, so pauses bias the ratio, not just the
     variance).
     """
     gc.collect()
@@ -338,9 +319,8 @@ def _engine_workloads(
 ) -> List[Tuple[str, Database, TGDSet, Tuple[str, ...], bool]]:
     """The workloads of the engine report: (name, D, Σ, variants, big).
 
-    ``big`` marks the enlarged rows whose store-vs-plans speedups gate
-    the report (small rows are kept for continuity with the E14 report
-    but are dominated by per-run compilation).
+    ``big`` marks the enlarged rows (small rows are kept for continuity
+    with the E14 report but are dominated by per-run compilation).
     """
     from repro.generators.workloads import restricted_heavy
 
@@ -408,54 +388,39 @@ def engine_benchmark_rows(
     budget: Optional[ChaseBudget] = None,
     repeats: int = 3,
     quick: bool = False,
-    layout: str = "both",
 ) -> List[SweepRow]:
-    """Engine and layout comparison on the lower-bound families.
+    """Engine comparison on the lower-bound families.
 
-    Every workload runs through each chase variant on all three engines
-    — the columnar fact store (the default), the term-level compiled
-    plans it superseded (PR 1), and the legacy per-round rescan — best
-    of ``repeats`` runs each, GC paused during timed regions.  With
-    ``layout="both"`` (the default) the store engine is measured twice,
-    once per storage layout, giving every row a ``layout_speedup``
-    column (sets seconds / arrays seconds): the old-vs-new comparison
-    the columnar rebuild is gated on.  ``seconds`` times the
-    run-to-summary path (the batch runtime's mode); ``materialize_seconds``
-    times one extra run that also materialises the full instance.  Each
-    row records speedups, peak RSS, and that all engines *and layouts*
-    produced equivalent results (:func:`_results_equivalent`).
+    Every workload runs through each chase variant on both engines —
+    the columnar fact store (the default) and the legacy per-round
+    rescan — best of ``repeats`` runs each, GC paused during timed
+    regions.  ``*_seconds`` columns time the run-to-summary path (the
+    batch runtime's mode); ``store_materialize_seconds`` times one
+    extra store run that also materialises the full instance.  Each
+    row records speedups, instrumentation overheads, peak RSS, and
+    that both engines produced equivalent results
+    (:func:`_results_equivalent`).
 
     ``workloads`` entries are ``(name, database, tgds)`` or
     ``(name, database, tgds, variants[, big])``.
     """
-    if layout not in ("both", "arrays", "sets"):
-        raise ValueError(f"unknown layout axis {layout!r}")
     runners = {
         "semi_oblivious": semi_oblivious_chase,
         "restricted": restricted_chase,
         "oblivious": oblivious_chase,
     }
     budget = budget or ChaseBudget(max_atoms=500_000)
-    store_layouts = ("sets", "arrays") if layout == "both" else (layout,)
     rows: List[SweepRow] = []
 
-    def timed(
-        runner, database, tgds, engine,
-        store_layout=None, materialize=False, probe=False, profile=False,
-    ):
-        from repro.obs.probe import ChaseProbe
-        from repro.obs.profile import RuleProfiler
-
+    def timed(runner, database, tgds, engine, materialize=False):
         best = float("inf")
         result = None
         for _ in range(max(1, repeats)):
-            round_probe = ChaseProbe() if probe else None
-            run_profiler = RuleProfiler() if profile else None
-            with _store_layout(store_layout), _gc_paused():
+            with _gc_paused():
                 start = time.perf_counter()
                 result = runner(
                     database, tgds, budget=budget, record_derivation=False,
-                    engine=engine, probe=round_probe, profile=run_profiler,
+                    engine=engine,
                 )
                 result.summary()
                 if materialize:
@@ -471,21 +436,11 @@ def engine_benchmark_rows(
             runner = runners[variant]
             timings: Dict[str, float] = {}
             results: Dict[str, ChaseResult] = {}
-            timings["legacy"], results["legacy"] = timed(runner, database, tgds, "legacy")
-            timings["plans"], results["plans"] = timed(runner, database, tgds, "plans")
-            for store_layout in store_layouts:
-                key = f"store-{store_layout}"
-                timings[key], results[key] = timed(
-                    runner, database, tgds, "store", store_layout=store_layout
-                )
-            primary_layout = store_layouts[-1]
-            store_seconds = max(timings[f"store-{primary_layout}"], 1e-9)
-            materialize_plans, _ = timed(
-                runner, database, tgds, "plans", materialize=True
-            )
+            for engine in _ENGINE_ORDER:
+                timings[engine], results[engine] = timed(runner, database, tgds, engine)
+            store_seconds = max(timings["store"], 1e-9)
             materialize_store, _ = timed(
-                runner, database, tgds, "store",
-                store_layout=primary_layout, materialize=True,
+                runner, database, tgds, "store", materialize=True
             )
             # Instrumentation overheads: the same store run with a
             # per-round probe (telemetry) and with per-rule attribution
@@ -511,7 +466,7 @@ def engine_benchmark_rows(
                 for mode in ("plain", "probe", "profile"):
                     round_probe = ChaseProbe() if mode == "probe" else None
                     run_profiler = RuleProfiler() if mode == "profile" else None
-                    with _store_layout(primary_layout), _gc_paused():
+                    with _gc_paused():
                         mode_start = time.perf_counter()
                         runner(
                             database, tgds, budget=budget,
@@ -533,18 +488,14 @@ def engine_benchmark_rows(
             profile_overhead = median(profile_ratios)
             telemetry_floor = min(probe_ratios)
             profile_floor = min(profile_ratios)
-            store_result = results[f"store-{primary_layout}"]
+            store_result = results["store"]
             measured: Dict[str, object] = {
                 "atoms": store_result.size,
                 "legacy_seconds": round(timings["legacy"], 4),
-                "plans_seconds": round(timings["plans"], 4),
-                "store_seconds": round(timings[f"store-{primary_layout}"], 4),
-                "speedup_vs_plans": round(timings["plans"] / store_seconds, 2),
+                "store_seconds": round(timings["store"], 4),
                 "speedup_vs_legacy": round(timings["legacy"] / store_seconds, 2),
                 "store_atoms_per_s": round(store_result.size / store_seconds),
-                "materialize_speedup_vs_plans": round(
-                    materialize_plans / max(materialize_store, 1e-9), 2
-                ),
+                "store_materialize_seconds": round(materialize_store, 4),
                 "applied": store_result.statistics.triggers_applied,
                 "store_telemetry_seconds": round(telemetry_store, 4),
                 "telemetry_overhead": round(telemetry_overhead, 3),
@@ -557,11 +508,6 @@ def engine_benchmark_rows(
                 # Kept for dashboards that read the E14 column.
                 "speedup": round(timings["legacy"] / store_seconds, 2),
             }
-            if layout == "both":
-                measured["store_sets_seconds"] = round(timings["store-sets"], 4)
-                measured["layout_speedup"] = round(
-                    timings["store-sets"] / store_seconds, 2
-                )
             rows.append(
                 SweepRow(
                     label="engine-speed",
@@ -569,7 +515,10 @@ def engine_benchmark_rows(
                         "workload": name,
                         "variant": variant,
                         "big": big,
-                        "layout": primary_layout,
+                        # Part of the bench-history row key: keeps these
+                        # rows paired with entries recorded when the
+                        # store had a second layout.
+                        "layout": "arrays",
                     },
                     measured=measured,
                 )
@@ -747,8 +696,8 @@ def engine_memory_row(
         tracemalloc.stop()
         del result
         measured[f"{engine}_peak_mb"] = round(peak / (1024 * 1024), 1)
-    measured["store_vs_plans_ratio"] = round(
-        float(measured["plans_peak_mb"]) / max(float(measured["store_peak_mb"]), 1e-9), 2
+    measured["store_vs_legacy_ratio"] = round(
+        float(measured["legacy_peak_mb"]) / max(float(measured["store_peak_mb"]), 1e-9), 2
     )
     return SweepRow(
         label="engine-memory",
@@ -761,32 +710,30 @@ def write_engine_report(
     path: str = "BENCH_engine.json",
     rows: Optional[Sequence[SweepRow]] = None,
     quick: bool = False,
-    layout: str = "both",
     history_path: Optional[str] = None,
     **kwargs,
 ) -> Dict[str, object]:
-    """Run the engine/layout report and write it to ``path`` as JSON.
+    """Run the engine report and write it to ``path`` as JSON.
 
     The PR-facing artefact backing the columnar-store claims (E18):
 
-    * the arrays layout beats the PR 4 sets layout ≥ 1.3× on the big
-      SL/L and restricted-heavy rows (``layout_speedup``), with
-      equivalent results on every row;
+    * the store engine beats the legacy rescan on every row
+      (``speedup_vs_legacy``), with equivalent results;
     * snapshot round trips are fast enough to ship (encode/decode MB/s
       row) and lossless;
     * ``resume_from`` re-chase of a ~5% database delta is ≥ 3× faster
       than a cold re-chase, atom-for-atom equal;
-    * the store engine keeps (and extends) its E17 margins over the
-      plans and legacy engines.
+    * per-round telemetry and per-rule profiling stay cheap
+      (``*_overhead`` columns).
 
     ``quick`` runs the two-row CI smoke variant, whose gates are the
-    store-vs-legacy speedup (≥ 1.5×) and the arrays-vs-sets layout
-    speedup (≥ 1.0×, a no-regression floor on noisy CI runners).
+    store-vs-legacy speedup (≥ 1.5×) and the instrumentation overhead
+    floors (≤ 1.10×).
     """
     if rows is None:
         # Generating our own rows means owning the extra rows too; a
         # caller-supplied list (tests) is taken as-is.
-        rows = engine_benchmark_rows(quick=quick, layout=layout, **kwargs)
+        rows = engine_benchmark_rows(quick=quick, **kwargs)
         if not quick:
             rows.append(snapshot_roundtrip_row())
             rows.append(incremental_rechase_row())
@@ -794,30 +741,6 @@ def write_engine_report(
     else:
         rows = list(rows)
     speed_rows = [r for r in rows if r.label == "engine-speed"]
-
-    def plans_speedups(predicate) -> List[float]:
-        return [
-            float(r.measured["speedup_vs_plans"]) for r in speed_rows if predicate(r)
-        ]
-
-    def layout_speedups(predicate) -> List[float]:
-        return [
-            float(r.measured["layout_speedup"])
-            for r in speed_rows
-            if "layout_speedup" in r.measured and predicate(r)
-        ]
-
-    def is_big_sl_l(r) -> bool:
-        return bool(r.parameters.get("big")) and r.parameters["variant"] != "restricted"
-
-    def is_big_restricted(r) -> bool:
-        return bool(r.parameters.get("big")) and r.parameters["variant"] == "restricted"
-
-    big_semi = plans_speedups(is_big_sl_l)
-    big_restricted = plans_speedups(is_big_restricted)
-    layout_semi = layout_speedups(is_big_sl_l)
-    layout_restricted = layout_speedups(is_big_restricted)
-    layout_all = layout_speedups(lambda r: True)
     vs_legacy = [float(r.measured["speedup_vs_legacy"]) for r in speed_rows]
     telemetry_overheads = [
         float(r.measured["telemetry_overhead"])
@@ -852,28 +775,8 @@ def write_engine_report(
             bool(r.measured["equivalent"]) for r in equivalence_rows
         ),
         "min_speedup_vs_legacy": min(vs_legacy) if vs_legacy else None,
-        "min_layout_speedup": min(layout_all) if layout_all else None,
-        # The big-row acceptance gates are only meaningful on the full
-        # workload set; quick mode reports them as None (not evaluated)
-        # rather than false (regressed).
-        "min_big_sl_l_layout_speedup": min(layout_semi) if layout_semi else None,
-        "min_restricted_heavy_layout_speedup": (
-            min(layout_restricted) if layout_restricted else None
-        ),
-        "big_sl_l_layout_target_met": (
-            (min(layout_semi) >= 1.3) if layout_semi else None
-        ),
-        "restricted_heavy_layout_target_met": (
-            (min(layout_restricted) >= 1.3) if layout_restricted else None
-        ),
-        "min_big_sl_l_speedup_vs_plans": min(big_semi) if big_semi else None,
-        "min_restricted_heavy_speedup_vs_plans": (
-            min(big_restricted) if big_restricted else None
-        ),
-        "big_sl_l_target_met": (min(big_semi) >= 2.0) if big_semi else None,
-        "restricted_heavy_target_met": (
-            (min(big_restricted) >= 3.0) if big_restricted else None
-        ),
+        # Only evaluated on the full report; quick mode reports None
+        # (not evaluated) rather than false (regressed).
         "incremental_speedup": incremental_speedup,
         "incremental_target_met": (
             (incremental_speedup >= 3.0) if incremental_speedup is not None else None
@@ -903,8 +806,7 @@ def write_engine_report(
     report = {
         "experiment": "E18-columnar-engine",
         "description": (
-            "Columnar fact store (arrays layout) vs the PR 4 sets layout, the "
-            "PR 1 compiled plans and the legacy rescan, best-of-N "
+            "Columnar fact-store engine vs the legacy rescan, best-of-N "
             "run-to-summary wall seconds with GC paused; plus snapshot "
             "round-trip throughput and incremental (resume_from) re-chase "
             "vs cold on a ~5% database delta"

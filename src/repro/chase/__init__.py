@@ -5,7 +5,6 @@ the oblivious and restricted variants used as baselines, the guarded
 chase forest of Section 5, and depth bookkeeping (Definition 4.3).
 """
 
-from repro.chase.plan import CompiledRule, TriggerPipeline
 from repro.chase.store_plan import StoreCompiledRule, StoreTriggerPipeline
 from repro.chase.trigger import Trigger
 from repro.chase.engine import (
@@ -35,8 +34,6 @@ __all__ = [
     "VARIANT_RUNNERS",
     "ENGINES",
     "Trigger",
-    "CompiledRule",
-    "TriggerPipeline",
     "StoreCompiledRule",
     "StoreTriggerPipeline",
     "ChaseBudget",

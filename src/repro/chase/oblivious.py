@@ -16,7 +16,6 @@ from repro.model.atoms import Atom
 from repro.model.instance import Database, Instance
 from repro.model.tgd import TGDSet
 from repro.chase.engine import BaseChaseEngine, ChaseBudget, ChaseResult
-from repro.chase.plan import CompiledRule
 from repro.chase.trigger import Trigger
 
 
@@ -24,7 +23,6 @@ class ObliviousChase(BaseChaseEngine):
     """Oblivious chase engine: trigger identity is ``(σ, h)`` in full."""
 
     uses_frontier_identity = False
-    supports_store_engine = True
 
     def trigger_key(self, trigger: Trigger):
         return trigger.full_key()
@@ -39,11 +37,6 @@ class ObliviousChase(BaseChaseEngine):
     def trigger_result(self, trigger: Trigger) -> List[Atom]:
         full_binding = {name: term for name, term in trigger.homomorphism}
         return trigger.result(null_binding=full_binding)
-
-    def evaluate(
-        self, instance: Instance, rule: CompiledRule, binding
-    ) -> Optional[List[Atom]]:
-        return self._evaluate_by_containment(instance, rule, binding)
 
     store_evaluate = BaseChaseEngine._store_evaluate_by_containment
 

@@ -16,7 +16,6 @@ from repro.model.atoms import Atom
 from repro.model.instance import Database, Instance
 from repro.model.tgd import TGDSet
 from repro.chase.engine import BaseChaseEngine, ChaseBudget, ChaseResult
-from repro.chase.plan import CompiledRule
 from repro.chase.trigger import Trigger
 
 
@@ -24,7 +23,6 @@ class SemiObliviousChase(BaseChaseEngine):
     """Semi-oblivious chase engine: trigger identity is ``(σ, h|fr(σ))``."""
 
     uses_frontier_identity = True
-    supports_store_engine = True
 
     def trigger_key(self, trigger: Trigger):
         return trigger.frontier_key()
@@ -34,11 +32,6 @@ class SemiObliviousChase(BaseChaseEngine):
 
     def trigger_result(self, trigger: Trigger) -> List[Atom]:
         return trigger.result()
-
-    def evaluate(
-        self, instance: Instance, rule: CompiledRule, binding
-    ) -> Optional[List[Atom]]:
-        return self._evaluate_by_containment(instance, rule, binding)
 
     # Class-level alias, not a wrapper def: store_evaluate runs once
     # per considered trigger, so the extra frame would be measurable.
@@ -65,7 +58,7 @@ def semi_oblivious_chase(
     the chase reached a fixpoint within the budget, in which case
     ``result.instance`` is ``chase(D, Σ)`` and ``result.max_depth`` is
     ``maxdepth(D, Σ)``.  ``engine`` picks the implementation
-    (``"store"``, ``"plans"`` or ``"legacy"``); ``compiled=False`` is
+    (``"store"`` or ``"legacy"``); ``compiled=False`` is
     shorthand for the legacy rescan engine (benchmark baseline).
 
     ``database`` may also be a pre-seeded

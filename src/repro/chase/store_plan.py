@@ -1,22 +1,20 @@
 """Compiled rule plans over the interned fact store.
 
-This is the :mod:`repro.chase.plan` pipeline recompiled against
-:class:`~repro.model.store.FactStore`: the same greedy join orders, the
-same per-atom bound-position templates, the same semi-naive delta
-routing — but every slot array holds dense term ids, candidate
-enumeration intersects posting lists of packed int tuples, and trigger
-keys, null labels and result facts are all built by indexing id tuples.
-No :class:`~repro.model.atoms.Atom` or
-:class:`~repro.model.terms.Null` object is constructed on this path;
+Each TGD is compiled once per run against
+:class:`~repro.model.store.FactStore`: a greedy body join order, one
+delta plan per body atom, per-atom bound-position templates, and
+semi-naive delta routing by body predicate.  Every slot array
+holds dense term ids, candidate enumeration walks posting columns of
+packed int tuples, and trigger keys, null labels and result facts are
+all built by indexing id tuples.  No :class:`~repro.model.atoms.Atom`
+or :class:`~repro.model.terms.Null` object is constructed on this path;
 decoding happens only at API boundaries (derivation recording, the
 final :class:`~repro.model.instance.Instance`).
 
-Structure sharing with the term-level pipeline is deliberate: the atom
-order comes from :func:`~repro.model.homomorphism._plan_order` and the
-position templates from
-:func:`~repro.model.homomorphism.classify_atom_positions`, so the two
-compiled engines enumerate the same joins and the equivalence suite
-can compare them homomorphism for homomorphism.
+The atom order comes from :func:`~repro.model.homomorphism._plan_order`
+and the position templates from
+:func:`~repro.model.homomorphism.classify_atom_positions` — the same
+planner behind the term-level homomorphism search.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.model.atoms import Atom, Predicate
 from repro.model.homomorphism import _plan_order, classify_atom_positions
 from repro.model.store import Fact, FactStore
-from repro.model.terms import Term, Variable
+from repro.model.terms import Variable
 from repro.model.tgd import TGD, TGDSet
 from repro.chase.trigger import Trigger
 
@@ -312,9 +310,8 @@ class StoreCompiledRule:
     """Everything per-TGD the store-backed chase needs, computed once.
 
     A :data:`CanonicalIds` tuple lays out the body homomorphism's term
-    ids in sorted-variable order, exactly like the term-level
-    :class:`~repro.chase.plan.CompiledRule` canonical; trigger keys are
-    ``(rule index, id tuple)``.  Null labels are parallel
+    ids in sorted-variable order; trigger keys are ``(rule index, id
+    tuple)``.  Null labels are parallel
     (names, ids) tuples whose name components are precomputed per rule
     and labelling mode, in the sorted order
     :func:`~repro.model.terms.make_null` would produce — so decoding a
@@ -562,8 +559,8 @@ class StoreCompiledRule:
         if single is not None:
             pid, signature, value_get, bound_template, repeat_checks = single
             if not repeat_checks:
-                # Existence only: on the arrays layout this is one
-                # lookup in the (pid, signature) projection index.
+                # Existence only: one lookup in the (pid, signature)
+                # projection index.
                 return store.has_projection(pid, signature, value_get(canonical))
             bound = [(position, canonical[i]) for position, i in bound_template]
             for ids in store.candidates(pid, bound):
@@ -617,14 +614,13 @@ PendingTrigger = Tuple[StoreCompiledRule, CanonicalIds, Tuple[int, CanonicalIds]
 class StoreTriggerPipeline:
     """Relevance-routed trigger enumeration over the fact store.
 
-    The id-space twin of :class:`~repro.chase.plan.TriggerPipeline`:
-    one :class:`StoreCompiledRule` per TGD, a ``pid -> [(rule, body
-    index)]`` relevance map, and per-round dedup of repeated body
-    images by their compact ``(rule index, id tuple)`` key.  Unlike the
-    term pipeline it hands the driver fully keyed *pending lists*
-    rather than a generator: the round's triggers are materialised
-    before application anyway, and building them in one flat loop
-    avoids per-trigger generator resumptions on the hottest path.
+    One :class:`StoreCompiledRule` per TGD, a delta-routing entry per
+    body atom, and per-round dedup of repeated body
+    images by their compact ``(rule index, id tuple)`` key.  The driver
+    gets fully keyed *pending lists* rather than a generator: the
+    round's triggers are materialised before application anyway, and
+    building them in one flat loop avoids per-trigger generator
+    resumptions on the hottest path.
     """
 
     def __init__(
@@ -645,13 +641,13 @@ class StoreTriggerPipeline:
                 compile_start = perf_counter()
                 self.rules.append(StoreCompiledRule(t, store, index))
                 compile_seconds[index] += perf_counter() - compile_start
-        self.relevance: Dict[int, List[Tuple[StoreCompiledRule, int]]] = {}
-        self._delta_entries: List[Tuple[StoreCompiledRule, int, int]] = []
-        for rule in self.rules:
-            for index, atom in enumerate(rule.tgd.body):
-                pid = store.intern_predicate(atom.predicate)
-                self.relevance.setdefault(pid, []).append((rule, index))
-                self._delta_entries.append((rule, index, pid))
+        #: Delta routing: one (rule, body index, body pid) entry per
+        #: body atom, rule-major.
+        self.delta_entries: List[Tuple[StoreCompiledRule, int, int]] = [
+            (rule, index, store.intern_predicate(atom.predicate))
+            for rule in self.rules
+            for index, atom in enumerate(rule.tgd.body)
+        ]
 
     def initial_pending(
         self,
@@ -678,94 +674,6 @@ class StoreTriggerPipeline:
                 rule_seconds[rule_index] += perf_counter() - enum_start
         return pending
 
-    def delta_pending(
-        self,
-        store: FactStore,
-        delta: Sequence[Fact],
-        uses_frontier: bool,
-        rule_seconds: Optional[List[float]] = None,
-    ) -> List[PendingTrigger]:
-        """Keyed triggers whose body image uses at least one delta fact.
-
-        A rule with a single-atom body cannot produce the same
-        canonical from two distinct forced facts (the canonical is a
-        permutation of the fact), and it has no second delta entry to
-        collide with — such entries skip the round-local ``seen`` set
-        entirely.
-
-        ``rule_seconds`` attributes enumeration time per rule.  The
-        entry walk is rule-major (every rule's body atoms are
-        consecutive), so the clock is read only where the owning rule
-        changes, never per forced fact or trigger.
-        """
-        by_pid: Dict[int, List[Tuple[int, ...]]] = {}
-        relevance = self.relevance
-        for pid, ids in delta:
-            if pid in relevance:
-                by_pid.setdefault(pid, []).append(ids)
-        pending: List[PendingTrigger] = []
-        if not by_pid:
-            return pending
-        append = pending.append
-        seen: Set[Tuple[int, CanonicalIds]] = set()
-        seen_add = seen.add
-        seg_index = -1
-        # The first segment opens at function entry, not at the first
-        # boundary: per-call prologue (local binds, the seen set) lands
-        # on the first rule instead of vanishing from the attribution —
-        # µs of noise per call, but rounds can number in the hundreds
-        # of thousands.
-        seg_start = perf_counter() if rule_seconds is not None else 0.0
-        for rule, index, pid in self._delta_entries:
-            if rule_seconds is not None and rule.index != seg_index:
-                if seg_index >= 0:
-                    now = perf_counter()
-                    rule_seconds[seg_index] += now - seg_start
-                    seg_start = now
-                seg_index = rule.index
-            forced_facts = by_pid.get(pid)
-            if not forced_facts:
-                continue
-            delta_plan = rule.delta_plans[index]
-            rule_index = rule.index
-            key_get = rule.frontier_get if uses_frontier else None
-            dedup = len(rule.delta_plans) > 1
-            direct = delta_plan._direct_get
-            if direct is not None and not dedup:
-                # Linear rule: one delta entry, injective pattern match.
-                direct_checks = delta_plan._direct_checks
-                consts = delta_plan.consts
-                for forced in forced_facts:
-                    ok = True
-                    for position, tid in consts:
-                        if forced[position] != tid:
-                            ok = False
-                            break
-                    if ok:
-                        for position, first in direct_checks:
-                            if forced[position] != forced[first]:
-                                ok = False
-                                break
-                    if not ok:
-                        continue
-                    canonical = direct(forced)
-                    key = (rule_index, key_get(canonical) if key_get else canonical)
-                    append((rule, canonical, key))
-                continue
-            for forced in forced_facts:
-                for canonical in delta_plan.canonicals(store, forced):
-                    dedup_key = (rule_index, canonical)
-                    if dedup_key in seen:
-                        continue
-                    seen_add(dedup_key)
-                    key = (rule_index, key_get(canonical) if key_get else canonical)
-                    append((rule, canonical, key))
-        if rule_seconds is not None and seg_index >= 0:
-            rule_seconds[seg_index] += perf_counter() - seg_start
-        return pending
-
-    # (classic delta_pending above; columnar row-mark twin below)
-
     def delta_pending_rows(
         self,
         store: FactStore,
@@ -773,17 +681,27 @@ class StoreTriggerPipeline:
         uses_frontier: bool,
         rule_seconds: Optional[List[float]] = None,
     ) -> List[PendingTrigger]:
-        """:meth:`delta_pending` over columnar row marks (arrays layout).
+        """Keyed triggers whose body image uses at least one delta fact.
 
         The delta is not a fact list but the row ranges past ``marks``
         (the per-predicate row counts captured before the previous
         round applied): new facts simply occupy the tail of their row
-        table, so the per-round regrouping by predicate disappears.
-        The enumerated trigger set and order match
-        :meth:`delta_pending` exactly — per (rule, body index) in
-        registration order, forced facts in insertion order — and the
-        linear-rule fast path builds its pending entries with a single
-        C-level ``map`` over the row slice.
+        table, so no per-round regrouping by predicate is needed.
+        Triggers come out per (rule, body index) in registration order,
+        forced facts in insertion order.
+
+        A rule with a single-atom body cannot produce the same
+        canonical from two distinct forced facts (the canonical is a
+        permutation of the fact), and it has no second delta entry to
+        collide with — such entries skip the round-local ``seen`` set
+        entirely, and when the pattern needs no checks their pending
+        entries are built with a single C-level ``map`` over the row
+        slice.
+
+        ``rule_seconds`` attributes enumeration time per rule.  The
+        entry walk is rule-major (every rule's body atoms are
+        consecutive), so the clock is read only where the owning rule
+        changes, never per forced fact or trigger.
         """
         pending: List[PendingTrigger] = []
         append = pending.append
@@ -791,10 +709,13 @@ class StoreTriggerPipeline:
         seen_add = seen.add
         rows_since = store.rows_since
         seg_index = -1
-        # First segment opens at entry (see delta_pending): the per-call
-        # prologue is charged to the first rule.
+        # The first segment opens at function entry, not at the first
+        # boundary: per-call prologue (local binds, the seen set) lands
+        # on the first rule instead of vanishing from the attribution —
+        # µs of noise per call, but rounds can number in the hundreds
+        # of thousands.
         seg_start = perf_counter() if rule_seconds is not None else 0.0
-        for rule, index, pid in self._delta_entries:
+        for rule, index, pid in self.delta_entries:
             if rule_seconds is not None and rule.index != seg_index:
                 if seg_index >= 0:
                     now = perf_counter()

@@ -8,7 +8,7 @@ Four subcommands mirror the library's main entry points::
                                                             [--max-atoms N] [--max-rounds N]
                                                             [--max-depth N] [--max-seconds S]
                                                             [--format text|json] [--output FILE]
-                                                            [--engine store|plans|legacy]
+                                                            [--engine store|legacy]
                                                             [--resume-from SNAP] [--save-snapshot FILE]
                                                             [--trace FILE] [--profile [--top K]]
                                                             [--conformance]
@@ -154,7 +154,7 @@ def _cmd_chase(args: argparse.Namespace) -> int:
         max_depth=args.max_depth,
         max_seconds=args.max_seconds,
     )
-    engine = "legacy" if args.legacy_engine else args.engine
+    engine = args.engine
     if args.resume_from and engine != "store":
         print(
             "--resume-from requires the store engine (use --engine store)",
@@ -754,28 +754,22 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
         write_engine_report,
     )
 
-    rows = engine_benchmark_rows(
-        repeats=args.repeats, quick=args.quick, layout=args.layout
+    output = args.output or (
+        "BENCH_engine.quick.json" if args.quick else "BENCH_engine.json"
     )
+    rows = engine_benchmark_rows(repeats=args.repeats, quick=args.quick)
     if not args.quick:
         rows.append(snapshot_roundtrip_row(repeats=args.repeats))
         rows.append(incremental_rechase_row(repeats=args.repeats))
         rows.append(engine_memory_row())
     report = write_engine_report(
-        path=args.output, rows=rows, quick=args.quick, history_path=_history_path(args)
+        path=output, rows=rows, quick=args.quick, history_path=_history_path(args)
     )
     print(format_table(rows))
     summary = report["summary"]
     gates = ""
     if not args.quick:
-        if summary["min_big_sl_l_layout_speedup"] is not None:
-            gates += (
-                f"min big SL/L layout speedup (arrays vs sets): "
-                f"{summary['min_big_sl_l_layout_speedup']}x, "
-                f"min restricted-heavy layout speedup: "
-                f"{summary['min_restricted_heavy_layout_speedup']}x, "
-            )
-        gates += (
+        gates = (
             f"incremental re-chase speedup: {summary['incremental_speedup']}x, "
             f"snapshot {summary['snapshot_encode_mb_s']}/"
             f"{summary['snapshot_decode_mb_s']} MB/s enc/dec, "
@@ -785,25 +779,16 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
         f"{gates}all runs equivalent: {summary['all_equivalent']}",
         file=sys.stderr,
     )
-    print(f"wrote {args.output}", file=sys.stderr)
+    print(f"wrote {output}", file=sys.stderr)
     if not summary["all_equivalent"]:
         return 1
     if args.quick:
         # CI perf smoke: the store engine must stay ≥ 1.5× over the
-        # legacy rescan, and the arrays layout must not regress below
-        # the sets layout, on the smoke workloads.
+        # legacy rescan on the smoke workloads.
         floor = summary["min_speedup_vs_legacy"]
         if floor is None or floor < 1.5:
             print(
                 f"perf smoke FAILED: store-vs-legacy speedup {floor}x < 1.5x",
-                file=sys.stderr,
-            )
-            return 1
-        layout_floor = summary["min_layout_speedup"]
-        if layout_floor is not None and layout_floor < 1.0:
-            print(
-                f"perf smoke FAILED: arrays-vs-sets layout speedup "
-                f"{layout_floor}x < 1.0x",
                 file=sys.stderr,
             )
             return 1
@@ -828,14 +813,7 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
             )
             return 1
         return 0
-    healthy = (
-        summary["big_sl_l_target_met"]
-        and summary["restricted_heavy_target_met"]
-        and summary["big_sl_l_layout_target_met"] is not False
-        and summary["restricted_heavy_layout_target_met"] is not False
-        and summary["incremental_target_met"]
-    )
-    return 0 if healthy else 1
+    return 0 if summary["incremental_target_met"] else 1
 
 
 def _cmd_bench_runtime(args: argparse.Namespace) -> int:
@@ -907,13 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=list(_ENGINES),
         default="store",
-        help="engine implementation: interned fact store (default), "
-        "term-level compiled plans, or the legacy rescan",
-    )
-    chase_parser.add_argument(
-        "--legacy-engine",
-        action="store_true",
-        help="shorthand for --engine legacy (kept for compatibility)",
+        help="engine implementation: interned fact store (default) or the "
+        "legacy rescan",
     )
     chase_parser.add_argument(
         "--resume-from",
@@ -1275,24 +1248,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = subparsers.add_parser(
         "bench-engine",
-        help="measure fact-store engine vs compiled plans vs legacy rescan, "
+        help="measure the fact-store engine vs the legacy rescan, "
         "write BENCH_engine.json",
     )
-    bench_parser.add_argument("--output", default="BENCH_engine.json")
-    bench_parser.add_argument("--repeats", type=int, default=3)
     bench_parser.add_argument(
-        "--layout",
-        choices=["both", "arrays", "sets"],
-        default="both",
-        help="store layouts to measure: 'both' adds the sets-vs-arrays "
-        "comparison columns (and their gates) to every store-engine row",
+        "--output",
+        help="report path (default: BENCH_engine.json, or "
+        "BENCH_engine.quick.json with --quick)",
     )
+    bench_parser.add_argument("--repeats", type=int, default=3)
     bench_parser.add_argument(
         "--quick",
         action="store_true",
         help="two-row CI perf smoke; exits non-zero if the store engine is "
-        "not ≥1.5x over the legacy rescan, the arrays layout regresses "
-        "below 1.0x of the sets layout, or results diverge",
+        "not ≥1.5x over the legacy rescan, telemetry or profiling cost "
+        "more than 1.10x, or results diverge",
     )
     _fault_flag(bench_parser)
     _add_history_flags(bench_parser)

@@ -195,8 +195,8 @@ def classify_atom_positions(
     is already in ``bound`` (usable for index lookups), first
     occurrences of fresh variables (bind the slot), and repeated
     occurrences within this atom (check against the just-bound slot).
-    Shared by :meth:`BodyPlan._build_steps` and the delta-plan pattern
-    matcher in ``chase/plan.py``.
+    Shared by :meth:`BodyPlan._build_steps` and the store pipeline's
+    plans in ``chase/store_plan.py``.
     """
     consts: List[Tuple[int, Term]] = []
     lookups: List[Tuple[int, int]] = []

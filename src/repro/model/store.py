@@ -16,35 +16,26 @@ objects for candidate results, and intersects ``Set[Atom]`` buckets.
   legacy engine would have built, so decoded instances compare equal
   atom for atom and fingerprint identically.
 
-Two storage layouts are selectable per store (``layout=`` or the
-``REPRO_STORE_LAYOUT`` environment knob):
-
-``arrays`` (the default)
-    The columnar layout.  Facts over a predicate live in one
-    insertion-ordered row table (their position is the fact's *row
-    id*); each ``(predicate, position, term)`` posting bucket is an
-    append-only column holding the facts in ascending row order.
-    Because the store is add-only and a fact enters each bucket at
-    most once, the columns are sorted by row id and deduplicated *by
-    construction* — nothing is ever sorted or hashed on the append
-    path.  Multi-position *enumeration* walks the smallest column and
-    filters it by direct position compares; multi-position *existence*
-    tests (the restricted chase's head-satisfaction probe) are one
-    hash lookup in a lazily built projection index per position
-    signature, carrying a dirty watermark that marks how far it has
-    caught up with the row table (appends between probes cost nothing
-    until a probe needs them).  Earlier iterations kept the columns as
-    ``array('q')`` row ids galloped with cursors + ``bisect`` (lost:
-    every probe re-boxed machine ints into Python objects) and
-    intersected via per-column watermarked hash sets (lost: direct
-    compares need no maintenance at all) — the packed ``array('q')``
-    form survives as the snapshot wire format, where it belongs.
-
-``sets``
-    The PR 4 layout — one Python ``set`` of packed fact tuples per
-    posting key, with the original driver loop above it — kept fully
-    selectable so the equivalence suite and the layout benchmark
-    (BENCH_engine.json E18) can compare old and new byte for byte.
+The storage is columnar.  Facts over a predicate live in one
+insertion-ordered row table (their position is the fact's *row id*);
+each ``(predicate, position, term)`` posting bucket is an append-only
+column holding the facts in ascending row order.  Because the store is
+add-only and a fact enters each bucket at most once, the columns are
+sorted by row id and deduplicated *by construction* — nothing is ever
+sorted or hashed on the append path.  Multi-position *enumeration*
+walks the smallest column and filters it by direct position compares;
+multi-position *existence* tests (the restricted chase's
+head-satisfaction probe) are one hash lookup in a lazily built
+projection index per position signature, carrying a dirty watermark
+that marks how far it has caught up with the row table (appends
+between probes cost nothing until a probe needs them).  Earlier
+iterations kept the columns as ``array('q')`` row ids galloped with
+cursors + ``bisect`` (lost: every probe re-boxed machine ints into
+Python objects), intersected via per-column watermarked hash sets
+(lost: direct compares need no maintenance at all), or kept one Python
+``set`` of packed facts per posting key (lost: hashing on every add) —
+the packed ``array('q')`` form survives as the snapshot wire format,
+where it belongs.
 
 The store is add-only (the chase never retracts facts), which is what
 makes the incremental ``size``/``max_depth`` counters exact, the
@@ -54,19 +45,17 @@ interner tables plus the per-predicate fact columns
 (``array('q').tobytes()``) into one plain-bytes blob that a worker
 process can restore without re-parsing or re-hashing any text.
 Because every key in the hot dictionaries is an int or a tuple of
-ints, derivation order is independent of string hash randomisation in
-both layouts.
+ints, derivation order is independent of string hash randomisation.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from array import array
 from time import perf_counter
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.model.atoms import Atom, Predicate
 from repro.model.instance import Instance
@@ -75,34 +64,14 @@ from repro.model.terms import Constant, Null, Term, Variable
 #: A fact as (predicate id, packed term-id tuple).
 Fact = Tuple[int, Tuple[int, ...]]
 
-#: Storage layouts selectable per store.
-LAYOUTS = ("arrays", "sets")
-
-#: Environment knob choosing the default layout (benchmark fallback).
-LAYOUT_ENV_VAR = "REPRO_STORE_LAYOUT"
-
-#: Shared empty posting list for index misses; never mutated.
-_EMPTY_FACTS: Set[Tuple[int, ...]] = frozenset()  # type: ignore[assignment]
-
 #: Magic prefix of the snapshot wire format (bumped on format changes).
 SNAPSHOT_MAGIC = b"RSNP1\n"
-
-
-def default_layout() -> str:
-    """The process-default layout: ``REPRO_STORE_LAYOUT`` or ``arrays``."""
-    layout = os.environ.get(LAYOUT_ENV_VAR, "arrays")
-    if layout not in LAYOUTS:
-        raise ValueError(
-            f"{LAYOUT_ENV_VAR}={layout!r} is not a store layout; expected one of {LAYOUTS}"
-        )
-    return layout
 
 
 class FactStore:
     """Interned predicates, terms and facts with positional posting lists."""
 
     __slots__ = (
-        "layout",
         "_pid_of",
         "_pred_of",
         "_id_of_term",
@@ -116,10 +85,6 @@ class FactStore:
         "index_builds",
         "_index_profile",
         "restored_rounds",
-        # sets layout
-        "_facts",
-        "_posting",
-        # arrays layout
         "_rows",
         "_row_of",
         "_cols",
@@ -128,12 +93,7 @@ class FactStore:
         "_depth_marks",
     )
 
-    def __init__(self, layout: Optional[str] = None) -> None:
-        if layout is None:
-            layout = default_layout()
-        if layout not in LAYOUTS:
-            raise ValueError(f"unknown layout {layout!r}, expected one of {LAYOUTS}")
-        self.layout = layout
+    def __init__(self) -> None:
         self._pid_of: Dict[Predicate, int] = {}
         self._pred_of: List[Predicate] = []
         self._id_of_term: Dict[Term, int] = {}
@@ -165,31 +125,26 @@ class FactStore:
         # from, if any (``None`` for stores built from scratch).  Lets
         # a resumed chase report its base-run round offset.
         self.restored_rounds: Optional[int] = None
-        if layout == "sets":
-            self._facts: List[Set[Tuple[int, ...]]] = []
-            self._posting: Dict[Tuple[int, int, int], Set[Tuple[int, ...]]] = {}
-        else:
-            # Row tables: _rows[pid] lists packed facts in insertion
-            # order (the index is the row id) and _row_of[pid] maps a
-            # fact back to its row (containment + dedup).
-            # _cols[pid][position] maps a term id to its posting column
-            # (facts ascending by row id) — built *lazily* on the first
-            # probe of that (predicate, position): positions no join
-            # ever binds (most of a wide predicate) are never indexed,
-            # and the add path only maintains the columns in
-            # _built[pid].
-            self._rows: List[List[Tuple[int, ...]]] = []
-            self._row_of: List[Dict[Tuple[int, ...], int]] = []
-            self._cols: List[List[Optional[Dict[int, List[Tuple[int, ...]]]]]] = []
-            self._built: List[List[int]] = []
-            # Projection existence indexes: per predicate, a position
-            # signature (e.g. ``(0, 2)``) maps to a
-            # ``[projection set, watermark, getter]`` triple used by
-            # multi-position existence probes (see has_candidate).
-            self._proj: List[Dict[Tuple[int, ...], list]] = []
-            # Depth bookkeeping is deferred too: rows before this
-            # per-predicate watermark have been folded into _max_depth.
-            self._depth_marks: List[int] = []
+        # Row tables: _rows[pid] lists packed facts in insertion order
+        # (the index is the row id) and _row_of[pid] maps a fact back
+        # to its row (containment + dedup).
+        # _cols[pid][position] maps a term id to its posting column
+        # (facts ascending by row id) — built *lazily* on the first
+        # probe of that (predicate, position): positions no join ever
+        # binds (most of a wide predicate) are never indexed, and the
+        # add path only maintains the columns in _built[pid].
+        self._rows: List[List[Tuple[int, ...]]] = []
+        self._row_of: List[Dict[Tuple[int, ...], int]] = []
+        self._cols: List[List[Optional[Dict[int, List[Tuple[int, ...]]]]]] = []
+        self._built: List[List[int]] = []
+        # Projection existence indexes: per predicate, a position
+        # signature (e.g. ``(0, 2)``) maps to a
+        # ``[projection set, watermark, getter]`` triple used by
+        # multi-position existence probes (see has_candidate).
+        self._proj: List[Dict[Tuple[int, ...], list]] = []
+        # Depth bookkeeping is deferred too: rows before this
+        # per-predicate watermark have been folded into _max_depth.
+        self._depth_marks: List[int] = []
 
     # -- interning ---------------------------------------------------------
 
@@ -200,15 +155,12 @@ class FactStore:
             pid = len(self._pred_of)
             self._pid_of[predicate] = pid
             self._pred_of.append(predicate)
-            if self.layout == "sets":
-                self._facts.append(set())
-            else:
-                self._rows.append([])
-                self._row_of.append({})
-                self._cols.append([None] * predicate.arity)
-                self._built.append([])
-                self._proj.append({})
-                self._depth_marks.append(0)
+            self._rows.append([])
+            self._row_of.append({})
+            self._cols.append([None] * predicate.arity)
+            self._built.append([])
+            self._proj.append({})
+            self._depth_marks.append(0)
         return pid
 
     def intern_term(self, term: Term) -> int:
@@ -388,51 +340,29 @@ class FactStore:
 
     def add(self, pid: int, ids: Tuple[int, ...]) -> bool:
         """Store a fact; return True if it was new."""
-        if self.layout == "sets":
-            bucket = self._facts[pid]
-            if ids in bucket:
-                return False
-            bucket.add(ids)
-            posting = self._posting
-            for position, tid in enumerate(ids):
-                key = (pid, position, tid)
-                entry = posting.get(key)
-                if entry is None:
-                    posting[key] = {ids}
-                else:
-                    entry.add(ids)
-        else:
-            rows = self._rows[pid]
-            row = len(rows)
-            # setdefault: one hash probe decides "duplicate?" and
-            # inserts the new row id in the same motion.
-            if self._row_of[pid].setdefault(ids, row) != row:
-                return False
-            rows.append(ids)
-            # Appends in row order keep every column sorted and
-            # deduplicated without hashing — and only the columns some
-            # probe has actually built get maintained at all (a
-            # single-atom-body rule set never builds any).
-            cols = self._cols[pid]
-            for position in self._built[pid]:
-                tid = ids[position]
-                column = cols[position]
-                bucket = column.get(tid)
-                if bucket is None:
-                    column[tid] = [ids]
-                else:
-                    bucket.append(ids)
-            # Depth folding is deferred: max_depth() scans the rows
-            # past each predicate's depth watermark on read.
-            self._size += 1
-            return True
+        rows = self._rows[pid]
+        row = len(rows)
+        # setdefault: one hash probe decides "duplicate?" and inserts
+        # the new row id in the same motion.
+        if self._row_of[pid].setdefault(ids, row) != row:
+            return False
+        rows.append(ids)
+        # Appends in row order keep every column sorted and
+        # deduplicated without hashing — and only the columns some
+        # probe has actually built get maintained at all (a
+        # single-atom-body rule set never builds any).
+        cols = self._cols[pid]
+        for position in self._built[pid]:
+            tid = ids[position]
+            column = cols[position]
+            bucket = column.get(tid)
+            if bucket is None:
+                column[tid] = [ids]
+            else:
+                bucket.append(ids)
+        # Depth folding is deferred: max_depth() scans the rows past
+        # each predicate's depth watermark on read.
         self._size += 1
-        depths = self._depth_of_id
-        max_depth = self._max_depth
-        for tid in ids:
-            depth = depths[tid]
-            if depth > max_depth:
-                self._max_depth = max_depth = depth
         return True
 
     def add_atom(self, atom: Atom) -> Fact:
@@ -442,8 +372,6 @@ class FactStore:
         return (pid, ids)
 
     def contains(self, pid: int, ids: Tuple[int, ...]) -> bool:
-        if self.layout == "sets":
-            return ids in self._facts[pid]
         return ids in self._row_of[pid]
 
     # -- queries -----------------------------------------------------------
@@ -453,21 +381,16 @@ class FactStore:
 
     def count(self, pid: int) -> int:
         """Number of stored facts over predicate id ``pid`` (O(1))."""
-        if self.layout == "sets":
-            return len(self._facts[pid])
         return len(self._rows[pid])
 
     def max_depth(self) -> int:
         """Maximum term depth over all stored facts.
 
-        The sets layout folds depths in eagerly on every add; the
-        arrays layout defers the fold to this read, scanning only the
-        rows appended since the last call (per-predicate watermarks),
-        so unbudgeted chase runs pay for depth bookkeeping once instead
-        of per fact.
+        The fold is deferred to this read, scanning only the rows
+        appended since the last call (per-predicate watermarks), so
+        unbudgeted chase runs pay for depth bookkeeping once instead of
+        per fact.
         """
-        if self.layout == "sets":
-            return self._max_depth
         best = self._max_depth
         depths = self._depth_of_id
         marks = self._depth_marks
@@ -496,8 +419,7 @@ class FactStore:
 
         Covers posting-column backfills and projection-signature
         builds (the same events :attr:`index_builds` counts), with the
-        wall time each cost.  Empty for the sets layout, whose posting
-        sets are maintained eagerly on add.
+        wall time each cost.
         """
         return {
             self._pred_of[pid].name: {"builds": entry[0], "seconds": entry[1]}
@@ -507,9 +429,8 @@ class FactStore:
     def posting_memory(self) -> Dict[str, int]:
         """Approximate per-predicate index memory (bytes), on demand.
 
-        Sums ``sys.getsizeof`` over the posting containers — built
-        columns and their buckets plus projection sets on the arrays
-        layout, fact buckets and posting sets on the sets layout.
+        Sums ``sys.getsizeof`` over the posting containers — the row
+        table, built columns and their buckets, and projection sets.
         Container overhead only (the packed fact tuples themselves are
         shared with the row tables), which is the part the lazy index
         strategy actually controls.  Walks every built bucket, so call
@@ -517,15 +438,6 @@ class FactStore:
         """
         sizes: Dict[str, int] = {}
         getsizeof = sys.getsizeof
-        if self.layout == "sets":
-            per_pid: Dict[int, int] = {
-                pid: getsizeof(bucket) for pid, bucket in enumerate(self._facts)
-            }
-            for (pid, _, _), entry in self._posting.items():
-                per_pid[pid] = per_pid.get(pid, 0) + getsizeof(entry)
-            for pid, total in per_pid.items():
-                sizes[self._pred_of[pid].name] = total
-            return sizes
         for pid, predicate in enumerate(self._pred_of):
             total = getsizeof(self._rows[pid])
             for position in self._built[pid]:
@@ -543,30 +455,25 @@ class FactStore:
         return max((depths[t] for t in ids), default=0)
 
     def facts_of(self, pid: int):
-        """All facts over ``pid`` as a live, do-not-mutate iterable.
+        """All facts over ``pid`` as a live, do-not-mutate list.
 
-        The sets layout hands out its live bucket set; the arrays
-        layout its live row table (a list in insertion order).  Both
-        alias engine internals for speed — treat them as frozen.
+        This is the row table itself (insertion order), aliased for
+        speed — treat it as frozen.
         """
-        if self.layout == "sets":
-            return self._facts[pid]
         return self._rows[pid]
 
     def row_marks(self) -> List[int]:
-        """Per-predicate row counts (arrays layout): the delta watermark.
+        """Per-predicate row counts: the delta watermark.
 
-        The columnar driver snapshots this before applying a round and
+        The chase driver snapshots this before applying a round and
         reads the round's delta back with :meth:`rows_since` — no
         per-fact bookkeeping, because new facts simply occupy the row
         range past the mark.
         """
-        if self.layout != "arrays":
-            raise TypeError("row_marks() requires the arrays layout")
         return [len(rows) for rows in self._rows]
 
     def rows_since(self, pid: int, mark: int) -> List[Tuple[int, ...]]:
-        """The facts over ``pid`` appended after ``mark`` (arrays layout)."""
+        """The facts over ``pid`` appended after ``mark``."""
         return self._rows[pid][mark:]
 
     def _column(self, pid: int, position: int) -> Dict[int, List[Tuple[int, ...]]]:
@@ -602,19 +509,9 @@ class FactStore:
         """Read-only posting list for ``(pid, position, tid)``.
 
         This is the safe public accessor (the join hot path goes
-        through :meth:`candidates` instead).  The arrays layout returns
-        an immutable tuple of the column's packed facts in row order;
-        the sets layout returns a ``frozenset`` copy under
-        ``__debug__`` (catching accidental mutation in tests) and the
-        live set only under ``-O``.
+        through :meth:`candidates` instead): an immutable tuple of the
+        column's packed facts in row order.
         """
-        if self.layout == "sets":
-            entry = self._posting.get((pid, position, tid))
-            if not entry:
-                return _EMPTY_FACTS
-            if __debug__:
-                return frozenset(entry)
-            return entry  # pragma: no cover - exercised only under -O
         bucket = self._column(pid, position).get(tid)
         if not bucket:
             return ()
@@ -622,15 +519,13 @@ class FactStore:
 
     def posting_rows(self, pid: int, position: int, tid: int) -> memoryview:
         """One posting column as a read-only ``memoryview`` of packed
-        row ids (arrays layout only) — ascending by construction.
+        row ids — ascending by construction.
 
         This is the zero-copy-consumable face of the columnar index
         (the ids are packed into a fresh ``array('q')``; the view into
         it is read-only), used by tooling and tests that want the sorted
         ids rather than decoded facts.
         """
-        if self.layout != "arrays":
-            raise TypeError("posting_rows() requires the arrays layout")
         bucket = self._column(pid, position).get(tid)
         row_of = self._row_of[pid]
         ids = array("q", (row_of[ids_] for ids_ in bucket)) if bucket else array("q")
@@ -643,16 +538,11 @@ class FactStore:
 
         ``signature`` is the tuple of bound positions and ``value`` the
         term ids at them — the form compiled head plans can build with
-        one itemgetter.  On the arrays layout a multi-position probe is
-        one lookup in the projection index; the sets layout falls back
-        to the posting-set intersection.
+        one itemgetter.  A multi-position probe is one lookup in the
+        projection index.
         """
         if not signature:
             return self.count(pid) > 0
-        if self.layout == "sets":
-            if len(signature) == 1:
-                return bool(self._posting.get((pid, signature[0], value[0])))
-            return bool(self.candidates(pid, tuple(zip(signature, value))))
         if len(signature) == 1:
             return value[0] in self._column(pid, signature[0])
         rows = self._rows[pid]
@@ -683,13 +573,6 @@ class FactStore:
         ``(position, tid)`` pairs; :meth:`has_projection` is the same
         verdict for callers that pre-split signature and value.
         """
-        if self.layout == "sets":
-            if not bound:
-                return bool(self._facts[pid])
-            if len(bound) == 1:
-                position, tid = bound[0]
-                return bool(self._posting.get((pid, position, tid)))
-            return bool(self.candidates(pid, bound))
         if not bound:
             return bool(self._rows[pid])
         if len(bound) == 1:
@@ -708,34 +591,11 @@ class FactStore:
         """Facts over ``pid`` matching the bound ``(position, tid)`` pairs.
 
         Returns an iterable of packed fact tuples; it may alias live
-        index state and must not be kept across mutations.  The sets
-        layout intersects posting sets smallest first; the arrays
-        layout walks the *smallest* posting column and filters it by
-        direct position compares, yielding facts in insertion (row)
-        order.  A provably empty probe returns a falsy empty container
-        either way.
+        index state and must not be kept across mutations.  The probe
+        walks the *smallest* posting column and filters it by direct
+        position compares, yielding facts in insertion (row) order.  A
+        provably empty probe returns a falsy empty container.
         """
-        if self.layout == "sets":
-            if not bound:
-                return self._facts[pid]
-            if len(bound) == 1:
-                position, tid = bound[0]
-                return self._posting.get((pid, position, tid), _EMPTY_FACTS)
-            posting = self._posting
-            smallest: Optional[Set[Tuple[int, ...]]] = None
-            rest: List[Set[Tuple[int, ...]]] = []
-            for position, tid in bound:
-                entry = posting.get((pid, position, tid))
-                if not entry:
-                    return _EMPTY_FACTS
-                if smallest is None or len(entry) < len(smallest):
-                    if smallest is not None:
-                        rest.append(smallest)
-                    smallest = entry
-                else:
-                    rest.append(entry)
-            assert smallest is not None
-            return smallest.intersection(*rest)
         if not bound:
             return self._rows[pid]
         if len(bound) == 1:
@@ -796,7 +656,7 @@ class FactStore:
         constants, null recipes) followed by packed binary columns —
         the per-id depth column and, per predicate, the fact rows as
         ``array('q').tobytes()``.  :meth:`restore` rebuilds an
-        equivalent store (either layout) without parsing any fact text
+        equivalent store without parsing any fact text
         or re-deriving any null label; decoding the restored store
         yields atoms equal to the original's, and canonical
         fingerprints are preserved.
@@ -838,7 +698,7 @@ class FactStore:
             "terms": terms,
             "facts": [self.count(pid) for pid in range(len(self._pred_of))],
             "size": self._size,
-            # max_depth() first: the arrays layout folds depths lazily.
+            # max_depth() first: depths are folded lazily.
             "max_depth": self.max_depth(),
             "foreign": self._has_foreign_nulls,
             "complete": complete,
@@ -860,14 +720,10 @@ class FactStore:
         return b"".join(chunks)
 
     @classmethod
-    def restore(cls, data: bytes, layout: Optional[str] = None) -> "FactStore":
-        """Rebuild a store from :meth:`snapshot` bytes.
-
-        ``layout`` selects the storage layout of the restored store
-        (default: the process default) — snapshots are layout-agnostic.
-        """
+    def restore(cls, data: bytes) -> "FactStore":
+        """Rebuild a store from :meth:`snapshot` bytes."""
         header, offset = inspect_snapshot(data, _with_offset=True)
-        store = cls(layout=layout)
+        store = cls()
         itemsize = int(header["itemsize"])
         arities = [int(arity) for _, arity in header["predicates"]]
         expected = (
@@ -936,28 +792,15 @@ class FactStore:
                 tuple(flat[base : base + arity])
                 for base in range(0, fact_count * arity, arity)
             ]
-        if self.layout == "sets":
-            bucket = self._facts[pid]
-            bucket.update(facts)
-            posting = self._posting
-            for ids in facts:
-                for position, tid in enumerate(ids):
-                    key = (pid, position, tid)
-                    entry = posting.get(key)
-                    if entry is None:
-                        posting[key] = {ids}
-                    else:
-                        entry.add(ids)
-        else:
-            rows = self._rows[pid]
-            row_of = self._row_of[pid]
-            for ids in facts:
-                row_of[ids] = len(rows)
-                rows.append(ids)
-            # Posting columns stay unbuilt (they backfill lazily on
-            # first probe), and the caller (restore) sets _max_depth
-            # from the header: these rows are already folded.
-            self._depth_marks[pid] = len(rows)
+        rows = self._rows[pid]
+        row_of = self._row_of[pid]
+        for ids in facts:
+            row_of[ids] = len(rows)
+            rows.append(ids)
+        # Posting columns stay unbuilt (they backfill lazily on first
+        # probe), and the caller (restore) sets _max_depth from the
+        # header: these rows are already folded.
+        self._depth_marks[pid] = len(rows)
 
 
 def inspect_snapshot(data: bytes, _with_offset: bool = False):

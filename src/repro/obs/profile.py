@@ -6,10 +6,9 @@ question the round-level :class:`~repro.obs.probe.ChaseProbe` cannot:
 rules:
 
 compile
-    Each rule's plan compilation inside the trigger pipeline
-    (:class:`~repro.chase.store_plan.StoreTriggerPipeline` /
-    :class:`~repro.chase.plan.TriggerPipeline`), timed per rule at
-    construction.
+    Each rule's plan compilation inside the store engine's trigger
+    pipeline (:class:`~repro.chase.store_plan.StoreTriggerPipeline`),
+    timed per rule at construction.
 enumerate
     Trigger enumeration.  Pending lists are built rule-major (the
     pipelines walk rules, then their delta entries, in registration
@@ -24,8 +23,9 @@ apply
 
 Trigger counters (considered / fired / pruned) and produced facts are
 exact per rule.  Nulls invented are exact on the store engine (O(1)
-``null_count()`` diffs at segment boundaries) and counted from the
-rule's existential variables on the term-level engines.
+``null_count()`` diffs at segment boundaries) and counted as the
+first-seen nulls of each application's added atoms on the legacy
+engine.
 
 Like the probe, the profiler is strictly opt-in: ``profile=None`` (the
 default) keeps every driver on its profile-free path and the summary

@@ -147,7 +147,7 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
       the store and chases it directly, skipping parse + intern (the
       default for store-engine jobs);
     * ``database_text`` alone — the legacy text form, re-parsed here
-      (non-store engines, and the ``ship_snapshots=False`` knob);
+      (the legacy engine, and the ``ship_snapshots=False`` knob);
     * ``resume_snapshot`` + ``database_text`` — incremental re-chase:
       the snapshot is a previously terminated run, the text carries
       only the *delta* facts, and ``database_size`` is the full grown
@@ -284,7 +284,7 @@ class BatchExecutor:
     cache: Optional[ResultCache] = None
     materialize: bool = False
     per_job_timeout: Optional[float] = None
-    #: Chase engine implementation ("store", "plans", "legacy"); None
+    #: Chase engine implementation ("store" or "legacy"); None
     #: selects the library default.  Deliberately *not* part of the
     #: result cache key: the engines are equivalence-tested, so a
     #: summary replayed across engines is still correct.
@@ -446,12 +446,15 @@ class BatchExecutor:
         survives a restart (the restricted chase's per-run fire counter
         does not).  Probed/profiled runs are excluded: their payloads
         sample per-round, and a resume would observe only the tail.
+        Depth-truncating runs are excluded too: a checkpoint does not
+        carry the run's ``depth_truncated`` flag.
         """
         return (
             self.checkpoint_every_rounds is not None
             and self.checkpoint_dir is not None
             and self._snapshot_capable()
             and job.variant in ("semi-oblivious", "oblivious")
+            and not (job.budget is not None and job.budget.truncate_at_depth)
             and not self.telemetry
             and not self.profile
         )

@@ -1,20 +1,21 @@
-"""Compiled trigger pipeline vs legacy rescan engine.
+"""Compiled store trigger pipeline vs legacy rescan engine.
 
-The compiled engine (the default) must be observationally equivalent to
-the legacy per-round rescan it replaced: same materialised instance for
-the deterministic variants, same trigger-application counts for all
-three, on the paper's families and on randomized programs.
+The compiled engine (the default, on the fact store) must be
+observationally equivalent to the legacy per-round rescan it replaced:
+same materialised instance for the deterministic variants, same
+trigger-application counts for all three, on the paper's families and
+on randomized programs.  The compiled rules themselves must carry the
+trigger API's identities and results.
 """
 
 import pytest
 
 from repro.chase.engine import ChaseBudget
 from repro.chase.oblivious import oblivious_chase
-from repro.chase.plan import CompiledRule, TriggerPipeline
 from repro.chase.restricted import restricted_chase
 from repro.chase.semi_oblivious import semi_oblivious_chase
-from repro.chase.trigger import Trigger
-from repro.model.instance import Instance
+from repro.chase.store_plan import StoreCompiledRule, StoreTriggerPipeline
+from repro.model.store import FactStore
 from repro.generators.families import (
     example_7_1,
     fairness_example,
@@ -77,46 +78,58 @@ def test_derivation_recorded_with_compiled_engine():
         assert step.trigger.tgd is result.derivation[0].trigger.tgd
 
 
+def _seeded_store(database) -> FactStore:
+    store = FactStore()
+    for a in database:
+        store.add_atom(a)
+    return store
+
+
 class TestCompiledRule:
     def test_trigger_and_keys_match_trigger_api(self):
         database, tgds = prop45_family(3)
-        instance = Instance(database)
-        rule = CompiledRule(tgds[0])
-        canonicals = list(rule.initial_canonicals(instance))
+        store = _seeded_store(database)
+        rule = StoreCompiledRule(tgds[0], store, 0)
+        canonicals = list(rule.initial_canonicals(store))
         assert canonicals
+
+        def decode(ids):
+            return tuple(store.term_of_id(t) for t in ids)
+
         for canonical in canonicals:
-            trigger = rule.make_trigger(canonical)
-            # Compact keys carry the same identity as the Trigger API keys.
-            assert rule.frontier_key(canonical)[0] == trigger.frontier_key()[0]
-            assert tuple(term for _, term in trigger.frontier_key()[1]) == rule.frontier_key(
-                canonical
-            )[1]
-            assert tuple(term for _, term in trigger.full_key()[1]) == rule.full_key(canonical)[1]
-            # Compiled result atoms equal the Trigger result (both labellings).
-            assert rule.result_atoms(canonical) == trigger.result()
-            full_binding = {name: term for name, term in trigger.homomorphism}
-            assert rule.result_atoms(canonical, full_labels=True) == trigger.result(
-                null_binding=full_binding
+            trigger = rule.make_trigger(store, canonical)
+            # Compact id keys carry the same identity as the Trigger API keys.
+            assert decode(rule.frontier_ids(canonical)) == tuple(
+                term for _, term in trigger.frontier_key()[1]
             )
+            assert decode(canonical) == tuple(term for _, term in trigger.full_key()[1])
+            # Compiled result facts decode to the Trigger result (both labellings).
+            assert [
+                store.decode_fact(pid, ids)
+                for pid, ids in rule.result_facts(store, canonical)
+            ] == trigger.result()
+            full_binding = {name: term for name, term in trigger.homomorphism}
+            assert [
+                store.decode_fact(pid, ids)
+                for pid, ids in rule.result_facts(store, canonical, full_labels=True)
+            ] == trigger.result(null_binding=full_binding)
 
     def test_delta_routing_covers_all_body_predicates(self):
         database, tgds = prop45_family(3)
-        pipeline = TriggerPipeline(tgds)
-        body_predicates = {a.predicate for t in tgds for a in t.body}
-        assert set(pipeline.relevance) == body_predicates
+        store = _seeded_store(database)
+        pipeline = StoreTriggerPipeline(tgds, store)
+        routed = {store.predicate_of(pid) for _, _, pid in pipeline.delta_entries}
+        assert routed == {a.predicate for t in tgds for a in t.body}
 
     def test_delta_triggers_force_each_new_atom(self):
         database, tgds = prop45_family(4)
-        instance = Instance(database)
-        pipeline = TriggerPipeline(tgds)
-        initial = {
-            Trigger.from_substitution(rule.tgd, dict(zip(rule.sorted_variables, canonical)))
-            for rule, canonical in pipeline.initial_triggers(instance)
-        }
-        # Handing the whole instance back as delta reproduces the
-        # initial enumeration (every body atom can be the forced one).
-        from_delta = {
-            Trigger.from_substitution(rule.tgd, dict(zip(rule.sorted_variables, canonical)))
-            for rule, canonical in pipeline.delta_triggers(instance, list(instance))
-        }
-        assert initial == from_delta
+        store = _seeded_store(database)
+        pipeline = StoreTriggerPipeline(tgds, store)
+        initial = pipeline.initial_pending(store, uses_frontier=True)
+        # Treating every stored row as delta (all marks at zero)
+        # reproduces the initial enumeration: every body atom can be
+        # the forced one.
+        marks = [0] * len(store.row_marks())
+        from_delta = pipeline.delta_pending_rows(store, marks, uses_frontier=True)
+        assert initial
+        assert set(initial) == set(from_delta)

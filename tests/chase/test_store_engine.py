@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from repro.chase.engine import BaseChaseEngine, ChaseBudget
+from repro.chase.engine import BaseChaseEngine, ChaseBudget, EngineCheckpoint
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
 from repro.chase.semi_oblivious import SemiObliviousChase, semi_oblivious_chase
@@ -101,13 +101,20 @@ def derivation_atoms(result):
 
 
 def assert_derivation_faithful(result, database):
-    """Every recorded step produced real atoms, and together they
-    account exactly for everything derived beyond the database."""
+    """Every recorded step produced real atoms, together they account
+    exactly for everything derived beyond the database, and every
+    guard image lies in the result."""
     produced = [a for step in result.derivation for a in step.new_atoms]
     assert len(produced) == len(set(produced))  # each atom added once
     assert set(produced) == set(result.instance.atoms()) - set(database)
     assert all(step.new_atoms for step in result.derivation)
     assert len(result.derivation) <= result.statistics.triggers_applied
+    instance = result.instance
+    assert all(
+        step.guard_image in instance
+        for step in result.derivation
+        if step.guard_image is not None
+    )
 
 
 @pytest.mark.parametrize("name,workload", FAMILIES, ids=[n for n, _ in FAMILIES])
@@ -152,21 +159,6 @@ def test_store_matches_legacy_on_families(name, workload, runner):
         assert store.instance == legacy.instance
         assert store.max_depth == legacy.max_depth
         assert derivation_atoms(store) == derivation_atoms(legacy)
-
-
-@pytest.mark.parametrize("name,workload", FAMILIES[:5], ids=[n for n, _ in FAMILIES[:5]])
-@pytest.mark.parametrize("runner", VARIANTS, ids=VARIANT_IDS)
-def test_store_matches_plans_engine(name, workload, runner):
-    database, tgds = workload
-    if runner is restricted_chase and name not in RESTRICTED_ORDER_INVARIANT:
-        pytest.skip("restricted comparison is only exact on order-invariant families")
-    store = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
-    plans = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="plans")
-    assert store.size == plans.size
-    assert store.statistics.triggers_applied == plans.statistics.triggers_applied
-    assert store.statistics.triggers_considered == plans.statistics.triggers_considered
-    if runner is not restricted_chase:
-        assert store.instance == plans.instance
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -224,10 +216,10 @@ def test_restricted_store_matches_legacy_on_full_programs(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_restricted_activeness_matches_reference_search(seed):
     """The consolidated activeness implementation stays anchored to the
-    executable specification: ``Trigger.is_active_restricted`` (shared
-    by the legacy and plans engines via ``head_extension_exists``) must
-    agree with a direct reference-enumerator head search on every
-    trigger of a randomized instance."""
+    executable specification: ``Trigger.is_active_restricted`` (the
+    legacy engine's test, via ``head_extension_exists``) must agree
+    with a direct reference-enumerator head search on every trigger of
+    a randomized instance."""
     from repro.chase.trigger import Trigger
     from repro.model.homomorphism import find_homomorphisms_reference
 
@@ -302,17 +294,6 @@ class TestEngineSelection:
         assert SemiObliviousChase(tgds, compiled=False).engine == "legacy"
         assert SemiObliviousChase(tgds).engine == "store"
 
-    def test_custom_subclass_falls_back_to_plans(self):
-        # A subclass that never implemented the id-space hooks must
-        # still run under the default engine selection.
-        class Custom(SemiObliviousChase):
-            supports_store_engine = False
-
-        database, tgds = prop45_family(4)
-        result = Custom(tgds).run(database)
-        reference = semi_oblivious_chase(database, tgds, engine="legacy")
-        assert result.instance == reference.instance
-
     def test_base_store_evaluate_raises(self):
         _, tgds = intro_nonterminating_example()
         engine = BaseChaseEngine(tgds)
@@ -374,46 +355,15 @@ def test_store_derivation_order_is_hash_seed_independent():
 
 
 # ---------------------------------------------------------------------------
-# Storage layouts: the columnar (arrays) layout vs the sets fallback
+# Store driver modes: summary, derivation recording, depth truncation
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name,workload", FAMILIES, ids=[n for n, _ in FAMILIES])
-@pytest.mark.parametrize("runner", VARIANTS, ids=VARIANT_IDS)
-def test_arrays_layout_matches_sets_layout(name, workload, runner, monkeypatch):
-    """REPRO_STORE_LAYOUT=sets must reproduce the columnar results.
-
-    Summary mode (record_derivation=False) routes the arrays layout
-    through the columnar driver loop and the sets layout through the
-    general loop, so this also pins the two drivers to each other.
-    """
-    if runner is restricted_chase and name not in RESTRICTED_ORDER_INVARIANT:
-        pytest.skip("restricted comparison is only exact on order-invariant families")
-    database, tgds = workload
-    monkeypatch.setenv("REPRO_STORE_LAYOUT", "arrays")
-    arrays = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
-    monkeypatch.setenv("REPRO_STORE_LAYOUT", "sets")
-    sets = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
-    assert arrays.terminated == sets.terminated
-    assert arrays.outcome == sets.outcome
-    if not arrays.terminated:
-        return
-    assert arrays.size == sets.size
-    assert arrays.max_depth == sets.max_depth
-    assert arrays.statistics.triggers_applied == sets.statistics.triggers_applied
-    assert arrays.statistics.triggers_considered == sets.statistics.triggers_considered
-    if runner is restricted_chase:
-        assert fire_invariant_instance_key(arrays.instance) == (
-            fire_invariant_instance_key(sets.instance)
-        )
-    else:
-        assert arrays.instance == sets.instance
 
 
 @pytest.mark.parametrize("runner", VARIANTS, ids=VARIANT_IDS)
 def test_columnar_driver_matches_recording_driver(runner):
-    """The lean columnar loop and the general (derivation-recording)
-    loop must agree on everything a summary reports."""
+    """Summary runs (add-first) and derivation-recording runs
+    (evaluate-first) of the store driver must agree on everything a
+    summary reports."""
     database, tgds = restricted_heavy(12, 4)
     lean = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
     general = runner(database, tgds, budget=BUDGET, record_derivation=True, engine="store")
@@ -423,24 +373,134 @@ def test_columnar_driver_matches_recording_driver(runner):
     )
 
 
+#: SL/L/G families (plus the paper's non-terminating intro example)
+#: whose depth-truncated chase cuts facts at some depth in 2..5.
+TRUNCATION_FAMILIES = [
+    ("sl", sl_lower_bound(3, 2, 2)),
+    ("linear", linear_lower_bound(1, 2, 1)),
+    ("guarded", guarded_lower_bound(1, 1, 1)),
+    ("intro", intro_nonterminating_example()),
+]
+
+
+def assert_truncated_run_matches_legacy(runner, database, tgds, max_depth, record):
+    """Depth truncation on the store driver reproduces the legacy run:
+    same instance, same ``depth_truncated``, same statistics."""
+    budget = ChaseBudget(
+        max_atoms=20_000, max_rounds=200, max_depth=max_depth, truncate_at_depth=True
+    )
+    store = runner(database, tgds, budget=budget, record_derivation=record, engine="store")
+    legacy = runner(
+        database, tgds, budget=budget, record_derivation=record, engine="legacy"
+    )
+    assert store.instance == legacy.instance
+    assert store.max_depth == legacy.max_depth <= max_depth
+    # summary() covers outcome, depth_truncated, rounds and the
+    # considered/applied/created counters.
+    assert store.summary() == legacy.summary()
+    if record:
+        assert derivation_atoms(store) == derivation_atoms(legacy)
+        assert_derivation_faithful(store, database)
+    return store
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["summary", "derivation"])
+@pytest.mark.parametrize("max_depth", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "name,workload", TRUNCATION_FAMILIES, ids=[n for n, _ in TRUNCATION_FAMILIES]
+)
+@pytest.mark.parametrize(
+    "runner", [semi_oblivious_chase, oblivious_chase], ids=["semi", "oblivious"]
+)
+def test_truncated_store_matches_legacy_on_families(
+    runner, name, workload, max_depth, record
+):
+    database, tgds = workload
+    assert_truncated_run_matches_legacy(runner, database, tgds, max_depth, record)
+
+
+def test_truncation_counts_triggers_whose_cut_facts_were_the_only_new_ones():
+    """A trigger whose missing result facts were all cut, while its
+    kept facts were already present, adds nothing yet counts as
+    applied — the case the add-first shortcut would miss."""
+    database, tgds = sl_lower_bound(3, 2, 2)
+    result = assert_truncated_run_matches_legacy(
+        semi_oblivious_chase, database, tgds, max_depth=2, record=True
+    )
+    assert result.depth_truncated
+    assert result.statistics.triggers_applied > len(result.derivation)
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize(
     "make_program",
     [random_simple_linear_program, random_linear_program, random_guarded_program],
     ids=["sl", "linear", "guarded"],
 )
-def test_layouts_agree_on_random_programs(seed, make_program, monkeypatch):
+def test_truncated_store_matches_legacy_on_random_programs(seed, make_program):
     tgds = make_program(seed, rule_count=4)
     database = random_database(tgds, seed=seed + 250, fact_count=10, constant_count=3)
     for runner in (semi_oblivious_chase, oblivious_chase):
-        monkeypatch.setenv("REPRO_STORE_LAYOUT", "arrays")
-        arrays = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
-        monkeypatch.setenv("REPRO_STORE_LAYOUT", "sets")
-        sets = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
-        assert arrays.terminated == sets.terminated
-        if arrays.terminated:
-            assert arrays.instance == sets.instance
-            assert arrays.summary() == sets.summary()
+        for max_depth in (2, 3, 4, 5):
+            assert_truncated_run_matches_legacy(
+                runner, database, tgds, max_depth, record=max_depth == 3
+            )
+
+
+class TestCheckpointResume:
+    def _checkpointed(self, database, tgds, at_round):
+        """An uninterrupted summary run plus a checkpoint of its state
+        at the end of round ``at_round``."""
+        captured = []
+
+        def hook(rounds, store, marks, stats):
+            if rounds == at_round:
+                considered, applied, created = stats
+                captured.append(
+                    EngineCheckpoint(
+                        store_blob=store.snapshot(),
+                        marks=tuple(marks),
+                        rounds=rounds,
+                        considered=considered,
+                        applied=applied,
+                        created=created,
+                        database_size=len(database),
+                    )
+                )
+
+        full = semi_oblivious_chase(
+            database, tgds, budget=BUDGET, record_derivation=False, round_hook=hook
+        )
+        return full, captured[0]
+
+    def test_resumed_run_matches_uninterrupted_run(self):
+        database, tgds = sl_lower_bound(2, 2, 2)
+        full, checkpoint = self._checkpointed(database, tgds, at_round=1)
+        resumed = semi_oblivious_chase(
+            database, tgds, budget=BUDGET, record_derivation=False,
+            checkpoint=checkpoint,
+        )
+        assert resumed.summary() == full.summary()
+        assert resumed.instance == full.instance
+
+    @pytest.mark.parametrize(
+        "budget,record",
+        [
+            (BUDGET, True),
+            (ChaseBudget(max_depth=3, truncate_at_depth=True), False),
+        ],
+        ids=["derivation", "truncation"],
+    )
+    def test_checkpoint_refuses_derivation_and_truncation(self, budget, record):
+        # The checkpoint blob carries neither the derivation prefix nor
+        # the depth_truncated flag, so such runs must restart cold.
+        database, tgds = sl_lower_bound(2, 2, 2)
+        _, checkpoint = self._checkpointed(database, tgds, at_round=1)
+        with pytest.raises(ValueError, match="checkpoint"):
+            semi_oblivious_chase(
+                database, tgds, budget=budget, record_derivation=record,
+                checkpoint=checkpoint,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +614,6 @@ def test_resume_requires_store_engine():
     database, tgds = restricted_heavy(8, 2)
     base = semi_oblivious_chase(database, tgds, record_derivation=False, engine="store")
     snapshot = base.store_snapshot()
-    with pytest.raises(ValueError, match="resume_from requires the store engine"):
-        semi_oblivious_chase(database, tgds, engine="plans", resume_from=snapshot)
     with pytest.raises(ValueError, match="resume_from requires the store engine"):
         semi_oblivious_chase(database, tgds, engine="legacy", resume_from=snapshot)
 

@@ -158,22 +158,18 @@ def test_snapshot_round_trip_preserves_everything(program_seed, database_seed):
 
 @settings(max_examples=20, deadline=None)
 @given(program_seed=program_seeds, database_seed=database_seeds)
-def test_snapshot_round_trip_is_layout_agnostic(program_seed, database_seed):
-    """A snapshot taken from either layout restores into either layout
-    with identical decoded content and a byte-identical re-snapshot."""
+def test_snapshot_round_trip_is_byte_stable(program_seed, database_seed):
+    """A snapshot restores to identical decoded content, and the
+    restored store re-snapshots byte for byte (restore preserves fact
+    order exactly)."""
     instance = chase_instance(program_seed, database_seed)
-    source = FactStore(layout="sets")
+    source = FactStore()
     for a in instance:
         source.add_atom(a)
     blob = source.snapshot()
-    arrays_restore = FactStore.restore(blob, layout="arrays")
-    sets_restore = FactStore.restore(blob, layout="sets")
-    assert arrays_restore.to_instance() == sets_restore.to_instance() == instance
-    # The arrays layout preserves fact order exactly, so re-encoding is
-    # byte-stable; the sets layout re-encodes in its own bucket order,
-    # which must still restore to the same content.
-    assert arrays_restore.snapshot() == blob
-    assert FactStore.restore(sets_restore.snapshot()).to_instance() == instance
+    restored = FactStore.restore(blob)
+    assert restored.to_instance() == instance
+    assert restored.snapshot() == blob
 
 
 @settings(max_examples=15, deadline=None)

@@ -156,9 +156,28 @@ class TestSnapshotPayloads:
         ]
 
     def test_non_store_engine_falls_back_to_text(self):
-        executor = BatchExecutor(workers=1, engine="plans")
+        executor = BatchExecutor(workers=1, engine="legacy")
         payload = executor._payload(*_resolved(executor, small_batch()[0]))
         assert "database_text" in payload and "database_snapshot" not in payload
+
+    def test_depth_truncating_jobs_are_not_checkpointed(self, tmp_path):
+        # A checkpoint does not carry depth_truncated, and the engine
+        # refuses to resume a truncating run from one.
+        executor = BatchExecutor(
+            workers=1, checkpoint_every_rounds=1, checkpoint_dir=str(tmp_path)
+        )
+        job = small_batch()[2]
+        payload = executor._payload(*_resolved(executor, job), key="k")
+        assert payload["checkpoint_every_rounds"] == 1
+        truncating = ChaseJob(
+            program=job.program,
+            database=job.database,
+            job_id="truncating",
+            budget_mode="explicit",
+            budget=ChaseBudget(max_depth=2, truncate_at_depth=True),
+        )
+        payload = executor._payload(*_resolved(executor, truncating), key="k")
+        assert "checkpoint_every_rounds" not in payload
 
     def test_store_engine_payload_carries_snapshot(self):
         executor = BatchExecutor(workers=1)
