@@ -133,7 +133,7 @@ def completion(
     if depth_budget is None:
         depth_budget = len(tgds.schema()) * max(tgds.arity(), 1) + 2
     domain = instance.active_domain()
-    current = Instance(instance)
+    current = instance.as_instance()
     for _ in range(max_iterations):
         budget = ChaseBudget(
             max_atoms=max_atoms, max_depth=depth_budget, truncate_at_depth=True

@@ -94,6 +94,27 @@ class Atom:
         object.__setattr__(atom, "_hash", hash((predicate, args)))
         return atom
 
+    @staticmethod
+    def many_from_trusted(
+        predicate: "Predicate", args_rows: Iterable[Tuple[Term, ...]]
+    ) -> List["Atom"]:
+        """:meth:`from_trusted` over many argument tuples of one predicate.
+
+        The fact store decodes whole predicates at once; inlining the
+        per-atom construction here saves a call per atom.
+        """
+        new = Atom.__new__
+        set_field = object.__setattr__
+        atoms: List[Atom] = []
+        append = atoms.append
+        for args in args_rows:
+            atom = new(Atom)
+            set_field(atom, "predicate", predicate)
+            set_field(atom, "args", args)
+            set_field(atom, "_hash", hash((predicate, args)))
+            append(atom)
+        return atoms
+
     def __str__(self) -> str:
         inner = ", ".join(str(arg) for arg in self.args)
         return f"{self.predicate.name}({inner})"

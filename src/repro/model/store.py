@@ -284,13 +284,15 @@ class FactStore:
         null a legacy run labels with the same rule, variable and
         binding.  The dependency chain is resolved with an explicit
         stack — a budget-stopped non-terminating run nests nulls deeper
-        than Python's recursion limit.
+        than Python's recursion limit.  Each null gets the depth the
+        store tracked for its id, as in :meth:`to_instance`.
         """
         terms = self._term_of_id
         term = terms[tid]
         if term is not None:
             return term
         recipes = self._null_recipe
+        depths = self._depth_of_id
         stack = [tid]
         while stack:
             current = stack[-1]
@@ -302,10 +304,11 @@ class FactStore:
             if missing:
                 stack.extend(missing)
                 continue
-            null = Null(
-                rule_id=rule_id,
-                variable=variable,
-                binding=tuple((n, terms[i]) for n, i in zip(names, ids)),
+            null = Null.from_trusted(
+                rule_id,
+                variable,
+                tuple((n, terms[i]) for n, i in zip(names, ids)),
+                depths[current],
             )
             terms[current] = null
             self._id_of_term.setdefault(null, current)
@@ -321,13 +324,53 @@ class FactStore:
             tuple(terms[t] if terms[t] is not None else term_of_id(t) for t in ids),
         )
 
+    def _materialise_nulls(self) -> None:
+        """Build every store-invented null a stored fact can mention.
+
+        One forward pass over the recipes in id order: :meth:`intern_null`
+        hands out an id only after the ids of the null's binding terms,
+        so each binding is already materialised when its null is
+        reached.  Entries that break that order — restored snapshots
+        with foreign nulls, whose binding terms were interned after
+        them — fall back to the stack-based :meth:`term_of_id`.  Nulls
+        deeper than every stored fact (invented, then truncated away)
+        are skipped: no fact mentions them.
+        """
+        terms = self._term_of_id
+        depths = self._depth_of_id
+        id_of_term = self._id_of_term
+        limit = self.max_depth()
+        from_trusted = Null.from_trusted
+        for tid, (rule_id, variable, names, ids) in self._null_recipe.items():
+            if terms[tid] is not None or depths[tid] > limit:
+                continue
+            binding_terms = [terms[i] for i in ids]
+            # Terms are never falsy, so this spots an unbuilt (None) one.
+            if not all(binding_terms):
+                self.term_of_id(tid)
+                continue
+            null = from_trusted(
+                rule_id, variable, tuple(zip(names, binding_terms)), depths[tid]
+            )
+            terms[tid] = null
+            id_of_term.setdefault(null, tid)
+
     def to_instance(self) -> Instance:
-        """Decode every stored fact into a fresh :class:`Instance`."""
-        decode = self.decode_fact
+        """Decode every stored fact into a fresh :class:`Instance`.
+
+        The nulls are materialised first, in one pass; after it every
+        id a fact mentions has its term, so each fact decodes with one
+        C-level lookup per argument.  The instance's lazy indexes stay
+        unbuilt.
+        """
+        self._materialise_nulls()
+        term = self._term_of_id.__getitem__
         instance = Instance()
-        for pid in range(len(self._pred_of)):
+        for pid, predicate in enumerate(self._pred_of):
             instance.extend_unique_ground(
-                decode(pid, ids) for ids in self.facts_of(pid)
+                Atom.many_from_trusted(
+                    predicate, [tuple(map(term, ids)) for ids in self._rows[pid]]
+                )
             )
         return instance
 

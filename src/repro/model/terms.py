@@ -133,6 +133,22 @@ def trim_null_intern(threshold: int = 0) -> int:
         return size
 
 
+def _intern_uid(rule_id: str, variable: str, binding: tuple) -> int:
+    """The interned uid of the null label ``(rule_id, variable, binding)``."""
+    key = (
+        rule_id,
+        variable,
+        tuple(
+            [
+                (name, term.uid if isinstance(term, Null) else ("c", term.name))
+                for name, term in binding
+            ]
+        ),
+    )
+    with _NULL_INTERN_LOCK:
+        return _NULL_INTERN.setdefault(key, len(_NULL_INTERN))
+
+
 @dataclass(frozen=True, eq=False)
 class Null:
     """A labelled null ``⊥^var_{rule, binding}`` from the set ``N``.
@@ -170,17 +186,35 @@ class Null:
         if self.depth < 0:
             computed = 1 + max((term.depth for _, term in self.binding), default=0)
             object.__setattr__(self, "depth", computed)
-        key = (
-            self.rule_id,
-            self.variable,
-            tuple(
-                (name, term.uid if isinstance(term, Null) else ("c", term.name))
-                for name, term in self.binding
-            ),
+        object.__setattr__(
+            self, "uid", _intern_uid(self.rule_id, self.variable, self.binding)
         )
-        with _NULL_INTERN_LOCK:
-            interned = _NULL_INTERN.setdefault(key, len(_NULL_INTERN))
-        object.__setattr__(self, "uid", interned)
+
+    @staticmethod
+    def from_trusted(
+        rule_id: str,
+        variable: str,
+        binding: Tuple[Tuple[str, "GroundTerm"], ...],
+        depth: int,
+    ) -> "Null":
+        """Construct with a known depth, skipping the dataclass ``__init__``.
+
+        The fact store's decode boundary builds one null per invented
+        id and already tracks each id's depth; this mirrors
+        :meth:`Atom.from_trusted <repro.model.atoms.Atom.from_trusted>`
+        and yields a null indistinguishable from
+        ``Null(rule_id, variable, binding)`` (same fields, same uid)
+        provided ``depth`` is the Definition 4.3 depth of ``binding``.
+        """
+        null = object.__new__(Null)
+        null.__dict__.update(
+            rule_id=rule_id,
+            variable=variable,
+            binding=binding,
+            depth=depth,
+            uid=_intern_uid(rule_id, variable, binding),
+        )
+        return null
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Null):

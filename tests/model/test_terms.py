@@ -92,6 +92,19 @@ class TestNull:
         clone = Null(rule_id="r1", variable="z", binding=null.binding, depth=99)
         assert clone == null
 
+    def test_from_trusted_matches_the_constructor(self):
+        inner = make_null("r1", "z", {"x": Constant("a")})
+        binding = (("x", inner), ("y", Constant("b")))
+        built = Null(rule_id="r2", variable="w", binding=binding)
+        trusted = Null.from_trusted("r2", "w", binding, 2)
+        assert trusted == built and hash(trusted) == hash(built)
+        assert (trusted.rule_id, trusted.variable, trusted.binding, trusted.depth) == (
+            built.rule_id, built.variable, built.binding, built.depth,
+        )
+        assert str(trusted) == str(built)
+        with pytest.raises(AttributeError):
+            trusted.depth = 5  # type: ignore[misc]
+
 
 class TestHelpers:
     def test_term_depth(self):
