@@ -5,7 +5,10 @@ Three procedures are provided:
 * the *syntactic* decider, which implements the paper's
   characterisations: ``D``-weak-acyclicity for SL, weak-acyclicity of
   ``simple(Σ)`` w.r.t. ``simple(D)`` for L, and weak-acyclicity of
-  ``gsimple(Σ) = simple(lin(Σ))`` w.r.t. ``gsimple(D)`` for G;
+  ``gsimple(Σ) = simple(lin(Σ))`` w.r.t. ``gsimple(D)`` for G.  The
+  database enters only through its schema (Definition 6.1), so the L
+  and G branches compute ``sch(simple(D))`` and ``sch(gsimple(D))``
+  directly and never build the simplified database;
 * the *naive* decider, which materialises the chase and compares its
   size against the bound ``|D| · f_C(Σ)`` of item (2) of the
   characterisations (three-valued: the theoretical bound may exceed the
@@ -27,9 +30,9 @@ from repro.chase.semi_oblivious import semi_oblivious_chase
 from repro.core.bounds import size_bound_factor
 from repro.core.classify import TGDClass, classify
 from repro.core.linearization import linearize
-from repro.core.simplification import simplify_database, simplify_program
+from repro.core.simplification import simplified_schema, simplify_program
 from repro.core.ucq import TerminationUCQ, build_termination_ucq
-from repro.core.weak_acyclicity import is_weakly_acyclic_wrt, weak_acyclicity_report
+from repro.core.weak_acyclicity import weak_acyclicity_report
 
 
 class DecisionMethod(Enum):
@@ -78,8 +81,7 @@ def syntactic_decision(database: Database, tgds: TGDSet) -> TerminationVerdict:
         )
     if tgd_class is TGDClass.LINEAR:
         simplified_program = simplify_program(tgds)
-        simplified_database = simplify_database(database)
-        report = weak_acyclicity_report(simplified_program, simplified_database)
+        report = weak_acyclicity_report(simplified_program, simplified_schema(database))
         return TerminationVerdict(
             terminates=report.weakly_acyclic_wrt_database,
             method=DecisionMethod.SIMPLIFICATION,
@@ -92,8 +94,9 @@ def syntactic_decision(database: Database, tgds: TGDSet) -> TerminationVerdict:
     if tgd_class is TGDClass.GUARDED:
         linearized = linearize(database, tgds)
         gsimple_program = simplify_program(linearized.program)
-        gsimple_database = simplify_database(linearized.database)
-        report = weak_acyclicity_report(gsimple_program, gsimple_database)
+        report = weak_acyclicity_report(
+            gsimple_program, simplified_schema(linearized.database)
+        )
         return TerminationVerdict(
             terminates=report.weakly_acyclic_wrt_database,
             method=DecisionMethod.LINEARIZATION,

@@ -162,9 +162,16 @@ class DependencyGraph:
         """True iff ``dg(Σ)`` has a cycle with a special edge (¬ weak acyclicity)."""
         return bool(self.positions_on_special_cycle())
 
-    def witness_special_cycle(self) -> Optional[List[Edge]]:
-        """A concrete cycle through a special edge, for error reporting."""
-        flagged = self.positions_on_special_cycle()
+    def witness_special_cycle(
+        self, flagged: Optional[Set[Position]] = None
+    ) -> Optional[List[Edge]]:
+        """A concrete cycle through a special edge, for error reporting.
+
+        ``flagged`` is :meth:`positions_on_special_cycle`, when the
+        caller has already computed it.
+        """
+        if flagged is None:
+            flagged = self.positions_on_special_cycle()
         for edge in self.special_edges():
             if edge.source not in flagged or edge.target not in flagged:
                 continue

@@ -133,26 +133,65 @@ def completion(
     if depth_budget is None:
         depth_budget = len(tgds.schema()) * max(tgds.arity(), 1) + 2
     domain = instance.active_domain()
+    # Every atom of ``current`` is over dom(I), from the start (it is a
+    # copy of I) and after each harvest, so it is the completion as is.
     current = instance.as_instance()
     for _ in range(max_iterations):
         budget = ChaseBudget(
             max_atoms=max_atoms, max_depth=depth_budget, truncate_at_depth=True
         )
         result = semi_oblivious_chase(current, tgds, budget=budget, record_derivation=False)
-        harvested = [
-            a for a in result.instance if set(a.args) <= domain and a not in current
-        ]
+        # Invented nulls are never in dom(I): the harvest neither keeps
+        # nor decodes them.
+        harvested = [a for a in result.atoms_over(domain) if a not in current]
         if not harvested:
             break
-        for a in harvested:
-            current.add(a)
-    return Instance(a for a in current if set(a.args) <= domain)
+        current.extend_unique_ground(harvested)
+    return current
 
 
 def type_of(atom: Atom, completed: Instance) -> Set[Atom]:
-    """``type_{D,Σ}(α)``: completion atoms mentioning only terms of ``α``."""
+    """``type_{D,Σ}(α)``: completion atoms mentioning only terms of ``α``.
+
+    A scan of the whole completion; :class:`TypeIndex` answers the same
+    question for many atoms of one completion.
+    """
     allowed = set(atom.args)
     return {a for a in completed if set(a.args) <= allowed}
+
+
+class TypeIndex:
+    """``type_{D,Σ}(α)`` for many atoms ``α`` of one completion.
+
+    Completion atoms are indexed by their first argument.  An atom over
+    the terms of ``α`` has its first argument among them (or has no
+    argument at all), so a type reads only the buckets of ``α``'s
+    distinct terms plus the zero-arity atoms, instead of the whole
+    completion.  ``examined`` counts the atoms the lookups have read.
+    """
+
+    def __init__(self, completed: Iterable[Atom]) -> None:
+        self._by_first: Dict[Term, List[Atom]] = {}
+        self._nullary: List[Atom] = []
+        for a in completed:
+            if a.args:
+                self._by_first.setdefault(a.args[0], []).append(a)
+            else:
+                self._nullary.append(a)
+        self.examined = 0
+
+    def type_of(self, atom: Atom) -> Set[Atom]:
+        """Equal to ``type_of(atom, completed)``."""
+        allowed = set(atom.args)
+        within = allowed.issuperset
+        result = set(self._nullary)
+        examined = len(self._nullary)
+        for term in allowed:
+            bucket = self._by_first.get(term, ())
+            examined += len(bucket)
+            result.update(a for a in bucket if within(a.args))
+        self.examined += examined
+        return result
 
 
 # --------------------------------------------------------------------------
@@ -190,10 +229,11 @@ def linearize_database(
     """``lin(D)``: encode each database atom together with its type."""
     if completed is None:
         completed = completion(database.as_instance(), tgds)
+    types = TypeIndex(completed)
     linearized = Database()
     assignment: Dict[Atom, SigmaType] = {}
     for atom in database:
-        atom_type = canonicalize_type(atom, type_of(atom, completed))
+        atom_type = canonicalize_type(atom, types.type_of(atom))
         assignment[atom] = atom_type
         linearized.add(Atom(atom_type.predicate(), atom.args))
     return linearized, assignment

@@ -12,11 +12,19 @@ Proposition 7.3 states that the transformation preserves both the
 finiteness of the chase and the maximal term depth, which is what makes
 it usable for the termination analysis of linear TGDs; the test suite
 checks this empirically.
+
+Whether a special cycle is ``D``-supported (Definition 6.1) depends only
+on which predicates occur in ``D``, so the deciders of Theorems 7.7 and
+8.5 read ``sch(simple(D))``, never ``simple(D)`` itself:
+:func:`simplified_schema` computes that predicate set in one pass over
+the facts, one equality pattern per fact and one simplified predicate
+per distinct (predicate, pattern) pair.  :func:`simplify_database`
+builds the full simplified database for callers that chase it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.model.atoms import Atom, Predicate
 from repro.model.instance import Database
@@ -112,3 +120,27 @@ def simplify_program(tgds: TGDSet) -> TGDSet:
 def simplify_database(database: Database) -> Database:
     """``simple(D)``: the simplification of every fact of the database."""
     return Database(simplify_atom(a) for a in database)
+
+
+def simplified_schema(atoms: Iterable[Atom]) -> Set[Predicate]:
+    """``sch(simple(D))`` without building ``simple(D)``.
+
+    Equal to ``simplify_database(D).predicates()``.  A fact whose
+    arguments are pairwise distinct has the identity pattern
+    ``(1, ..., n)``; only facts with a repeated argument pay for
+    :func:`id_tuple`.  Each simplified predicate is built once per
+    distinct (predicate, pattern) pair.
+    """
+    identity: Dict[int, Tuple[int, ...]] = {}
+    patterns: Set[Tuple[Predicate, Tuple[int, ...]]] = set()
+    for atom in atoms:
+        args = atom.args
+        arity = len(args)
+        if len(set(args)) == arity:
+            pattern = identity.get(arity)
+            if pattern is None:
+                pattern = identity[arity] = tuple(range(1, arity + 1))
+        else:
+            pattern = id_tuple(args)
+        patterns.add((atom.predicate, pattern))
+    return {simplified_predicate(predicate, pattern) for predicate, pattern in patterns}

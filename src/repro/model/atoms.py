@@ -20,8 +20,9 @@ class Predicate:
         if self.arity < 0:
             raise ValueError(f"arity must be non-negative, got {self.arity}")
         # Predicates key every instance index; cache the hash so index
-        # lookups do not re-hash the name on every probe.
-        object.__setattr__(self, "_hash", hash((Predicate, self.name, self.arity)))
+        # lookups do not re-hash the name on every probe.  String salt
+        # for cross-process stable hashes (see ``Constant``).
+        object.__setattr__(self, "_hash", hash(("Predicate", self.name, self.arity)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -26,8 +26,11 @@ class Constant:
 
     def __post_init__(self) -> None:
         # Constants are hashed on every instance-index lookup; caching
-        # the hash keeps that O(1) instead of re-hashing the name.
-        object.__setattr__(self, "_hash", hash((Constant, self.name)))
+        # the hash keeps that O(1) instead of re-hashing the name.  The
+        # salt is a string, not the class: a class object hashes by its
+        # address, which would make hashes (and so set orders) differ
+        # between processes even under a fixed PYTHONHASHSEED.
+        object.__setattr__(self, "_hash", hash(("Constant", self.name)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -69,7 +72,8 @@ class Variable:
 
     def __post_init__(self) -> None:
         # Variables key substitution dicts on the join's hot path.
-        object.__setattr__(self, "_hash", hash((Variable, self.name)))
+        # String salt for cross-process stable hashes (see Constant).
+        object.__setattr__(self, "_hash", hash(("Variable", self.name)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -56,6 +56,24 @@ class TestSyntacticDecision:
         assert positive.method is DecisionMethod.LINEARIZATION
         assert "type_count" in positive.details
 
+    def test_linear_and_guarded_branches_read_only_the_simplified_schema(
+        self, monkeypatch, guarded_program, guarded_supported_database
+    ):
+        """``D``-support reads ``sch(simple(D))``; ``simple(D)`` is never built."""
+        import repro.core.decision as decision
+        import repro.core.simplification as simplification
+
+        def refuse(database):
+            raise AssertionError("the decider built the simplified database")
+
+        monkeypatch.setattr(simplification, "simplify_database", refuse)
+        monkeypatch.setattr(decision, "simplify_database", refuse, raising=False)
+        database, tgds = example_7_1()
+        assert syntactic_decision(database, tgds).terminates is True
+        negative = syntactic_decision(guarded_supported_database, guarded_program)
+        assert negative.terminates is False
+        assert negative.details["report"].supporting_predicates
+
     def test_arbitrary_tgds_are_rejected(self):
         database, tgds = prop45_family(3)
         with pytest.raises(ValueError):

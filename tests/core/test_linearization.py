@@ -10,6 +10,7 @@ from repro.chase.semi_oblivious import semi_oblivious_chase
 from repro.core.classify import TGDClass, classify
 from repro.core.linearization import (
     SigmaType,
+    TypeIndex,
     canonicalize_type,
     completion,
     linearize,
@@ -17,6 +18,7 @@ from repro.core.linearization import (
     linearize_program,
     type_of,
 )
+from repro.generators.random_programs import random_database, random_guarded_program
 
 A, B, C = Constant("a"), Constant("b"), Constant("c")
 
@@ -89,6 +91,59 @@ class TestCompletion:
         assert atom("R", A, B) in result
         assert atom("P", A) in result
         assert all(set(a.args) <= {A, B} for a in result)
+
+
+class TestTypeIndex:
+    """``TypeIndex`` answers ``type_of`` without scanning the completion."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_scan_on_random_guarded_programs(self, seed):
+        program = random_guarded_program(seed)
+        database = random_database(program, seed, fact_count=40, constant_count=6)
+        completed = completion(database.as_instance(), program)
+        index = TypeIndex(completed)
+        for a in list(database) + list(completed):
+            assert index.type_of(a) == type_of(a, completed)
+
+    def test_matches_the_scan_with_zero_arity_and_repeated_arguments(self):
+        program = parse_program(
+            "R(x, y) -> exists z . S(y, z), Flag()\nS(x, y) -> P(x, x)\nP(x, y) -> Done()"
+        )
+        database = parse_database("R(a, b).\nR(b, b).\nP(c, c).\nFlag().")
+        completed = completion(database.as_instance(), program)
+        index = TypeIndex(completed)
+        assert atom("Done") in completed and atom("Flag") in completed
+        for a in list(database) + list(completed):
+            assert index.type_of(a) == type_of(a, completed)
+        assert index.type_of(atom("Flag")) == {atom("Flag"), atom("Done")}
+
+    def test_examined_atoms_grow_linearly_with_the_database(self):
+        """The scan reads |D| * |completion| atoms; the index reads a
+        bounded number per database atom when each constant occurs in a
+        bounded number of facts."""
+        program = random_guarded_program(2)
+        per_atom = {}
+        for size in (250, 1000):
+            database = random_database(program, 7, fact_count=size, constant_count=size // 8)
+            completed = completion(database.as_instance(), program)
+            index = TypeIndex(completed)
+            for a in database:
+                index.type_of(a)
+            per_atom[size] = index.examined / len(database)
+            assert index.examined * 20 < len(database) * len(completed)
+        assert per_atom[1000] < 2 * per_atom[250]
+
+    def test_linearize_database_uses_the_index(self, monkeypatch):
+        import repro.core.linearization as linearization
+
+        def no_scan(atom, completed):
+            raise AssertionError("linearize_database scanned the completion")
+
+        monkeypatch.setattr(linearization, "type_of", no_scan)
+        database = parse_database("R(a, b).\nP(a).")
+        program = parse_program("R(x, y) -> exists z . S(y, z)\nS(x, y) -> P(x)")
+        linear_database, _ = linearize_database(database, program)
+        assert len(linear_database) == 2
 
 
 class TestDatabaseLinearization:

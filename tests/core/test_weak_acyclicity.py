@@ -91,3 +91,47 @@ class TestReport:
         assert report.uniformly_weakly_acyclic
         assert report.weakly_acyclic_wrt_database is True
         assert report.witness_cycle is None
+
+
+class TestSchemaInput:
+    """``D``-support reads only ``sch(D)``: a predicate set stands in
+    for the database at every entry point."""
+
+    PROGRAM = "Start(x) -> R(x, x)\nR(x, y) -> exists z . R(y, z)\nP(x) -> Q(x)"
+
+    def test_entry_points_agree_on_database_and_schema(self):
+        program = parse_program(self.PROGRAM)
+        for text in ("Start(a).\nP(b).", "P(b).", "Q(a).\nR(a, b).", "% empty\n"):
+            database = parse_database(text)
+            schema = frozenset(database.predicates())
+            assert is_weakly_acyclic_wrt(schema, program) is is_weakly_acyclic_wrt(
+                database, program
+            )
+            assert supporting_database_predicates(
+                schema, program
+            ) == supporting_database_predicates(database, program)
+            assert weak_acyclicity_report(program, schema) == weak_acyclicity_report(
+                program, database
+            )
+
+    def test_empty_schema_is_not_no_database(self):
+        report = weak_acyclicity_report(parse_program(self.PROGRAM), frozenset())
+        assert report.weakly_acyclic_wrt_database is True
+
+
+def test_report_runs_one_scc_pass(monkeypatch):
+    from repro.core.dependency_graph import DependencyGraph
+
+    calls = []
+    original = DependencyGraph.strongly_connected_components
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(DependencyGraph, "strongly_connected_components", counting)
+    program = parse_program("Start(x) -> R(x, x)\nR(x, y) -> exists z . R(y, z)")
+    report = weak_acyclicity_report(program, parse_database("Start(a)."))
+    assert report.weakly_acyclic_wrt_database is False
+    assert report.witness_cycle is not None
+    assert len(calls) == 1
