@@ -9,13 +9,17 @@ provably non-terminating runs fail fast instead of exhausting memory:
     The production driver (:meth:`BaseChaseEngine._run_columnar`) over
     the columnar :class:`~repro.model.store.FactStore`.  Every engine
     feature runs here: summary and derivation-recording runs, depth
-    truncation, probes, profiling, round hooks, checkpoints and
-    incremental ``resume_from`` re-chase.
-``engine="legacy"`` (equivalently ``compiled=False``)
+    truncation, checkpoints and incremental ``resume_from`` re-chase.
+``engine="legacy"``
     The original per-round rescan over the reference homomorphism
     search (:meth:`BaseChaseEngine._run_legacy`): the executable
     specification the equivalence suites compare the store driver to,
     and the "before" engine of the benchmarks.
+
+Both drivers send the same events to the run's ``observers``
+(:class:`~repro.obs.observer.RunObserver`): the one seam the probe, the
+profiler, the checkpointer and the ``worker.round`` fault point attach
+to.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
+from functools import partial
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -35,14 +40,13 @@ from repro.model.instance import Instance
 from repro.model.store import Fact, FactStore
 from repro.model.terms import Null, Term
 from repro.model.tgd import TGDSet
-from repro.obs.probe import ChaseProbe
-from repro.obs.profile import RuleProfiler
+from repro.obs.observer import RunObserver
 from repro.chase.store_plan import StoreCompiledRule, StoreTriggerPipeline
 from repro.chase.trigger import Trigger
 
 #: Engine implementations selectable per run: the columnar fact-store
 #: driver (the default) and the legacy rescan (the executable
-#: specification, also reachable as ``compiled=False``).
+#: specification).
 ENGINES = ("store", "legacy")
 
 
@@ -168,7 +172,7 @@ class ChaseResult:
     #: Pending decode source (store engine) plus its O(1) atom count.
     _store: Optional["FactStore"] = None
     _atom_count: int = 0
-    #: Round-level probe payload (``ChaseProbe.as_dict()``) when the
+    #: Round-level probe payload (a ``ChaseProbe`` observer's) when the
     #: run carried a probe; ``None`` otherwise — and then absent from
     #: :meth:`summary`, which keeps unprobed summaries byte-identical.
     telemetry: Optional[Dict[str, object]] = None
@@ -177,7 +181,7 @@ class ChaseResult:
     #: round count when its snapshot carried one (else 0).
     resumed: bool = False
     base_rounds: int = 0
-    #: Per-rule attribution payload (``RuleProfiler.as_dict()``) when
+    #: Per-rule attribution payload (a ``RuleProfiler`` observer's) when
     #: the run carried a profiler; ``None`` otherwise — and then absent
     #: from :meth:`summary`, exactly like ``telemetry``.
     profile: Optional[Dict[str, object]] = None
@@ -291,10 +295,14 @@ class BaseChaseEngine:
     (``engine="store"``): predicates and terms are dictionary-encoded
     to dense ids, joins walk columnar posting lists of packed int
     tuples, and atoms are only materialised at API boundaries.
-    ``engine="legacy"`` (equivalently ``compiled=False``) selects the
-    original per-round rescan over the reference homomorphism search —
-    kept as the executable specification and the "before" engine for
-    benchmarks and equivalence tests.
+    ``engine="legacy"`` selects the original per-round rescan over the
+    reference homomorphism search — kept as the executable
+    specification and the "before" engine for benchmarks and
+    equivalence tests.
+
+    ``observers`` (:class:`~repro.obs.observer.RunObserver`) receive
+    the run's events in registration order; see :mod:`repro.obs.observer`
+    for the protocol.  The default ``()`` keeps every loop unobserved.
     """
 
     #: Trigger identity: ``h|fr(σ)`` when True (semi-oblivious,
@@ -302,33 +310,16 @@ class BaseChaseEngine:
     uses_frontier_identity: bool = True
 
     def __init__(self, tgds: TGDSet, budget: Optional[ChaseBudget] = None,
-                 record_derivation: bool = True, compiled: bool = True,
-                 engine: Optional[str] = None,
-                 probe: Optional[ChaseProbe] = None,
-                 profile: Optional[RuleProfiler] = None,
-                 round_hook=None) -> None:
+                 record_derivation: bool = True, engine: Optional[str] = None,
+                 observers: Sequence[RunObserver] = ()) -> None:
         self.tgds = tgds
         self.budget = budget or ChaseBudget()
         self.record_derivation = record_derivation
-        #: Optional per-round callback ``hook(rounds, store, marks,
-        #: (considered, applied, created))`` fired at every completed
-        #: round boundary — the executor's checkpointer and the fault
-        #: injector's ``worker.round`` point.  ``store``/``marks`` are
-        #: ``None`` on the legacy engine.  ``None`` (the default) keeps
-        #: every loop on its hook-free path: one ``is None`` check per
-        #: round.
-        self.round_hook = round_hook
-        #: Optional round-level telemetry probe.  ``None`` (the
-        #: default) keeps every driver loop on its probe-free path: one
-        #: ``is None`` check per *round*, nothing per trigger.
-        self.probe = probe
-        #: Optional per-rule attribution profiler.  ``None`` (the
-        #: default) keeps the drivers on their profile-free paths —
-        #: pending lists are rule-major, so the profiled paths only
-        #: read the clock at rule-segment boundaries.
-        self.profile = profile
+        self.observers = tuple(observers)
+        #: The observers that asked for ``rule_segment`` events.
+        self.segment_observers = tuple(o for o in self.observers if o.rule_segments)
         if engine is None:
-            engine = "store" if compiled else "legacy"
+            engine = "store"
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
         self.engine = engine
@@ -440,7 +431,8 @@ class BaseChaseEngine:
         Each round materialises its triggers with
         :meth:`_collect_triggers` and applies them through the
         term-level variant hooks.  The store driver must reproduce this
-        loop's instances, statistics and budget verdicts exactly.
+        loop's instances, statistics, budget verdicts and observer
+        totals exactly.
         """
         if isinstance(database, FactStore):
             database = database.to_instance()
@@ -453,87 +445,52 @@ class BaseChaseEngine:
         depth_truncated = False
         budget = self.budget
         truncate = budget.truncate_at_depth and budget.max_depth is not None
-        profiler = self.profile
-        if profiler is None:
-            driver_start = start
-        else:
-            # The attribution denominator starts here: instance setup
-            # above is reported separately as setup_seconds.
-            driver_start = time.perf_counter()
-            prof_slots = profiler.attach(t.rule_id for t in self.tgds)
-            slot_of_rule_id = {
-                t.rule_id: prof_slots[i] for i, t in enumerate(self.tgds)
-            }
-            p_seconds = profiler.seconds
-            p_considered = profiler.considered
-            p_fired = profiler.fired
-            p_pruned = profiler.pruned
-            p_facts = profiler.facts
-            p_nulls = profiler.nulls
-            prof_seen_nulls: Set = set()
-            slot = -1
+        observers = self.observers
+        segment_observers = self.segment_observers
+        index_of = {t.rule_id: i for i, t in enumerate(self.tgds)}
+        # The nulls total counts every null the instance holds, input
+        # nulls included — the store's null_count() semantics.
+        known_nulls: Set = {
+            t for a in instance for t in a.args if isinstance(t, Null)
+        }
 
+        def totals() -> Tuple[int, int, int, int]:
+            return (statistics.triggers_considered, statistics.triggers_applied,
+                    statistics.atoms_created, len(known_nulls))
+
+        driver_start = time.perf_counter()
+        for observer in observers:
+            observer.run_start([t.rule_id for t in self.tgds], ())
         delta: List[Atom] = list(instance)
         first_round = True
-        probe = self.probe
-        seen_nulls: Set = set()
-        round_delta = 0
-        considered_before = applied_before = created_before = 0
         while True:
             if statistics.rounds >= budget.max_rounds:
                 outcome = ChaseOutcome.ROUND_BUDGET_EXCEEDED
                 break
-            if probe is not None:
-                probe.begin_round()
-                round_delta = len(delta)
-                considered_before = statistics.triggers_considered
-                applied_before = statistics.triggers_applied
-                created_before = statistics.atoms_created
+            for observer in observers:
+                observer.round_start(None, len(delta), totals())
             # Materialise the round's triggers up front: the instance is
             # mutated while they are applied, so lazy enumeration would
-            # race against the indexes it reads.
-            triggers = self._collect_triggers(instance, delta, first_round)
-            if profiler is None:
-                pending = list(triggers)
-            else:
-                # _collect_triggers walks the TGDs in order, so its
-                # output is rule-major: enumeration time is attributed
-                # per contiguous rule segment, reading the clock only
-                # where the rule changes.
-                pending = []
-                seg_slot = -1
-                seg_start = 0.0
-                for trigger in triggers:
-                    s = slot_of_rule_id[trigger.tgd.rule_id]
-                    if s != seg_slot:
-                        now = time.perf_counter()
-                        if seg_slot >= 0:
-                            p_seconds[seg_slot] += now - seg_start
-                        seg_slot = s
-                        seg_start = now
-                    pending.append(trigger)
-                if seg_slot >= 0:
-                    p_seconds[seg_slot] += time.perf_counter() - seg_start
+            # race against the indexes it reads.  The walk is rule-major,
+            # so rule segments open only where the rule changes.
+            pending: List[Trigger] = []
+            seg_tgd = None
+            for trigger in self._collect_triggers(instance, delta, first_round):
+                if segment_observers and trigger.tgd is not seg_tgd:
+                    seg_tgd = trigger.tgd
+                    _send_segment(segment_observers, totals(), index_of[seg_tgd.rule_id])
+                pending.append(trigger)
             first_round = False
             new_atoms_this_round: List[Atom] = []
             over_budget = False
-            apply_slot = -1
-            apply_start = 0.0
+            seg_tgd = None
             for trigger in pending:
+                if segment_observers and trigger.tgd is not seg_tgd:
+                    seg_tgd = trigger.tgd
+                    _send_segment(segment_observers, totals(), index_of[seg_tgd.rule_id])
                 statistics.triggers_considered += 1
-                if profiler is not None:
-                    slot = slot_of_rule_id[trigger.tgd.rule_id]
-                    if slot != apply_slot:
-                        now = time.perf_counter()
-                        if apply_slot >= 0:
-                            p_seconds[apply_slot] += now - apply_start
-                        apply_slot = slot
-                        apply_start = now
-                    p_considered[slot] += 1
                 key = self.trigger_key(trigger)
                 if key in applied:
-                    if profiler is not None:
-                        p_pruned[slot] += 1
                     continue
                 result_atoms = (
                     self.trigger_result(trigger)
@@ -542,8 +499,6 @@ class BaseChaseEngine:
                 )
                 if result_atoms is None:
                     applied.add(key)
-                    if profiler is not None:
-                        p_pruned[slot] += 1
                     continue
                 if truncate:
                     kept = [a for a in result_atoms if a.depth() <= budget.max_depth]
@@ -561,22 +516,10 @@ class BaseChaseEngine:
                 added = instance.add_all(result_atoms)
                 statistics.triggers_applied += 1
                 statistics.atoms_created += len(added)
-                if profiler is not None:
-                    p_fired[slot] += 1
-                    if added:
-                        p_facts[slot] += len(added)
-                        fresh_nulls = 0
-                        for atom in added:
-                            for term in atom.args:
-                                if (
-                                    isinstance(term, Null)
-                                    and term not in prof_seen_nulls
-                                ):
-                                    prof_seen_nulls.add(term)
-                                    fresh_nulls += 1
-                        if fresh_nulls:
-                            p_nulls[slot] += fresh_nulls
                 if added:
+                    known_nulls.update(
+                        t for a in added for t in a.args if isinstance(t, Null)
+                    )
                     new_atoms_this_round.extend(added)
                     if self.record_derivation:
                         derivation.append(
@@ -603,36 +546,11 @@ class BaseChaseEngine:
                     outcome = ChaseOutcome.TIME_BUDGET_EXCEEDED
                     over_budget = True
                     break
-            if profiler is not None and apply_slot >= 0:
-                p_seconds[apply_slot] += time.perf_counter() - apply_start
             statistics.rounds += 1
-            if probe is not None:
-                nulls = 0
-                for atom in new_atoms_this_round:
-                    for term in atom.args:
-                        if isinstance(term, Null) and term not in seen_nulls:
-                            seen_nulls.add(term)
-                            nulls += 1
-                probe.end_round(
-                    round_delta,
-                    statistics.triggers_considered - considered_before,
-                    statistics.triggers_applied - applied_before,
-                    statistics.atoms_created - created_before,
-                    nulls_invented=nulls,
-                )
+            for observer in observers:
+                observer.round_end(statistics.rounds, None, None, totals(), not over_budget)
             if over_budget:
                 break
-            if self.round_hook is not None:
-                self.round_hook(
-                    statistics.rounds,
-                    None,
-                    None,
-                    (
-                        statistics.triggers_considered,
-                        statistics.triggers_applied,
-                        statistics.atoms_created,
-                    ),
-                )
             if not new_atoms_this_round:
                 # Triggers may have fired without producing new atoms:
                 # either way the fixpoint is reached.
@@ -641,12 +559,11 @@ class BaseChaseEngine:
             delta = new_atoms_this_round
 
         statistics.wall_seconds = time.perf_counter() - start
-        if profiler is not None:
-            profiler.finish_run(
-                time.perf_counter() - driver_start,
-                setup_seconds=driver_start - start,
-                engine=self.engine,
-            )
+        _send_segment(segment_observers, totals(), -1)
+        driver_seconds = time.perf_counter() - driver_start
+        for observer in observers:
+            observer.run_end(None, driver_seconds, driver_start - start)
+        payloads = _payloads(observers)
         return ChaseResult(
             _materialized=instance,
             terminated=outcome is ChaseOutcome.TERMINATED,
@@ -656,8 +573,8 @@ class BaseChaseEngine:
             database_size=len(database),
             derivation=tuple(derivation),
             depth_truncated=depth_truncated,
-            telemetry=probe.as_dict() if probe is not None else None,
-            profile=profiler.as_dict() if profiler is not None else None,
+            telemetry=payloads.get("telemetry"),
+            profile=payloads.get("profile"),
         )
 
     def _run_columnar(
@@ -750,29 +667,14 @@ class BaseChaseEngine:
             for atom in database:
                 store.add_atom(atom)
             database_size = len(database)
-        profiler = self.profile
-        if profiler is None:
-            driver_start = start
-            prof_slots = None
-            enum_seconds = None
-            pipeline = StoreTriggerPipeline(self.tgds, store)
-        else:
-            # The attribution denominator starts here: store seeding
-            # and interning above are reported as setup_seconds.
-            driver_start = time.perf_counter()
-            compile_seconds = [0.0] * len(self.tgds)
-            pipeline = StoreTriggerPipeline(
-                self.tgds, store, compile_seconds=compile_seconds
-            )
-            prof_slots = profiler.attach(r.rule_id for r in pipeline.rules)
-            profiler.add_compile_seconds(prof_slots, compile_seconds)
-            enum_seconds = [0.0] * len(pipeline.rules)
-            p_seconds = profiler.seconds
-            p_considered = profiler.considered
-            p_fired = profiler.fired
-            p_pruned = profiler.pruned
-            p_facts = profiler.facts
-            p_nulls = profiler.nulls
+        # The driver window starts here: store seeding and interning
+        # above are reported to observers as setup seconds.
+        driver_start = time.perf_counter()
+        pipeline = StoreTriggerPipeline(self.tgds, store)
+        observers = self.observers
+        segment_observers = self.segment_observers
+        for observer in observers:
+            observer.run_start([r.rule_id for r in pipeline.rules], pipeline.compile_seconds)
         self._begin_store_run()
         base_rounds = (store.restored_rounds or 0) if resumed else 0
 
@@ -793,12 +695,12 @@ class BaseChaseEngine:
         full_labels = not uses_frontier
         add_fact = store.add
         fact_depth = store.fact_depth
+        null_count = store.null_count
         max_atoms = budget.max_atoms
         max_rounds = budget.max_rounds
         max_seconds = budget.max_seconds
         perf_counter = time.perf_counter
         applied_add = applied.add
-        round_hook = self.round_hook
         if checkpoint is not None:
             # Same-run restart: the counters continue from the
             # checkpoint so the final statistics equal an uninterrupted
@@ -816,12 +718,8 @@ class BaseChaseEngine:
             considered = 0
             fired = 0
             created = 0
-        probe = self.probe
-        considered_before = fired_before = created_before = 0
-        nulls_before = builds_before = 0
         if marks is None:
             round_delta = len(store)
-            pending = pipeline.initial_pending(store, uses_frontier, enum_seconds)
         else:
             # Resume and checkpoint runs start from a row-mark frontier.
             # Marks cover every pipeline predicate: a checkpointing run
@@ -830,92 +728,44 @@ class BaseChaseEngine:
             # interned after a resume's marks hold only delta rows.
             marks += [0] * (len(store.row_marks()) - len(marks))
             round_delta = len(store) - sum(marks)
-            pending = None
-        # Attribution carries one open rule segment across round
-        # boundaries: a segment closes only where another opens (next
-        # rule, next enumeration, or end of run), so round bookkeeping
-        # — row marks, termination checks, the pending rebuild — lands
-        # on the adjacent rule instead of disappearing.  On many-round
-        # workloads (one trigger per round) that unattributed tail is
-        # what used to break the 90% attribution target.
-        #
-        # Counters are never bumped per trigger: the loop already
-        # maintains considered/fired/created locals, so every segment
-        # close derives its per-rule deltas from the anchors taken at
-        # segment open (pruned == considered − fired inside a segment:
-        # a trigger that did not fire counts as pruned).  The entire
-        # per-trigger profiled cost is one identity comparison.
-        apply_slot = -1
-        apply_start = 0.0
-        seg_nulls = 0
+        # Rule segments: pending lists are rule-major, so the loop sends
+        # a rule_segment event only where the rule changes — the entire
+        # per-trigger cost is one identity comparison, and none at all
+        # unobserved.  Observers derive per-rule deltas from the totals.
+        on_rule = None
         seg_rule = None
-        seg_considered, seg_fired, seg_created = considered, fired, created
-        if profiler is not None:
-            apply_start = perf_counter()
-            seg_nulls = store.null_count()
         while True:
             if rounds >= max_rounds:
                 outcome = ChaseOutcome.ROUND_BUDGET_EXCEEDED
                 break
-            if probe is not None:
-                probe.begin_round()
-                considered_before = considered
-                fired_before = fired
-                created_before = created
-                nulls_before = store.null_count()
-                builds_before = store.index_builds
-            if pending is None:
-                if profiler is not None:
-                    if apply_slot >= 0:
-                        now = perf_counter()
-                        p_seconds[apply_slot] += now - apply_start
-                        p_nulls[apply_slot] += store.null_count() - seg_nulls
-                        seg = considered - seg_considered
-                        hits = fired - seg_fired
-                        p_considered[apply_slot] += seg
-                        p_fired[apply_slot] += hits
-                        p_pruned[apply_slot] += seg - hits
-                        p_facts[apply_slot] += created - seg_created
-                    pending = pipeline.delta_pending_rows(
-                        store, marks, uses_frontier, enum_seconds
-                    )
-                    apply_slot = -1
-                    seg_rule = None
-                    apply_start = perf_counter()
-                    seg_nulls = store.null_count()
-                else:
-                    pending = pipeline.delta_pending_rows(
-                        store, marks, uses_frontier, enum_seconds
-                    )
+            for observer in observers:
+                observer.round_start(
+                    store, round_delta, (considered, fired, created, null_count())
+                )
+            if segment_observers:
+                # Enumeration changes no counter: one totals tuple
+                # serves the whole pass.
+                on_rule = partial(
+                    _send_segment,
+                    segment_observers,
+                    (considered, fired, created, null_count()),
+                )
+                seg_rule = None
+            if marks is None:
+                pending = pipeline.initial_pending(store, uses_frontier, on_rule)
+            else:
+                pending = pipeline.delta_pending_rows(store, marks, uses_frontier, on_rule)
             marks = store.row_marks()
             size_before = len(store)
             over_budget = False
             for rule, ids, key in pending:
-                if profiler is not None and rule is not seg_rule:
-                    # Rule-segment boundary: one clock read + one O(1)
-                    # null_count + counter-delta flush, nothing per
-                    # trigger.  An opening segment (apply_slot -1)
-                    # keeps the enumeration-end anchor, so the
-                    # row-mark and loop-entry gap is charged to the
-                    # first rule.
-                    if apply_slot >= 0:
-                        now = perf_counter()
-                        null_mark = store.null_count()
-                        p_seconds[apply_slot] += now - apply_start
-                        p_nulls[apply_slot] += null_mark - seg_nulls
-                        seg = considered - seg_considered
-                        hits = fired - seg_fired
-                        p_considered[apply_slot] += seg
-                        p_fired[apply_slot] += hits
-                        p_pruned[apply_slot] += seg - hits
-                        p_facts[apply_slot] += created - seg_created
-                        apply_start = now
-                        seg_nulls = null_mark
-                    seg_considered = considered
-                    seg_fired = fired
-                    seg_created = created
+                if segment_observers and rule is not seg_rule:
                     seg_rule = rule
-                    apply_slot = prof_slots[rule.index]
+                    _send_segment(
+                        segment_observers,
+                        (considered, fired, created, null_count()),
+                        rule.index,
+                    )
                 considered += 1
                 if key in applied:
                     continue
@@ -1019,27 +869,24 @@ class BaseChaseEngine:
                     over_budget = True
                     break
             rounds += 1
-            if probe is not None:
-                probe.end_round(
-                    round_delta,
-                    considered - considered_before,
-                    fired - fired_before,
-                    created - created_before,
-                    nulls_invented=store.null_count() - nulls_before,
-                    index_builds=store.index_builds - builds_before,
+            # The next round's frontier is exactly the rows this round
+            # appended past its size watermark; marks still delimits
+            # them — the exact frontier a checkpoint must freeze.
+            round_delta = len(store) - size_before
+            for observer in observers:
+                observer.round_end(
+                    rounds,
+                    store,
+                    marks,
+                    (considered, fired, created, null_count()),
+                    not over_budget,
                 )
-                # The next round's frontier is exactly the rows this
-                # round appended past its size watermark.
-                round_delta = len(store) - size_before
             if over_budget:
                 break
-            if round_hook is not None:
-                # marks still delimits this round's appended rows — the
-                # exact frontier a checkpoint must freeze.
-                round_hook(rounds, store, marks, (considered, fired, created))
-            if len(store) == size_before:
+            if not round_delta:
                 outcome = ChaseOutcome.TERMINATED
                 break
+            # Free this round's pending list before the next one is built.
             pending = None
 
         statistics.rounds = rounds
@@ -1047,27 +894,11 @@ class BaseChaseEngine:
         statistics.triggers_applied = fired
         statistics.atoms_created = created
         statistics.wall_seconds = time.perf_counter() - start
-        if profiler is not None:
-            # The driver window closes *before* observe_store: the
-            # posting-memory sweep is O(store) profiler bookkeeping,
-            # not driver time to hold attribution accountable for.
-            driver_end = perf_counter()
-            if apply_slot >= 0:
-                p_seconds[apply_slot] += driver_end - apply_start
-                p_nulls[apply_slot] += store.null_count() - seg_nulls
-                seg = considered - seg_considered
-                hits = fired - seg_fired
-                p_considered[apply_slot] += seg
-                p_fired[apply_slot] += hits
-                p_pruned[apply_slot] += seg - hits
-                p_facts[apply_slot] += created - seg_created
-            profiler.add_rule_seconds(prof_slots, enum_seconds)
-            profiler.observe_store(store)
-            profiler.finish_run(
-                driver_end - driver_start,
-                setup_seconds=driver_start - start,
-                engine="store",
-            )
+        _send_segment(segment_observers, (considered, fired, created, null_count()), -1)
+        driver_seconds = perf_counter() - driver_start
+        for observer in observers:
+            observer.run_end(store, driver_seconds, driver_start - start)
+        payloads = _payloads(observers)
         return ChaseResult(
             _store=store,
             _atom_count=len(store),
@@ -1078,8 +909,8 @@ class BaseChaseEngine:
             database_size=database_size,
             derivation=tuple(derivation),
             depth_truncated=depth_truncated,
-            telemetry=probe.as_dict() if probe is not None else None,
-            profile=profiler.as_dict() if profiler is not None else None,
+            telemetry=payloads.get("telemetry"),
+            profile=payloads.get("profile"),
             resumed=resumed,
             base_rounds=base_rounds,
         )
@@ -1091,7 +922,7 @@ class BaseChaseEngine:
     ) -> Iterator[Trigger]:
         """Enumerate candidate triggers, semi-naively after the first round.
 
-        This is the legacy (``compiled=False``) path: it rescans every
+        This is the legacy (``engine="legacy"``) path: it rescans every
         (rule, body-atom) pair against the round's delta with the
         reference homomorphism search.  In the first round every body
         homomorphism is considered.  In later rounds only triggers whose
@@ -1120,3 +951,16 @@ class BaseChaseEngine:
                             continue
                         seen.add(key)
                         yield trigger
+
+
+def _send_segment(
+    observers: Sequence[RunObserver], totals: Tuple[int, int, int, int], rule_index: int
+) -> None:
+    for observer in observers:
+        observer.rule_segment(rule_index, totals)
+
+
+def _payloads(observers: Sequence[RunObserver]) -> Dict[str, Dict[str, object]]:
+    """Each observer's published payload, keyed by its summary key."""
+    published = (observer.payload() for observer in observers)
+    return dict(item for item in published if item is not None)

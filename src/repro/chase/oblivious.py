@@ -10,11 +10,12 @@ specific to the semi-oblivious variant).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.model.atoms import Atom
 from repro.model.instance import Database, Instance
 from repro.model.tgd import TGDSet
+from repro.obs.observer import RunObserver
 from repro.chase.engine import BaseChaseEngine, ChaseBudget, ChaseResult
 from repro.chase.trigger import Trigger
 
@@ -46,13 +47,10 @@ def oblivious_chase(
     tgds: TGDSet,
     budget: Optional[ChaseBudget] = None,
     record_derivation: bool = True,
-    compiled: bool = True,
     engine: Optional[str] = None,
     resume_from: Optional[object] = None,
     database_size: Optional[int] = None,
-    probe: Optional[object] = None,
-    profile: Optional[object] = None,
-    round_hook: Optional[object] = None,
+    observers: Sequence[RunObserver] = (),
     checkpoint: Optional[object] = None,
 ) -> ChaseResult:
     """Run the oblivious chase of ``database`` w.r.t. ``tgds``.
@@ -63,8 +61,8 @@ def oblivious_chase(
     produce equal instances).
     """
     chase_engine = ObliviousChase(
-        tgds, budget=budget, record_derivation=record_derivation, compiled=compiled,
-        engine=engine, probe=probe, profile=profile, round_hook=round_hook,
+        tgds, budget=budget, record_derivation=record_derivation, engine=engine,
+        observers=observers,
     )
     return chase_engine.run(
         database,

@@ -25,6 +25,7 @@ from repro.model.homomorphism import Substitution, extend_homomorphism
 from repro.model.instance import Database, Instance
 from repro.model.terms import Constant
 from repro.model.tgd import TGDSet
+from repro.obs.observer import RunObserver
 from repro.chase.engine import BaseChaseEngine, ChaseBudget, ChaseResult
 from repro.chase.trigger import Trigger
 
@@ -48,12 +49,10 @@ class RestrictedChase(BaseChaseEngine):
     uses_frontier_identity = True
 
     def __init__(self, tgds: TGDSet, budget: Optional[ChaseBudget] = None,
-                 record_derivation: bool = True, compiled: bool = True,
-                 engine: Optional[str] = None, probe=None, profile=None,
-                 round_hook=None) -> None:
+                 record_derivation: bool = True, engine: Optional[str] = None,
+                 observers: Sequence[RunObserver] = ()) -> None:
         super().__init__(tgds, budget=budget, record_derivation=record_derivation,
-                         compiled=compiled, engine=engine, probe=probe,
-                         profile=profile, round_hook=round_hook)
+                         engine=engine, observers=observers)
         self._fire_counter = itertools.count()
         self._satisfied_memo: set = set()
 
@@ -109,13 +108,10 @@ def restricted_chase(
     tgds: TGDSet,
     budget: Optional[ChaseBudget] = None,
     record_derivation: bool = True,
-    compiled: bool = True,
     engine: Optional[str] = None,
     resume_from: Optional[object] = None,
     database_size: Optional[int] = None,
-    probe: Optional[object] = None,
-    profile: Optional[object] = None,
-    round_hook: Optional[object] = None,
+    observers: Sequence[RunObserver] = (),
     checkpoint: Optional[object] = None,
 ) -> ChaseResult:
     """Run one fair restricted-chase derivation of ``database`` w.r.t. ``tgds``.
@@ -135,7 +131,7 @@ def restricted_chase(
         # labels and silently merge facts.  Restricted retries run cold.
         raise ValueError("the restricted chase does not support checkpoint resume")
     chase_engine = RestrictedChase(
-        tgds, budget=budget, record_derivation=record_derivation, compiled=compiled,
-        engine=engine, probe=probe, profile=profile, round_hook=round_hook,
+        tgds, budget=budget, record_derivation=record_derivation, engine=engine,
+        observers=observers,
     )
     return chase_engine.run(database, resume_from=resume_from, database_size=database_size)

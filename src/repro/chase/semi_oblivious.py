@@ -10,11 +10,12 @@ termination problem well defined.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.model.atoms import Atom
 from repro.model.instance import Database, Instance
 from repro.model.tgd import TGDSet
+from repro.obs.observer import RunObserver
 from repro.chase.engine import BaseChaseEngine, ChaseBudget, ChaseResult
 from repro.chase.trigger import Trigger
 
@@ -43,13 +44,10 @@ def semi_oblivious_chase(
     tgds: TGDSet,
     budget: Optional[ChaseBudget] = None,
     record_derivation: bool = True,
-    compiled: bool = True,
     engine: Optional[str] = None,
     resume_from: Optional[object] = None,
     database_size: Optional[int] = None,
-    probe: Optional[object] = None,
-    profile: Optional[object] = None,
-    round_hook: Optional[object] = None,
+    observers: Sequence[RunObserver] = (),
     checkpoint: Optional[object] = None,
 ) -> ChaseResult:
     """Run the semi-oblivious chase of ``database`` w.r.t. ``tgds``.
@@ -58,8 +56,9 @@ def semi_oblivious_chase(
     the chase reached a fixpoint within the budget, in which case
     ``result.instance`` is ``chase(D, Σ)`` and ``result.max_depth`` is
     ``maxdepth(D, Σ)``.  ``engine`` picks the implementation
-    (``"store"`` or ``"legacy"``); ``compiled=False`` is
-    shorthand for the legacy rescan engine (benchmark baseline).
+    (``"store"`` or ``"legacy"``, the rescan that serves as the
+    benchmark baseline), and ``observers`` attach
+    :class:`~repro.obs.observer.RunObserver` instrumentation.
 
     ``database`` may also be a pre-seeded
     :class:`~repro.model.store.FactStore` (store engine only), and
@@ -70,8 +69,8 @@ def semi_oblivious_chase(
     :meth:`~repro.chase.engine.BaseChaseEngine.run`.
     """
     chase_engine = SemiObliviousChase(
-        tgds, budget=budget, record_derivation=record_derivation, compiled=compiled,
-        engine=engine, probe=probe, profile=profile, round_hook=round_hook,
+        tgds, budget=budget, record_derivation=record_derivation, engine=engine,
+        observers=observers,
     )
     return chase_engine.run(
         database,

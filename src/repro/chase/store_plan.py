@@ -623,24 +623,15 @@ class StoreTriggerPipeline:
     resumptions on the hottest path.
     """
 
-    def __init__(
-        self,
-        tgds: TGDSet,
-        store: FactStore,
-        compile_seconds: Optional[List[float]] = None,
-    ) -> None:
-        if compile_seconds is None:
-            self.rules: List[StoreCompiledRule] = [
-                StoreCompiledRule(t, store, index) for index, t in enumerate(tgds)
-            ]
-        else:
-            # Profiled construction: per-rule compile wall time lands in
-            # the caller's rule-indexed list.
-            self.rules = []
-            for index, t in enumerate(tgds):
-                compile_start = perf_counter()
-                self.rules.append(StoreCompiledRule(t, store, index))
-                compile_seconds[index] += perf_counter() - compile_start
+    def __init__(self, tgds: TGDSet, store: FactStore) -> None:
+        self.rules: List[StoreCompiledRule] = []
+        #: Per-rule plan-compile wall seconds, rule-indexed (one clock
+        #: pair per rule per compile; the profiler reports them).
+        self.compile_seconds: List[float] = []
+        for index, t in enumerate(tgds):
+            compile_start = perf_counter()
+            self.rules.append(StoreCompiledRule(t, store, index))
+            self.compile_seconds.append(perf_counter() - compile_start)
         #: Delta routing: one (rule, body index, body pid) entry per
         #: body atom, rule-major.
         self.delta_entries: List[Tuple[StoreCompiledRule, int, int]] = [
@@ -653,25 +644,23 @@ class StoreTriggerPipeline:
         self,
         store: FactStore,
         uses_frontier: bool,
-        rule_seconds: Optional[List[float]] = None,
+        on_rule: Optional[Callable[[int], None]] = None,
     ) -> List[PendingTrigger]:
         """All body homomorphisms into the store, keyed (round one).
 
-        ``rule_seconds`` (rule-indexed, from the profiler) receives each
-        rule's enumeration wall time; ``None`` skips all clock reads.
+        ``on_rule`` (the driver's rule-segment sender) is called with
+        each rule's index before that rule is enumerated.
         """
         pending: List[PendingTrigger] = []
         append = pending.append
         for rule in self.rules:
             rule_index = rule.index
+            if on_rule is not None:
+                on_rule(rule_index)
             key_get = rule.frontier_get if uses_frontier else None
-            if rule_seconds is not None:
-                enum_start = perf_counter()
             for canonical in rule.initial_canonicals(store):
                 key = (rule_index, key_get(canonical) if key_get else canonical)
                 append((rule, canonical, key))
-            if rule_seconds is not None:
-                rule_seconds[rule_index] += perf_counter() - enum_start
         return pending
 
     def delta_pending_rows(
@@ -679,7 +668,7 @@ class StoreTriggerPipeline:
         store: FactStore,
         marks: Sequence[int],
         uses_frontier: bool,
-        rule_seconds: Optional[List[float]] = None,
+        on_rule: Optional[Callable[[int], None]] = None,
     ) -> List[PendingTrigger]:
         """Keyed triggers whose body image uses at least one delta fact.
 
@@ -698,10 +687,10 @@ class StoreTriggerPipeline:
         entries are built with a single C-level ``map`` over the row
         slice.
 
-        ``rule_seconds`` attributes enumeration time per rule.  The
-        entry walk is rule-major (every rule's body atoms are
-        consecutive), so the clock is read only where the owning rule
-        changes, never per forced fact or trigger.
+        ``on_rule`` is called with a rule's index where the owning rule
+        of the entry walk changes.  The walk is rule-major (every rule's
+        body atoms are consecutive), so that is once per rule, never per
+        forced fact or trigger.
         """
         pending: List[PendingTrigger] = []
         append = pending.append
@@ -709,19 +698,10 @@ class StoreTriggerPipeline:
         seen_add = seen.add
         rows_since = store.rows_since
         seg_index = -1
-        # The first segment opens at function entry, not at the first
-        # boundary: per-call prologue (local binds, the seen set) lands
-        # on the first rule instead of vanishing from the attribution —
-        # µs of noise per call, but rounds can number in the hundreds
-        # of thousands.
-        seg_start = perf_counter() if rule_seconds is not None else 0.0
         for rule, index, pid in self.delta_entries:
-            if rule_seconds is not None and rule.index != seg_index:
-                if seg_index >= 0:
-                    now = perf_counter()
-                    rule_seconds[seg_index] += now - seg_start
-                    seg_start = now
+            if on_rule is not None and rule.index != seg_index:
                 seg_index = rule.index
+                on_rule(seg_index)
             forced_facts = rows_since(pid, marks[pid])
             if not forced_facts:
                 continue
@@ -775,6 +755,4 @@ class StoreTriggerPipeline:
                     seen_add(dedup_key)
                     key = (rule_index, key_get(canonical) if key_get else canonical)
                     append((rule, canonical, key))
-        if rule_seconds is not None and seg_index >= 0:
-            rule_seconds[seg_index] += perf_counter() - seg_start
         return pending

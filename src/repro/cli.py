@@ -175,16 +175,15 @@ def _cmd_chase(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    probe = None
+    observers = []
     if args.trace:
         from repro.obs.probe import ChaseProbe
 
-        probe = ChaseProbe()
-    profiler = None
+        observers.append(ChaseProbe())
     if args.profile:
         from repro.obs.profile import RuleProfiler
 
-        profiler = RuleProfiler()
+        observers.append(RuleProfiler())
     result = runner(
         database,
         program,
@@ -192,8 +191,7 @@ def _cmd_chase(args: argparse.Namespace) -> int:
         record_derivation=False,
         engine=engine,
         resume_from=resume_from,
-        probe=probe,
-        profile=profiler,
+        observers=observers,
     )
     profile_payload = result.profile
     if args.trace:

@@ -1,9 +1,12 @@
-"""Observability: metrics registry, chase probe, trace spans.
+"""Observability: metrics registry, chase run observers, trace spans.
 
 Stdlib-only. Everything is opt-in; the disabled configurations
-(:data:`NULL_REGISTRY`, ``probe=None``, ``tracer=None``) are designed
-to keep hot paths byte-identical and within noise of un-instrumented
-builds — see ``docs/ARCHITECTURE.md`` for the reasoning.
+(:data:`NULL_REGISTRY`, a chase run without ``observers``,
+``tracer=None``) are designed to keep hot paths byte-identical and
+within noise of un-instrumented builds — see ``docs/ARCHITECTURE.md``
+for the reasoning.  The chase instrumentation (:class:`ChaseProbe`,
+:class:`RuleProfiler`) subscribes through the one
+:class:`~repro.obs.observer.RunObserver` seam.
 """
 
 from .metrics import (
@@ -25,6 +28,7 @@ from .benchhist import (
     load_history,
 )
 from .conformance import conformance_report, record_conformance
+from .observer import RunObserver
 from .probe import ChaseProbe, RoundSample
 from .profile import RuleProfiler, format_profile_table, top_rules
 from .trace import TraceRecorder, load_trace, summarize_trace
@@ -39,6 +43,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "parse_prometheus_text",
     "histogram_consistency_errors",
+    "RunObserver",
     "ChaseProbe",
     "RoundSample",
     "TraceRecorder",

@@ -1,10 +1,12 @@
 """Sampled round-level instrumentation for the chase engine drivers.
 
-A :class:`ChaseProbe` rides along a single chase run.  The engine calls
-``begin_round()`` / ``end_round(...)`` once per round — never per
-trigger — so the enabled overhead is a handful of attribute writes per
-round, and the disabled path is the engine's existing ``probe is None``
-branch (telemetry off means no probe object exists at all).
+A :class:`ChaseProbe` is a :class:`~repro.obs.observer.RunObserver`
+that rides along a single chase run.  It listens to the round events
+only (``round_start`` / ``round_end``, once per round — never per
+trigger) and derives each round's deltas from the drivers' running
+totals, so the enabled overhead is a handful of attribute writes per
+round.  Telemetry off means no probe object exists at all: the run is
+unobserved and its summary carries no ``telemetry`` key.
 
 Totals (rounds, triggers, atoms, nulls, index builds) are always exact.
 Per-round *samples* are bounded: the probe keeps at most
@@ -18,7 +20,9 @@ regardless of run length.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
+
+from .observer import RunObserver, Totals
 
 __all__ = ["ChaseProbe", "RoundSample"]
 
@@ -70,7 +74,7 @@ class RoundSample:
         }
 
 
-class ChaseProbe:
+class ChaseProbe(RunObserver):
     """Collects per-round chase telemetry with bounded sampling."""
 
     __slots__ = (
@@ -87,6 +91,9 @@ class ChaseProbe:
         "_round_start",
         "_stride",
         "_clock",
+        "_delta_size",
+        "_before",
+        "_builds_before",
     )
 
     def __init__(self, sample_every: int = 1, max_samples: int = 512) -> None:
@@ -107,6 +114,34 @@ class ChaseProbe:
         self._round_start = 0.0
         self._stride = sample_every
         self._clock = time.perf_counter
+        self._delta_size = 0
+        self._before: Totals = (0, 0, 0, 0)
+        self._builds_before = 0
+
+    def round_start(self, store: Any, delta_size: int, totals: Totals) -> None:
+        self.begin_round()
+        self._delta_size = delta_size
+        self._before = totals
+        # Lazy index builds exist only on the store engine.
+        self._builds_before = store.index_builds if store is not None else 0
+
+    def round_end(
+        self, rounds: int, store: Any, marks: Any, totals: Totals, complete: bool
+    ) -> None:
+        before = self._before
+        self.end_round(
+            self._delta_size,
+            totals[0] - before[0],
+            totals[1] - before[1],
+            totals[2] - before[2],
+            nulls_invented=totals[3] - before[3],
+            index_builds=(
+                store.index_builds - self._builds_before if store is not None else 0
+            ),
+        )
+
+    def payload(self) -> Tuple[str, Dict[str, Any]]:
+        return "telemetry", self.as_dict()
 
     def begin_round(self) -> None:
         self._round_start = self._clock()

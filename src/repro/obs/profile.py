@@ -1,54 +1,55 @@
 """Per-rule attribution profiling for the chase engine drivers.
 
-A :class:`RuleProfiler` rides along a single chase run and answers the
-question the round-level :class:`~repro.obs.probe.ChaseProbe` cannot:
-*which rule* is eating the time.  The drivers attribute three phases to
-rules:
+A :class:`RuleProfiler` is a :class:`~repro.obs.observer.RunObserver`
+that answers the question the round-level
+:class:`~repro.obs.probe.ChaseProbe` cannot: *which rule* is eating the
+time.  It attributes two phases to rules:
 
 compile
     Each rule's plan compilation inside the store engine's trigger
     pipeline (:class:`~repro.chase.store_plan.StoreTriggerPipeline`),
-    timed per rule at construction.
-enumerate
-    Trigger enumeration.  Pending lists are built rule-major (the
-    pipelines walk rules, then their delta entries, in registration
-    order), so the pipelines stamp a clock only at rule *boundaries*
-    and accumulate the elapsed segment into the producing rule.
-apply
-    The driver's apply loop.  Pending lists stay contiguous per rule,
-    so the drivers again time contiguous rule segments — one
-    ``perf_counter()`` pair per boundary change, never per trigger —
-    which is what keeps the profiled overhead under the benchmark's
-    1.10x gate while still attributing ≥ 90% of driver wall time.
+    which times every rule's compile; the profiler receives the
+    per-rule seconds with ``run_start``.
+enumerate + apply
+    The drivers walk a round's triggers rule-major — enumeration, then
+    application — and send ``rule_segment`` where the owning rule
+    changes, never per trigger.  The profiler reads the clock at each
+    segment boundary and charges the closed segment's wall time and
+    counter deltas (from the running totals) to its rule: one
+    ``perf_counter()`` per boundary, which keeps the profiled overhead
+    under the benchmark's 1.10x gate while attributing ≥ 90% of driver
+    wall time.  A segment stays open across round boundaries, so round
+    bookkeeping lands on the adjacent rule instead of disappearing.
 
-Trigger counters (considered / fired / pruned) and produced facts are
-exact per rule.  Nulls invented are exact on the store engine (O(1)
-``null_count()`` diffs at segment boundaries) and counted as the
-first-seen nulls of each application's added atoms on the legacy
-engine.
+Trigger counters (considered / fired / pruned), produced facts and
+invented nulls are exact per rule on both engines: they are deltas of
+the drivers' running totals (pruned = considered − fired inside a
+segment).
 
-Like the probe, the profiler is strictly opt-in: ``profile=None`` (the
-default) keeps every driver on its profile-free path and the summary
-payload absent, so unprofiled runs stay byte-identical — cache keys,
-fingerprints and summaries unchanged.
+Like every observer, the profiler is strictly opt-in: a run without it
+carries no ``profile`` payload, so unprofiled summaries stay
+byte-identical — cache keys, fingerprints and summaries unchanged.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, Iterable, List, Optional
+from time import perf_counter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from .observer import RunObserver, Totals
 
 __all__ = ["RuleProfiler", "top_rules", "format_profile_table"]
 
 
-class RuleProfiler:
-    """Accumulates per-rule attribution across one chase run.
+class RuleProfiler(RunObserver):
+    """Accumulates per-rule attribution across chase runs.
 
-    The hot-path contract mirrors :class:`~repro.obs.probe.ChaseProbe`:
-    drivers index the plain list attributes directly (no method call
-    per trigger), stamp wall clocks only at rule-segment boundaries,
-    and fold everything into :meth:`as_dict` once at the end.
+    One profiler can observe repeated runs (benchmark repeats) of the
+    same program: every run's rules map onto the same buckets by rule
+    id, and :meth:`as_dict` folds the totals once at the end.
     """
+
+    rule_segments = True
 
     __slots__ = (
         "rule_ids",
@@ -66,6 +67,10 @@ class RuleProfiler:
         "index_builds",
         "posting_memory_bytes",
         "engine",
+        "_slots",
+        "_open",
+        "_start",
+        "_anchor",
     )
 
     def __init__(self) -> None:
@@ -95,6 +100,12 @@ class RuleProfiler:
         self.posting_memory_bytes: Dict[str, int] = {}
         #: Engine of the (last) profiled run, for display.
         self.engine: Optional[str] = None
+        # Per-run segment state: rule index -> bucket, the open
+        # segment's bucket (-1: none), its start clock and its totals.
+        self._slots: List[int] = []
+        self._open = -1
+        self._start = 0.0
+        self._anchor: Totals = (0, 0, 0, 0)
 
     # -- registration -------------------------------------------------------
 
@@ -114,30 +125,7 @@ class RuleProfiler:
             self.nulls.append(0)
         return index
 
-    def attach(self, rule_ids: Iterable[str]) -> List[int]:
-        """Register a run's rules; returns their slots in input order.
-
-        Drivers call this once per run with the pipeline's rules in
-        rule-index order and then translate ``rule.index`` to a bucket
-        through the returned list — so one profiler can aggregate
-        repeated runs (benchmark repeats) of the same program.
-        """
-        return [self.slot(rule_id) for rule_id in rule_ids]
-
     # -- folding ------------------------------------------------------------
-
-    def add_rule_seconds(self, slots: List[int], seconds: List[float]) -> None:
-        """Fold a pipeline's per-rule-index seconds into the buckets."""
-        buckets = self.seconds
-        for index, elapsed in enumerate(seconds):
-            if elapsed:
-                buckets[slots[index]] += elapsed
-
-    def add_compile_seconds(self, slots: List[int], seconds: List[float]) -> None:
-        buckets = self.compile_seconds
-        for index, elapsed in enumerate(seconds):
-            if elapsed:
-                buckets[slots[index]] += elapsed
 
     def observe_store(self, store: Any) -> None:
         """Merge a :class:`~repro.model.store.FactStore`'s index-build
@@ -160,6 +148,52 @@ class RuleProfiler:
         self.runs += 1
         if engine is not None:
             self.engine = engine
+
+    # -- observer events ----------------------------------------------------
+
+    def run_start(self, rule_ids: Sequence[str], compile_seconds: Sequence[float]) -> None:
+        self._slots = slots = [self.slot(rule_id) for rule_id in rule_ids]
+        for index, elapsed in enumerate(compile_seconds):
+            self.compile_seconds[slots[index]] += elapsed
+        self._open = -1
+        # The first segment keeps this anchor, so the gap before the
+        # first rule opens is charged to that rule.
+        self._start = perf_counter()
+
+    def rule_segment(self, rule_index: int, totals: Totals) -> None:
+        """Close the open segment (if any) and open ``rule_index``'s.
+
+        The one per-rule counter flush: the closed segment's wall time
+        and its deltas of the running totals land on its rule.
+        """
+        slot = self._open
+        if slot >= 0:
+            now = perf_counter()
+            self.seconds[slot] += now - self._start
+            self._start = now
+            anchor = self._anchor
+            considered = totals[0] - anchor[0]
+            fired = totals[1] - anchor[1]
+            self.considered[slot] += considered
+            self.fired[slot] += fired
+            self.pruned[slot] += considered - fired
+            self.facts[slot] += totals[2] - anchor[2]
+            self.nulls[slot] += totals[3] - anchor[3]
+        self._anchor = totals
+        self._open = self._slots[rule_index] if rule_index >= 0 else -1
+
+    def run_end(self, store: Any, driver_seconds: float, setup_seconds: float) -> None:
+        # store is None exactly on the legacy engine.
+        if store is not None:
+            self.observe_store(store)
+        self.finish_run(
+            driver_seconds,
+            setup_seconds=setup_seconds,
+            engine="legacy" if store is None else "store",
+        )
+
+    def payload(self) -> Tuple[str, Dict[str, Any]]:
+        return "profile", self.as_dict()
 
     # -- export -------------------------------------------------------------
 
@@ -264,8 +298,3 @@ def format_profile_table(profile: Dict[str, Any], top: int = 10) -> str:
             f"{len(memory)} predicates"
         )
     return "\n".join(lines)
-
-
-# Re-exported for drivers that want a monotonic clock without importing
-# ``time`` under a second name.
-perf_counter = time.perf_counter

@@ -1,8 +1,9 @@
 """Mid-run chase checkpoints: crash-safe snapshots a retry resumes from.
 
 A long budget-bounded chase that dies at round 40 of 50 should not
-restart cold.  ``checkpoint_every_rounds=N`` makes the engine call a
-:class:`RoundCheckpointer` at every Nth round boundary; the
+restart cold.  ``checkpoint_every_rounds=N`` attaches a
+:class:`RoundCheckpointer` observer that acts at every Nth completed
+round boundary; the
 checkpointer persists the fact store (via ``FactStore.snapshot``)
 together with the loop state the snapshot alone cannot carry — the
 per-predicate row marks that delimit the current frontier, and the
@@ -37,6 +38,8 @@ import os
 import struct
 from pathlib import Path
 from typing import List, Optional, Tuple
+
+from repro.obs.observer import RunObserver
 
 MAGIC = b"RPCKPT1\n"
 _LEN = struct.Struct("<Q")
@@ -114,14 +117,19 @@ def load_checkpoint(path: str) -> Optional[Tuple[dict, bytes]]:
         return None
 
 
-class RoundCheckpointer:
-    """An engine round hook that persists every Nth round boundary.
+class RoundCheckpointer(RunObserver):
+    """A run observer that persists every Nth completed round boundary.
 
-    Instances are callables matching the engine's ``round_hook``
-    signature.  Writes are atomic (temp + ``os.replace``) and honour
-    the ``checkpoint.write`` fault point: a ``truncate`` effect writes
-    half the blob — exactly the torn write a crash mid-``write`` would
-    leave — which ``decode_checkpoint`` later rejects.
+    It reacts to ``round_end(..., complete=True)`` only: a round a
+    budget stopped mid-way is no resumable state, and the legacy
+    engine (``marks`` None) has no store to freeze.  Nor does it write
+    the round that created nothing: that round is the fixpoint, and a
+    run resumed from it would replay one more (empty) round and report
+    a different round count than the uninterrupted run.  Writes are atomic
+    (temp + ``os.replace``) and honour the ``checkpoint.write`` fault
+    point: a ``truncate`` effect writes half the blob — exactly the
+    torn write a crash mid-``write`` would leave — which
+    ``decode_checkpoint`` later rejects.
     """
 
     def __init__(self, path: str, every_rounds: int, *, database_size: int = 0, injector=None):
@@ -132,11 +140,21 @@ class RoundCheckpointer:
         self.database_size = database_size
         self.injector = injector
         self.writes = 0
+        self._created_before = -1
 
-    def __call__(self, rounds, store, marks, stats) -> None:
-        if marks is None or rounds <= 0 or rounds % self.every_rounds:
+    def round_start(self, store, delta_size, totals) -> None:
+        self._created_before = totals[2]
+
+    def round_end(self, rounds, store, marks, totals, complete) -> None:
+        if (
+            not complete
+            or marks is None
+            or rounds <= 0
+            or rounds % self.every_rounds
+            or totals[2] == self._created_before
+        ):
             return
-        considered, applied, created = stats
+        considered, applied, created, _ = totals
         blob = store.snapshot(complete=False, rounds=rounds)
         data = encode_checkpoint(
             blob,

@@ -58,6 +58,7 @@ from repro.model.serialization import (
 )
 from repro.model.store import FactStore
 from repro.obs.conformance import conformance_report
+from repro.obs.observer import RunObserver
 from repro.obs.probe import ChaseProbe
 from repro.obs.profile import RuleProfiler
 from repro.obs.trace import TraceRecorder
@@ -65,6 +66,7 @@ from repro.runtime.budget_policy import BudgetDecision, BudgetPolicy
 from repro.runtime.cache import CacheEntry, ResultCache, lineage_cache_key, result_cache_key
 from repro.runtime.checkpoint import RoundCheckpointer, load_checkpoint
 from repro.runtime.faults import (
+    RoundFaultPoint,
     backoff_schedule,
     classify_failure,
     get_injector,
@@ -174,9 +176,11 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
         engine = payload.get("engine")
         resume_snapshot = payload.get("resume_snapshot")
         database_size = payload.get("database_size")
-        probe = ChaseProbe() if payload.get("telemetry") else None
-        profiler = RuleProfiler() if payload.get("profile") else None
-        job_id = str(payload["job_id"])
+        observers: List[RunObserver] = []
+        if payload.get("telemetry"):
+            observers.append(ChaseProbe())
+        if payload.get("profile"):
+            observers.append(RuleProfiler())
         # Crash-safe execution: a checkpoint path makes the run persist
         # its loop state every N round boundaries, and — on a retry — a
         # decodable checkpoint left by a dead attempt turns this run
@@ -208,18 +212,11 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
                 ),
                 injector=injector if injector.enabled else None,
             )
-        round_hook = None
-        if checkpointer is not None or injector.enabled:
-            fire = injector.fire if injector.enabled else None
-
-            def round_hook(rounds, store, marks, stats,
-                           _ckpt=checkpointer, _fire=fire, _job=job_id):
-                # Checkpoint before the fault fires: a kill at round N
-                # must find the round-N state already durable.
-                if _ckpt is not None:
-                    _ckpt(rounds, store, marks, stats)
-                if _fire is not None:
-                    _fire("worker.round", job=_job, round=rounds)
+            observers.append(checkpointer)
+        if injector.enabled:
+            # After the checkpointer: a kill at round N must find the
+            # round-N state already durable.
+            observers.append(RoundFaultPoint(injector, str(payload["job_id"])))
 
         start = time.perf_counter()
         result = runner(
@@ -230,9 +227,7 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
             engine=str(engine) if engine else None,
             resume_from=resume_snapshot,
             database_size=int(database_size) if database_size is not None else None,
-            probe=probe,
-            profile=profiler,
-            round_hook=round_hook,
+            observers=observers,
             checkpoint=engine_checkpoint,
         )
         status = (

@@ -30,8 +30,10 @@ suite and CI artifacts.
 Fault points and the actions they honour:
 
 ``worker.round``
-    Fired by :func:`repro.runtime.executor.execute_payload` at the end
-    of every chase round with ``job=`` and ``round=`` context.
+    Fired by :class:`RoundFaultPoint`, the run observer
+    :func:`repro.runtime.executor.execute_payload` attaches after its
+    checkpointer, at the end of every completed chase round with
+    ``job=`` and ``round=`` context.
     Actions: ``kill`` (``os._exit(1)`` — a hard worker crash),
     ``error`` (raises a transient :class:`FaultError`), ``hang``
     (sleeps ``seconds`` — a stuck worker).
@@ -59,6 +61,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.observer import RunObserver
 
 ENV_VAR = "REPRO_FAULTS"
 
@@ -400,6 +404,18 @@ _injector_lock = threading.Lock()
 #: True in pool worker processes (set by the pool initializer): only
 #: there may a ``kill`` fault actually exit the process.
 _worker_process = False
+
+
+class RoundFaultPoint(RunObserver):
+    """The ``worker.round`` fault point as a chase run observer."""
+
+    def __init__(self, injector: "FaultInjector", job: str) -> None:
+        self.injector = injector
+        self.job = job
+
+    def round_end(self, rounds, store, marks, totals, complete) -> None:
+        if complete:
+            self.injector.fire("worker.round", job=self.job, round=rounds)
 
 
 def mark_worker_process() -> None:

@@ -44,8 +44,8 @@ VARIANTS = [semi_oblivious_chase, oblivious_chase, restricted_chase]
 @pytest.mark.parametrize("runner", VARIANTS, ids=["semi", "oblivious", "restricted"])
 def test_compiled_matches_legacy_on_families(name, workload, runner):
     database, tgds = workload
-    compiled = runner(database, tgds, budget=BUDGET, record_derivation=False, compiled=True)
-    legacy = runner(database, tgds, budget=BUDGET, record_derivation=False, compiled=False)
+    compiled = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
+    legacy = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="legacy")
     assert compiled.terminated == legacy.terminated
     assert compiled.size == legacy.size
     assert compiled.statistics.triggers_applied == legacy.statistics.triggers_applied
@@ -62,8 +62,8 @@ def test_compiled_matches_legacy_on_random_guarded(seed):
     tgds = random_guarded_program(seed, rule_count=4)
     database = random_database(tgds, seed=seed + 500, fact_count=12, constant_count=3)
     for runner in (semi_oblivious_chase, oblivious_chase):
-        compiled = runner(database, tgds, budget=BUDGET, record_derivation=False, compiled=True)
-        legacy = runner(database, tgds, budget=BUDGET, record_derivation=False, compiled=False)
+        compiled = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
+        legacy = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="legacy")
         assert compiled.instance == legacy.instance
         assert compiled.statistics.triggers_applied == legacy.statistics.triggers_applied
 

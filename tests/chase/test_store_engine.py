@@ -1,4 +1,4 @@
-"""Store-backed engines vs the ``compiled=False`` reference baseline.
+"""Store-backed engines vs the ``engine="legacy"`` reference baseline.
 
 The randomized-program equivalence suite of the interned-fact-store
 PR: across all three chase variants, the store engine must reproduce
@@ -43,6 +43,7 @@ from repro.model.serialization import (
     fire_invariant_instance_key,
 )
 from repro.model.tgd import TGD, TGDSet
+from repro.obs.observer import RunObserver
 
 BUDGET = ChaseBudget(max_atoms=20_000, max_rounds=200)
 
@@ -289,9 +290,8 @@ class TestEngineSelection:
         with pytest.raises(ValueError):
             SemiObliviousChase(tgds, engine="turbo")
 
-    def test_compiled_false_means_legacy(self):
+    def test_default_engine_is_store(self):
         _, tgds = intro_nonterminating_example()
-        assert SemiObliviousChase(tgds, compiled=False).engine == "legacy"
         assert SemiObliviousChase(tgds).engine == "store"
 
     def test_base_store_evaluate_raises(self):
@@ -453,23 +453,25 @@ class TestCheckpointResume:
         at the end of round ``at_round``."""
         captured = []
 
-        def hook(rounds, store, marks, stats):
-            if rounds == at_round:
-                considered, applied, created = stats
-                captured.append(
-                    EngineCheckpoint(
-                        store_blob=store.snapshot(),
-                        marks=tuple(marks),
-                        rounds=rounds,
-                        considered=considered,
-                        applied=applied,
-                        created=created,
-                        database_size=len(database),
+        class Capture(RunObserver):
+            def round_end(self, rounds, store, marks, totals, complete):
+                if rounds == at_round:
+                    considered, applied, created, _ = totals
+                    captured.append(
+                        EngineCheckpoint(
+                            store_blob=store.snapshot(),
+                            marks=tuple(marks),
+                            rounds=rounds,
+                            considered=considered,
+                            applied=applied,
+                            created=created,
+                            database_size=len(database),
+                        )
                     )
-                )
 
         full = semi_oblivious_chase(
-            database, tgds, budget=BUDGET, record_derivation=False, round_hook=hook
+            database, tgds, budget=BUDGET, record_derivation=False,
+            observers=[Capture()],
         )
         return full, captured[0]
 

@@ -78,7 +78,8 @@ class TestEngineIntegration:
         plain = runner(DATABASE, PROGRAM, engine=engine, record_derivation=False)
         probe = ChaseProbe()
         probed = runner(
-            DATABASE, PROGRAM, engine=engine, record_derivation=False, probe=probe
+            DATABASE, PROGRAM, engine=engine, record_derivation=False,
+            observers=[probe],
         )
         probed_summary = probed.summary()
         telemetry = probed_summary.pop("telemetry")
@@ -94,7 +95,8 @@ class TestEngineIntegration:
     def test_store_probe_counts_nulls_and_delta(self):
         probe = ChaseProbe()
         result = VARIANT_RUNNERS["semi-oblivious"](
-            DATABASE, PROGRAM, engine="store", record_derivation=False, probe=probe
+            DATABASE, PROGRAM, engine="store", record_derivation=False,
+            observers=[probe],
         )
         telemetry = result.telemetry
         # One null per R fact (the exists z), none later.

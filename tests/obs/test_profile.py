@@ -1,7 +1,7 @@
 """Per-rule attribution profiling (obs/profile.py).
 
-The profiler's contract has two halves.  Invisibility: with
-``profile=None`` every driver stays on its seed code path, so
+The profiler's contract has two halves.  Invisibility: without a
+profiler observer every driver stays on its seed code path, so
 summaries are byte-identical with and without the feature compiled in
 — cache keys, fingerprints and payloads unchanged.  Attribution: with
 a profiler attached, per-rule counters are exact and attributed wall
@@ -34,7 +34,7 @@ def _run(variant, engine, profiler=None):
         budget=BUDGET,
         record_derivation=False,
         engine=engine,
-        profile=profiler,
+        observers=() if profiler is None else [profiler],
     )
 
 
@@ -105,7 +105,7 @@ class TestAttribution:
         profiler = RuleProfiler()
         VARIANT_RUNNERS["semi-oblivious"](
             database, tgds, budget=BUDGET, record_derivation=False,
-            engine="store", profile=profiler,
+            engine="store", observers=[profiler],
         )
         payload = profiler.as_dict()
         assert payload["attributed_fraction"] >= 0.9

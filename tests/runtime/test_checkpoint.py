@@ -88,7 +88,7 @@ class TestRoundCheckpointer:
         checkpointer = RoundCheckpointer(str(path), every_rounds=3, database_size=5)
         store = FakeStore()
         for rounds in range(1, 7):
-            checkpointer(rounds, store, [rounds], (rounds * 10, rounds, rounds))
+            checkpointer.round_end(rounds, store, [rounds], (rounds * 10, rounds, rounds, 0), True)
         assert checkpointer.writes == 2  # rounds 3 and 6
         header, payload = load_checkpoint(str(path))
         assert header["rounds"] == 6 and header["marks"] == [6]
@@ -98,7 +98,7 @@ class TestRoundCheckpointer:
     def test_skips_when_marks_unavailable(self, tmp_path):
         path = tmp_path / "job.ckpt"
         checkpointer = RoundCheckpointer(str(path), every_rounds=1)
-        checkpointer(4, FakeStore(), None, (0, 0, 0))
+        checkpointer.round_end(4, FakeStore(), None, (0, 0, 0, 0), True)
         assert checkpointer.writes == 0 and not path.exists()
 
     def test_invalid_interval_rejected(self, tmp_path):
@@ -111,19 +111,19 @@ class TestRoundCheckpointer:
             FaultPlan(faults=(FaultSpec(point="checkpoint.write", action="truncate"),))
         )
         checkpointer = RoundCheckpointer(str(path), every_rounds=1, injector=injector)
-        checkpointer(1, FakeStore(), [1], (1, 1, 1))
+        checkpointer.round_end(1, FakeStore(), [1], (1, 1, 1, 0), True)
         assert path.exists()
         # The torn blob is written — and rejected on load: the retry
         # that would have resumed from it starts cold instead.
         assert load_checkpoint(str(path)) is None
         # The next boundary (fault exhausted) overwrites it with a good one.
-        checkpointer(2, FakeStore(), [2], (2, 2, 2))
+        checkpointer.round_end(2, FakeStore(), [2], (2, 2, 2, 0), True)
         assert load_checkpoint(str(path)) is not None
 
     def test_discard_removes_the_file(self, tmp_path):
         path = tmp_path / "job.ckpt"
         checkpointer = RoundCheckpointer(str(path), every_rounds=1)
-        checkpointer(1, FakeStore(), [1], (1, 1, 1))
+        checkpointer.round_end(1, FakeStore(), [1], (1, 1, 1, 0), True)
         assert path.exists()
         checkpointer.discard()
         assert not path.exists()
