@@ -320,7 +320,7 @@ def _engine_workloads(
     """The workloads of the engine report: (name, D, Σ, variants, big).
 
     ``big`` marks the enlarged rows (small rows are kept for continuity
-    with the E14 report but are dominated by per-run compilation).
+    with the E14 report but are dominated by fixed per-run costs).
     """
     from repro.generators.workloads import restricted_heavy
 

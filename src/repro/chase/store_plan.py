@@ -1,15 +1,22 @@
 """Compiled rule plans over the interned fact store.
 
-Each TGD is compiled once per run against
-:class:`~repro.model.store.FactStore`: a greedy body join order, one
-delta plan per body atom, per-atom bound-position templates, and
-semi-naive delta routing by body predicate.  Every slot array
-holds dense term ids, candidate enumeration walks posting columns of
-packed int tuples, and trigger keys, null labels and result facts are
-all built by indexing id tuples.  No :class:`~repro.model.atoms.Atom`
-or :class:`~repro.model.terms.Null` object is constructed on this path;
-decoding happens only at API boundaries (derivation recording, the
-final :class:`~repro.model.instance.Instance`).
+Each TGD is compiled against the predicate ids of a
+:class:`~repro.model.store.FactStore`: a static greedy body join
+order, one delta plan per body atom, per-atom bound-position
+templates, and semi-naive delta routing by body predicate.  A plan
+depends on the program and on those ids only — never on a store's
+facts — so :func:`compiled_pipeline` builds it once per (program,
+predicate-id vector) and every later run over a store with the same
+ids reuses it.  A fresh chase store interns ``sch(Σ)`` first, in
+program order, so all fresh runs of one program share one entry.
+
+Every slot array holds dense term ids, candidate enumeration walks
+posting columns of packed int tuples, and trigger keys, null labels and
+result facts are all built by indexing id tuples.  No
+:class:`~repro.model.atoms.Atom` or :class:`~repro.model.terms.Null`
+object is constructed on this path; decoding happens only at API
+boundaries (derivation recording, the final
+:class:`~repro.model.instance.Instance`).
 
 The atom order comes from :func:`~repro.model.homomorphism._plan_order`
 and the position templates from
@@ -23,7 +30,7 @@ from operator import itemgetter
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.model.atoms import Atom, Predicate
+from repro.model.atoms import Atom
 from repro.model.homomorphism import _plan_order, classify_atom_positions
 from repro.model.store import Fact, FactStore
 from repro.model.terms import Variable
@@ -79,15 +86,12 @@ class StoreBodyPlan:
         atoms: Sequence[Atom],
         store: FactStore,
         bound_first: Sequence[Variable] = (),
-        use_selectivity: bool = True,
     ) -> None:
         self.atoms: Tuple[Atom, ...] = tuple(atoms)
         bound = frozenset(bound_first)
-        selectivity = None
-        if use_selectivity:
-            def selectivity(predicate: Predicate) -> int:
-                return store.count(store.intern_predicate(predicate))
-        self.ordered: Tuple[Atom, ...] = tuple(_plan_order(self.atoms, bound, selectivity))
+        # The order is static (shape only, no fact counts), so the plan
+        # stays valid for every store that shares ``store``'s ids.
+        self.ordered: Tuple[Atom, ...] = tuple(_plan_order(self.atoms, bound, None))
         slot_of: Dict[Variable, int] = {}
         for v in sorted(bound, key=lambda v: v.name):
             slot_of[v] = len(slot_of)
@@ -340,9 +344,7 @@ class StoreCompiledRule:
         "_names_fired",
         "_fire_slot",
         "_head_plan",
-        "_head_seed",
         "_head_single",
-        "_store",
         "head_only",
         "head_single_fresh",
     )
@@ -351,7 +353,6 @@ class StoreCompiledRule:
         self.tgd = tgd
         self.rule_id = tgd.rule_id
         self.index = index
-        self._store = store
         body = tgd.body
         frontier = tgd.frontier()
         self.sorted_variables: Tuple[Variable, ...] = tuple(
@@ -441,12 +442,10 @@ class StoreCompiledRule:
         self._fire_slot = fired.index("__fire__")
 
         # Head-satisfaction plan (restricted chase): join the head into
-        # the store with the frontier seeded from the canonical tuple.
-        # Compiled lazily — only multi-atom heads under the restricted
-        # variant ever run it, and tiny workloads are dominated by
-        # per-run compilation otherwise.
-        self._head_plan = None
-        self._head_seed: Tuple[Tuple[int, int], ...] = ()
+        # the store with the frontier seeded from the canonical tuple,
+        # as a (plan, seed) pair.  Compiled lazily — only multi-atom
+        # heads under the restricted variant ever run it.
+        self._head_plan: Optional[Tuple[StoreBodyPlan, Tuple[Tuple[int, int], ...]]] = None
         # Single-atom heads (the overwhelmingly common shape) shortcut
         # the plan entirely: satisfaction is one posting-list probe
         # (plus equality checks when an existential repeats in the atom).
@@ -567,23 +566,28 @@ class StoreCompiledRule:
                 if all(ids[a] == ids[b] for a, b in repeat_checks):
                     return True
             return False
-        if self._head_plan is None:
+        head_plan = self._head_plan
+        if head_plan is None:
+            # Compiled against ``store``: its head predicate ids are the
+            # ones this rule was compiled for.  Plan and seed publish in
+            # one assignment, so concurrent runs never see half of it.
             frontier = self.tgd.frontier()
-            self._head_plan = StoreBodyPlan(
+            plan = StoreBodyPlan(
                 self.tgd.head,
-                self._store,
+                store,
                 bound_first=tuple(sorted(frontier, key=lambda v: v.name)),
             )
-            slot_of = self._head_plan.slot_of
-            self._head_seed = tuple(
-                (slot_of[v], i)
+            seed = tuple(
+                (plan.slot_of[v], i)
                 for i, v in enumerate(self.sorted_variables)
                 if v in frontier
             )
-        slots = self._head_plan.fresh_slots()
-        for slot, i in self._head_seed:
+            self._head_plan = head_plan = (plan, seed)
+        plan, seed = head_plan
+        slots = plan.fresh_slots()
+        for slot, i in seed:
             slots[slot] = canonical[i]
-        for _ in self._head_plan.iter_ids(store, slots):
+        for _ in plan.iter_ids(store, slots):
             return True
         return False
 
@@ -756,3 +760,27 @@ class StoreTriggerPipeline:
                     key = (rule_index, key_get(canonical) if key_get else canonical)
                     append((rule, canonical, key))
         return pending
+
+
+def compiled_pipeline(
+    tgds: TGDSet, store: FactStore
+) -> Tuple[StoreTriggerPipeline, List[float]]:
+    """``tgds``' pipeline for ``store``'s predicate ids, and this call's
+    per-rule compile seconds.
+
+    The pipeline lives in the program's memo under the vector of ids
+    ``store`` assigns to ``sch(Σ)`` (interning any missing predicate),
+    the only store-dependent input of a compiled plan.  Only the call
+    that compiles reports its compile seconds; a memo hit reports zeros.
+    """
+    pids = tuple(store.intern_predicate(p) for p in tgds.predicates_in_order())
+    built: List[StoreTriggerPipeline] = []
+
+    def build() -> StoreTriggerPipeline:
+        built.append(StoreTriggerPipeline(tgds, store))
+        return built[0]
+
+    pipeline = tgds.memo(("pipeline", pids), build)
+    if built and built[0] is pipeline:
+        return pipeline, pipeline.compile_seconds
+    return pipeline, [0.0] * len(pipeline.rules)

@@ -30,7 +30,7 @@ from repro.chase.semi_oblivious import semi_oblivious_chase
 from repro.core.bounds import size_bound_factor
 from repro.core.classify import TGDClass, classify
 from repro.core.linearization import linearize
-from repro.core.simplification import simplified_schema, simplify_program
+from repro.core.simplification import simplified_program, simplified_schema, simplify_program
 from repro.core.ucq import TerminationUCQ, build_termination_ucq
 from repro.core.weak_acyclicity import weak_acyclicity_report
 
@@ -80,15 +80,15 @@ def syntactic_decision(database: Database, tgds: TGDSet) -> TerminationVerdict:
             details={"report": report},
         )
     if tgd_class is TGDClass.LINEAR:
-        simplified_program = simplify_program(tgds)
-        report = weak_acyclicity_report(simplified_program, simplified_schema(database))
+        simple_program = simplified_program(tgds)
+        report = weak_acyclicity_report(simple_program, simplified_schema(database))
         return TerminationVerdict(
             terminates=report.weakly_acyclic_wrt_database,
             method=DecisionMethod.SIMPLIFICATION,
             tgd_class=tgd_class,
             details={
                 "report": report,
-                "simplified_rule_count": len(simplified_program),
+                "simplified_rule_count": len(simple_program),
             },
         )
     if tgd_class is TGDClass.GUARDED:
@@ -163,20 +163,14 @@ def naive_decision(
 # --------------------------------------------------------------------------
 
 
-def ucq_decision(
-    database: Database,
-    tgds: TGDSet,
-    ucq: Optional[TerminationUCQ] = None,
-) -> TerminationVerdict:
+def ucq_decision(database: Database, tgds: TGDSet) -> TerminationVerdict:
     """Decide via the database-independent UCQ ``Q_Σ`` (SL and L only).
 
-    Passing a prebuilt ``ucq`` mirrors the data-complexity setting where
-    the query is computed once for a fixed ``Σ`` and reused across
-    databases.
+    ``Q_Σ`` is built once per program and reused for every database,
+    the data-complexity setting of the theorems.
     """
     tgd_class = classify(tgds)
-    if ucq is None:
-        ucq = build_termination_ucq(tgds)
+    ucq = tgds.memo(TerminationUCQ, lambda: build_termination_ucq(tgds))
     violated = ucq.witnessed_by(database)
     return TerminationVerdict(
         terminates=not violated,

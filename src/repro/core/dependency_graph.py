@@ -51,6 +51,11 @@ class DependencyGraph:
         self._outgoing: Dict[Position, List[Edge]] = defaultdict(list)
         self._build()
 
+    @classmethod
+    def of(cls, tgds: TGDSet) -> "DependencyGraph":
+        """The graph of ``tgds``, built once per program (read-only)."""
+        return tgds.memo(cls, lambda: cls(tgds))
+
     def _build(self) -> None:
         for tgd in self.tgds:
             existentials = tgd.existential_variables()
@@ -222,6 +227,11 @@ class PredicateGraph:
             head_predicates = atoms_schema(tgd.head)
             for body_predicate in body_predicates:
                 self._successors[body_predicate] |= head_predicates
+
+    @classmethod
+    def of(cls, tgds: TGDSet) -> "PredicateGraph":
+        """The graph of ``tgds``, built once per program (read-only)."""
+        return tgds.memo(cls, lambda: cls(tgds))
 
     def successors(self, predicate: Predicate) -> Set[Predicate]:
         return self._successors.get(predicate, set())

@@ -253,19 +253,27 @@ def _existential_assignment(tgd: TGD, arity: int) -> Dict[Variable, Term]:
     }
 
 
-def _linearize_rule_for_type(
+#: One linearization of a TGD for a type: the body and head of the
+#: linear rule (its id is assigned per call) and the head atoms' types.
+_Expansion = Tuple[Tuple[Atom, ...], Tuple[Atom, ...], Tuple[SigmaType, ...]]
+
+
+def _type_expansions(
     tgd: TGD,
     sigma_type: SigmaType,
     tgds: TGDSet,
     completion_depth: Optional[int],
-    rule_counter: itertools.count,
-) -> List[Tuple[TGD, List[SigmaType]]]:
-    """All linearizations of ``tgd`` induced by ``sigma_type`` (Appendix E)."""
+) -> Tuple[_Expansion, ...]:
+    """All linearizations of ``tgd`` induced by ``sigma_type`` (Appendix E).
+
+    A function of Σ, ``tgd``, the Σ-type and the completion depth
+    alone, so :func:`_linearize_rule_for_type` keeps it in Σ's memo.
+    """
     guard_atom = tgd.guard()
     if guard_atom is None:
         raise ValueError(f"linearization requires guarded TGDs, got {tgd}")
     type_instance = Instance(sigma_type.atoms())
-    results: List[Tuple[TGD, List[SigmaType]]] = []
+    expansions: List[_Expansion] = []
     for substitution in find_homomorphisms(tgd.body, type_instance):
         if apply_substitution(guard_atom, substitution) != sigma_type.guard:
             continue
@@ -274,20 +282,47 @@ def _linearize_rule_for_type(
         head_images = [apply_substitution(a, mapping) for a in tgd.head]
         local_instance = Instance(set(head_images) | sigma_type.atoms())
         completed = completion(local_instance, tgds, depth_budget=completion_depth)
-        head_types: List[SigmaType] = []
-        for image in head_images:
-            body_of_type = type_of(image, completed) - {image}
-            head_types.append(canonicalize_type(image, body_of_type))
-        linearized = TGD(
-            body=(Atom(sigma_type.predicate(), guard_atom.args),),
-            head=tuple(
-                Atom(head_type.predicate(), head_atom.args)
-                for head_type, head_atom in zip(head_types, tgd.head)
-            ),
-            rule_id=f"{tgd.rule_id}|lin{next(rule_counter)}",
+        head_types = tuple(
+            canonicalize_type(image, type_of(image, completed) - {image})
+            for image in head_images
         )
-        results.append((linearized, head_types))
-    return results
+        expansions.append(
+            (
+                (Atom(sigma_type.predicate(), guard_atom.args),),
+                tuple(
+                    Atom(head_type.predicate(), head_atom.args)
+                    for head_type, head_atom in zip(head_types, tgd.head)
+                ),
+                head_types,
+            )
+        )
+    return tuple(expansions)
+
+
+def _linearize_rule_for_type(
+    tgd: TGD,
+    sigma_type: SigmaType,
+    tgds: TGDSet,
+    completion_depth: Optional[int],
+    rule_counter: itertools.count,
+) -> List[Tuple[TGD, Tuple[SigmaType, ...]]]:
+    """The linear rules ``tgd`` yields for ``sigma_type``, with their head types.
+
+    The expansions are built once per program (Σ-types range over
+    ``#i`` integers, never database terms); rule ids come from the
+    caller's counter, so ``lin(Σ)`` reads the same on a warm memo.
+    """
+    expansions = tgds.memo(
+        ("lin", tgd, sigma_type, completion_depth),
+        lambda: _type_expansions(tgd, sigma_type, tgds, completion_depth),
+    )
+    return [
+        (
+            TGD(body=body, head=head, rule_id=f"{tgd.rule_id}|lin{next(rule_counter)}"),
+            head_types,
+        )
+        for body, head, head_types in expansions
+    ]
 
 
 def linearize_program(

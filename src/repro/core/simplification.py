@@ -117,6 +117,15 @@ def simplify_program(tgds: TGDSet) -> TGDSet:
     return TGDSet(simplified, name=f"simple({tgds.name})")
 
 
+def simplified_program(tgds: TGDSet) -> TGDSet:
+    """``simple(Σ)`` as one object per program, built once.
+
+    The L decider and ``Q_Σ`` both read it, and everything memoised on
+    ``simple(Σ)`` itself (its special cycles) is then shared as well.
+    """
+    return tgds.memo("simple", lambda: simplify_program(tgds))
+
+
 def simplify_database(database: Database) -> Database:
     """``simple(D)``: the simplification of every fact of the database."""
     return Database(simplify_atom(a) for a in database)

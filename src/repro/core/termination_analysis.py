@@ -100,7 +100,7 @@ class TerminationReport:
 
 def _reachable_predicates(database: Database, tgds: TGDSet) -> Set:
     """Predicates reachable (``⇝_Σ``) from the database's predicates."""
-    graph = PredicateGraph(tgds)
+    graph = PredicateGraph.of(tgds)
     reachable: Set = set()
     for predicate in database.predicates():
         if predicate in reachable:
@@ -175,7 +175,7 @@ def analyze_termination(
                     )
 
     # Layer 2: weak acyclicity with the variant's labelling discipline.
-    graph = AugmentedDependencyGraph(tgds) if oblivious else DependencyGraph(tgds)
+    graph = (AugmentedDependencyGraph if oblivious else DependencyGraph).of(tgds)
     graph_name = "augmented-weak-acyclicity" if oblivious else "weak-acyclicity"
     bound = rank_depth_bound(graph)
     if bound is not None:

@@ -22,7 +22,7 @@ Two evaluation modes are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.model.atoms import Atom, Predicate
 from repro.model.homomorphism import find_homomorphisms
@@ -30,8 +30,8 @@ from repro.model.instance import Database, Instance
 from repro.model.terms import Variable
 from repro.model.tgd import TGDSet
 from repro.core.classify import TGDClass, classify
-from repro.core.dependency_graph import DependencyGraph, PredicateGraph
-from repro.core.simplification import id_tuple, simplified_predicate, simplify_program
+from repro.core.simplification import simplified_program, simplified_schema
+from repro.core.weak_acyclicity import special_cycles
 
 
 @dataclass(frozen=True)
@@ -73,23 +73,12 @@ class TerminationUCQ:
         """Direct criterion: does some database fact support a special cycle?"""
         if self.tgd_class is TGDClass.SIMPLE_LINEAR:
             return bool(database.predicates() & self.violating_predicates)
-        for atom in database:
-            simplified = simplified_predicate(atom.predicate, id_tuple(atom.args))
-            if simplified in self.violating_simplified_predicates:
-                return True
-        return False
+        return not self.violating_simplified_predicates.isdisjoint(
+            simplified_schema(database)
+        )
 
     def __len__(self) -> int:
         return len(self.disjuncts)
-
-
-def _violating_source_predicates(tgds: TGDSet) -> Set[Predicate]:
-    """Predicates ``R`` with ``R ⇝_Σ P`` for some ``P`` on a special cycle."""
-    dependency_graph = DependencyGraph(tgds)
-    cycle_predicates = {p.predicate for p in dependency_graph.positions_on_special_cycle()}
-    if not cycle_predicates:
-        return set()
-    return PredicateGraph(tgds).predicates_reaching(cycle_predicates)
 
 
 def _fresh_variables(count: int, prefix: str) -> List[Variable]:
@@ -116,7 +105,7 @@ def build_termination_ucq(tgds: TGDSet) -> TerminationUCQ:
     """
     tgd_class = classify(tgds)
     if tgd_class is TGDClass.SIMPLE_LINEAR:
-        violating = _violating_source_predicates(tgds)
+        violating = special_cycles(tgds).reaching
         disjuncts = []
         for predicate in sorted(violating, key=lambda p: (p.name, p.arity)):
             variables = _fresh_variables(predicate.arity, f"x_{predicate.name}_")
@@ -129,8 +118,8 @@ def build_termination_ucq(tgds: TGDSet) -> TerminationUCQ:
             violating_simplified_predicates=frozenset(),
         )
     if tgd_class is TGDClass.LINEAR:
-        simplified = simplify_program(tgds)
-        violating_simplified = _violating_source_predicates(simplified)
+        simplified = simplified_program(tgds)
+        violating_simplified = special_cycles(simplified).reaching
         original_by_name = {p.name: p for p in tgds.schema()}
         disjuncts = []
         for predicate in sorted(violating_simplified, key=lambda p: (p.name, p.arity)):

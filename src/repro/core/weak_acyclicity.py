@@ -16,15 +16,16 @@ simplification and linearization.
 its predicate set; the deciders of Theorems 7.7 and 8.5 pass
 ``sch(simple(D))`` (see
 :func:`~repro.core.simplification.simplified_schema`) and never build
-the simplified database.  A report builds ``dg(Σ)`` and runs the SCC
-pass once, and hands the flagged positions to the support and witness
-steps.
+the simplified database.  Everything on the ``Σ`` side — the positions
+on special cycles of ``dg(Σ)``, a witness cycle and the predicates that
+reach them — is computed once per program (:func:`special_cycles`);
+only the intersection with ``sch(D)`` runs per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Optional, Set, Tuple, Union
+from typing import AbstractSet, FrozenSet, Optional, Set, Tuple, Union
 
 from repro.model.atoms import Position, Predicate
 from repro.model.instance import Instance
@@ -63,6 +64,40 @@ class WeakAcyclicityReport:
     witness_cycle: Optional[Tuple[Edge, ...]]
 
 
+@dataclass(frozen=True)
+class SpecialCycles:
+    """The database-independent half of the analysis, for one ``Σ``.
+
+    ``positions`` are the positions on a cycle of ``dg(Σ)`` with a
+    special edge, ``witness`` one such cycle (``None`` without one) and
+    ``reaching`` every predicate ``R`` with ``R ⇝_Σ P`` for some ``P``
+    owning one of ``positions`` — the predicates whose presence in ``D``
+    supports a special cycle.  ``reaching`` is shared: read it, never
+    mutate it.
+    """
+
+    positions: FrozenSet[Position]
+    witness: Optional[Tuple[Edge, ...]]
+    reaching: Set[Predicate]
+
+
+def special_cycles(tgds: TGDSet) -> SpecialCycles:
+    """:class:`SpecialCycles` of ``tgds``, computed once per program."""
+    return tgds.memo(SpecialCycles, lambda: _special_cycles(tgds))
+
+
+def _special_cycles(tgds: TGDSet) -> SpecialCycles:
+    dependency_graph = DependencyGraph.of(tgds)
+    flagged = dependency_graph.positions_on_special_cycle()
+    if not flagged:
+        return SpecialCycles(frozenset(), None, set())
+    witness = dependency_graph.witness_special_cycle(flagged)
+    reaching = PredicateGraph.of(tgds).predicates_reaching(
+        {position.predicate for position in flagged}
+    )
+    return SpecialCycles(frozenset(flagged), tuple(witness) if witness else None, reaching)
+
+
 def _schema_of(database: DatabaseOrSchema) -> AbstractSet[Predicate]:
     """``sch(D)``: the predicates of a database, or the given predicate set."""
     if isinstance(database, Instance):
@@ -71,20 +106,19 @@ def _schema_of(database: DatabaseOrSchema) -> AbstractSet[Predicate]:
 
 
 def _supporting(
-    tgds: TGDSet, flagged: Set[Position], database_predicates: AbstractSet[Predicate]
+    tgds: TGDSet, database_predicates: AbstractSet[Predicate]
 ) -> Set[Predicate]:
     """The predicates of ``database_predicates`` that reach (``⇝_Σ``) a
-    predicate owning one of the ``flagged`` special-cycle positions."""
-    cycle_predicates = {position.predicate for position in flagged}
-    if not cycle_predicates or not database_predicates:
+    predicate owning a special-cycle position of ``dg(Σ)``."""
+    reaching = special_cycles(tgds).reaching
+    if not reaching or not database_predicates:
         return set()
-    reaching = PredicateGraph(tgds).predicates_reaching(cycle_predicates)
     return reaching.intersection(database_predicates)
 
 
 def is_weakly_acyclic(tgds: TGDSet) -> bool:
     """Uniform weak-acyclicity: no cycle with a special edge in ``dg(Σ)``."""
-    return not DependencyGraph(tgds).has_special_cycle()
+    return not special_cycles(tgds).positions
 
 
 def is_weakly_acyclic_wrt(database: DatabaseOrSchema, tgds: TGDSet) -> bool:
@@ -100,31 +134,24 @@ def is_weakly_acyclic_wrt(database: DatabaseOrSchema, tgds: TGDSet) -> bool:
 
 def supporting_database_predicates(database: DatabaseOrSchema, tgds: TGDSet) -> Set[Predicate]:
     """Database predicates that support some special cycle of ``dg(Σ)``."""
-    flagged = DependencyGraph(tgds).positions_on_special_cycle()
-    return _supporting(tgds, flagged, _schema_of(database))
+    return _supporting(tgds, _schema_of(database))
 
 
 def weak_acyclicity_report(
     tgds: TGDSet, database: Optional[DatabaseOrSchema] = None
 ) -> WeakAcyclicityReport:
     """Run the whole analysis and package the evidence."""
-    dependency_graph = DependencyGraph(tgds)
-    flagged_positions = dependency_graph.positions_on_special_cycle()
-    witness = (
-        dependency_graph.witness_special_cycle(flagged_positions)
-        if flagged_positions
-        else None
-    )
+    cycles = special_cycles(tgds)
     if database is None:
         supporting: Set[Predicate] = set()
         wrt_database: Optional[bool] = None
     else:
-        supporting = _supporting(tgds, flagged_positions, _schema_of(database))
+        supporting = _supporting(tgds, _schema_of(database))
         wrt_database = not supporting
     return WeakAcyclicityReport(
-        uniformly_weakly_acyclic=not flagged_positions,
+        uniformly_weakly_acyclic=not cycles.positions,
         weakly_acyclic_wrt_database=wrt_database,
-        positions_on_special_cycles=frozenset(flagged_positions),
+        positions_on_special_cycles=cycles.positions,
         supporting_predicates=frozenset(supporting),
-        witness_cycle=tuple(witness) if witness else None,
+        witness_cycle=cycles.witness,
     )

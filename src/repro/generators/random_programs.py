@@ -125,6 +125,26 @@ def random_guarded_program(
     return TGDSet(tgds, name=f"random_guarded(seed={seed})")
 
 
+def random_full_program(seed: int, rule_count: int = 4) -> TGDSet:
+    """A random guarded program with every existential replaced by a
+    body variable — full TGDs, whose restricted chase has a unique,
+    order-independent fixpoint."""
+    base = random_guarded_program(seed, rule_count=rule_count)
+    rng = random.Random(seed)
+    rules = []
+    for index, tgd in enumerate(base):
+        body_variables = sorted(tgd.body_variables(), key=lambda v: v.name)
+        mapping = {z: rng.choice(body_variables) for z in tgd.existential_variables()}
+        rules.append(
+            TGD(
+                body=tgd.body,
+                head=tuple(a.substitute(mapping) for a in tgd.head),
+                rule_id=f"full_{seed}_{index}",
+            )
+        )
+    return TGDSet(rules, name=f"random_full(seed={seed})")
+
+
 def random_database(
     tgds: TGDSet,
     seed: int,

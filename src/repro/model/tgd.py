@@ -12,12 +12,28 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from repro.model.atoms import Atom, Position, Predicate, atoms_schema, atoms_variables
 from repro.model.terms import Constant, Term, Variable
 
 _FRESH_RULE_COUNTER = itertools.count()
+
+_T = TypeVar("_T")
 
 
 def _fresh_rule_id() -> str:
@@ -142,11 +158,20 @@ class TGDSet:
 
     Exposes ``sch(Σ)``, ``ar(Σ)``, ``atoms(Σ)`` and the norm
     ``‖Σ‖ = |atoms(Σ)| · |sch(Σ)| · ar(Σ)`` used in the size bounds.
+
+    Every artifact that depends on Σ alone — compiled chase plans,
+    ``lin(Σ)`` rule expansions, ``simple(Σ)``, ``Q_Σ``, the special
+    cycles of ``dg(Σ)`` — is built once per object through
+    :meth:`memo` and reused by every chase and decision over it.  The
+    memo lives and dies with the object; it is not part of the
+    program's value (equality, hashing and pickles ignore it) and must
+    never hold anything derived from a database.
     """
 
     def __init__(self, tgds: Iterable[TGD], name: str = "Sigma") -> None:
         self._tgds: Tuple[TGD, ...] = tuple(tgds)
         self.name = name
+        self._memo: Dict[Hashable, Any] = {}
         if not self._tgds:
             raise ValueError("a TGD set must contain at least one TGD")
         ids = [t.rule_id for t in self._tgds]
@@ -174,6 +199,36 @@ class TGDSet:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._tgds))
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Memo entries hold compiled closures that do not pickle, and a
+        # copy rebuilds them on demand anyway.
+        state = self.__dict__.copy()
+        state["_memo"] = {}
+        return state
+
+    # -- per-program memo -----------------------------------------------------
+
+    def memo(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """The artifact under ``key``, built by ``build()`` on first use.
+
+        ``key`` names a Σ-only artifact and must not contain anything
+        derived from a database.  Concurrent first uses may both build;
+        either result is kept, which is harmless for pure artifacts.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, build())
+
+    def predicates_in_order(self) -> Tuple[Predicate, ...]:
+        """``sch(Σ)`` in order of first occurrence (rules, body then head)."""
+        return self.memo(
+            "predicates_in_order",
+            lambda: tuple(
+                dict.fromkeys(a.predicate for t in self._tgds for a in t.atoms())
+            ),
+        )
 
     # -- derived quantities ---------------------------------------------------
 

@@ -12,7 +12,6 @@ result is the unique full closure).
 """
 
 import json
-import random
 import subprocess
 import sys
 
@@ -33,6 +32,7 @@ from repro.generators.families import (
 )
 from repro.generators.random_programs import (
     random_database,
+    random_full_program,
     random_guarded_program,
     random_linear_program,
     random_simple_linear_program,
@@ -42,7 +42,6 @@ from repro.model.serialization import (
     canonical_instance_text,
     fire_invariant_instance_key,
 )
-from repro.model.tgd import TGD, TGDSet
 from repro.obs.observer import RunObserver
 
 BUDGET = ChaseBudget(max_atoms=20_000, max_rounds=200)
@@ -67,26 +66,6 @@ VARIANT_IDS = ["semi", "oblivious", "restricted"]
 #: enumeration makes the comparison seed-dependent (a latent flake
 #: this suite used to carry).
 RESTRICTED_ORDER_INVARIANT = {"restricted-heavy"}
-
-
-def random_full_program(seed: int, rule_count: int = 4) -> TGDSet:
-    """A random guarded program with every existential replaced by a
-    body variable — full TGDs, whose restricted chase has a unique,
-    order-independent fixpoint."""
-    base = random_guarded_program(seed, rule_count=rule_count)
-    rng = random.Random(seed)
-    rules = []
-    for index, tgd in enumerate(base):
-        body_variables = sorted(tgd.body_variables(), key=lambda v: v.name)
-        mapping = {z: rng.choice(body_variables) for z in tgd.existential_variables()}
-        rules.append(
-            TGD(
-                body=tgd.body,
-                head=tuple(a.substitute(mapping) for a in tgd.head),
-                rule_id=f"full_{seed}_{index}",
-            )
-        )
-    return TGDSet(rules, name=f"random_full(seed={seed})")
 
 
 def derivation_atoms(result):

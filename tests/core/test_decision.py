@@ -104,12 +104,26 @@ class TestUCQDecision:
         database, tgds = intro_nonterminating_example()
         assert ucq_decision(database, tgds).terminates is False
 
-    def test_prebuilt_query_can_be_reused(self):
+    def test_prebuilt_query_can_be_reused(self, monkeypatch):
+        # Q_Σ depends on Σ alone: two databases of one program build it once.
+        import repro.core.decision as decision
+
+        builds = []
+
+        def counting_build(tgds):
+            builds.append(tgds)
+            return build_termination_ucq(tgds)
+
+        monkeypatch.setattr(decision, "build_termination_ucq", counting_build)
         database, tgds = example_7_1()
-        ucq = build_termination_ucq(tgds)
-        verdict = ucq_decision(database, tgds, ucq=ucq)
-        assert verdict.terminates is True
-        assert verdict.method is DecisionMethod.UCQ
+        first = ucq_decision(database, tgds)
+        other = parse_database("R(a, a).")
+        second = ucq_decision(other, tgds)
+        assert len(builds) == 1
+        assert first.terminates is True
+        assert second.terminates is syntactic_decision(other, tgds).terminates
+        assert first.method is second.method is DecisionMethod.UCQ
+        assert first.details == second.details
 
 
 class TestDispatch:

@@ -1,8 +1,12 @@
 """Unit tests for TGDs and TGD sets."""
 
+import pickle
+
 import pytest
 
+from repro.chase.semi_oblivious import semi_oblivious_chase
 from repro.model.atoms import Atom, Predicate, atom
+from repro.model.instance import Database
 from repro.model.terms import Constant, Variable
 from repro.model.tgd import TGD, TGDSet
 
@@ -140,3 +144,40 @@ class TestTGDSet:
         first = make_tgd([Atom(R, (X, Y))], [Atom(S, (Y, Z))], "a")
         assert TGDSet([first]) == TGDSet([first])
         assert hash(TGDSet([first])) == hash(TGDSet([first]))
+
+
+class TestProgramMemo:
+    def _program(self):
+        return TGDSet(
+            [
+                make_tgd([Atom(R, (X, Y))], [Atom(S, (Y, Z))], "a"),
+                make_tgd([Atom(S, (X, Y)), Atom(P, (X,))], [Atom(R, (Y, X))], "b"),
+            ]
+        )
+
+    def test_memo_builds_once_per_key(self):
+        tgds = self._program()
+        builds = []
+        for _ in range(3):
+            value = tgds.memo("k", lambda: builds.append(1) or len(builds))
+        assert value == 1 and builds == [1]
+
+    def test_predicates_in_order_follow_first_occurrence(self):
+        assert self._program().predicates_in_order() == (R, S, P)
+
+    def test_memo_is_not_part_of_the_value(self):
+        warm, cold = self._program(), self._program()
+        warm.memo("k", lambda: object())
+        assert warm == cold and hash(warm) == hash(cold)
+
+    def test_warm_program_round_trips_through_pickle(self):
+        tgds = self._program()
+        database = Database([Atom(R, (Constant("a"), Constant("b")))])
+        semi_oblivious_chase(database, tgds)  # compiles plans into the memo
+        assert tgds._memo
+        copy = pickle.loads(pickle.dumps(tgds))
+        assert copy == tgds and copy.name == tgds.name
+        assert copy._memo == {}
+        assert semi_oblivious_chase(database, copy).instance == (
+            semi_oblivious_chase(database, tgds).instance
+        )

@@ -14,7 +14,8 @@ import pytest
 
 from repro.chase import VARIANT_RUNNERS
 from repro.chase.engine import ENGINES, ChaseBudget
-from repro.generators.families import sl_lower_bound
+from repro.chase.semi_oblivious import semi_oblivious_chase
+from repro.generators.families import guarded_lower_bound, sl_lower_bound
 from repro.model.parser import parse_database, parse_program
 from repro.obs.profile import RuleProfiler, format_profile_table, top_rules
 from repro.runtime.cache import ResultCache
@@ -146,3 +147,22 @@ class TestRendering:
         for row in payload["rules"]:
             assert row["rule"] in table
         assert "attributed" in table
+
+
+class TestCompileMemo:
+    def test_memo_hit_reports_no_compile_seconds(self):
+        """Plans compile once per program: only the run that compiled
+        reports compile seconds, and a hit's attribution still fits in
+        its driver window."""
+        database, tgds = guarded_lower_bound(1, 1, 1)
+        first, second = RuleProfiler(), RuleProfiler()
+        for profiler in (first, second):
+            semi_oblivious_chase(
+                database, tgds, budget=BUDGET, record_derivation=False,
+                observers=[profiler],
+            )
+        assert sum(first.compile_seconds) > 0
+        assert sum(second.compile_seconds) == 0
+        assert all(row["compile_seconds"] == 0 for row in second.as_dict()["rules"])
+        assert second.attributed_seconds() <= second.driver_seconds
+
