@@ -481,6 +481,8 @@ class BaseChaseEngine:
                     _send_segment(segment_observers, totals(), index_of[seg_tgd.rule_id])
                 pending.append(trigger)
             first_round = False
+            for observer in observers:
+                observer.enumerated(totals())
             new_atoms_this_round: List[Atom] = []
             over_budget = False
             seg_tgd = None
@@ -674,7 +676,9 @@ class BaseChaseEngine:
         # The driver window starts here: store seeding and interning
         # above are reported to observers as setup seconds.
         driver_start = time.perf_counter()
-        pipeline, compile_seconds = compiled_pipeline(self.tgds, store)
+        pipeline, compile_seconds = compiled_pipeline(
+            self.tgds, store, self.uses_frontier_identity
+        )
         observers = self.observers
         segment_observers = self.segment_observers
         for observer in observers:
@@ -759,6 +763,8 @@ class BaseChaseEngine:
                 pending = pipeline.initial_pending(store, uses_frontier, on_rule)
             else:
                 pending = pipeline.delta_pending_rows(store, marks, uses_frontier, on_rule)
+            for observer in observers:
+                observer.enumerated((considered, fired, created, null_count()))
             marks = store.row_marks()
             size_before = len(store)
             over_budget = False

@@ -1,4 +1,4 @@
-"""Compiled rule plans over the interned fact store.
+"""Compiled rule plans and generated join kernels over the fact store.
 
 Each TGD is compiled against the predicate ids of a
 :class:`~repro.model.store.FactStore`: a static greedy body join
@@ -10,18 +10,31 @@ predicate-id vector) and every later run over a store with the same
 ids reuses it.  A fresh chase store interns ``sch(Σ)`` first, in
 program order, so all fresh runs of one program share one entry.
 
-Every slot array holds dense term ids, candidate enumeration walks
-posting columns of packed int tuples, and trigger keys, null labels and
-result facts are all built by indexing id tuples.  No
-:class:`~repro.model.atoms.Atom` or :class:`~repro.model.terms.Null`
-object is constructed on this path; decoding happens only at API
-boundaries (derivation recording, the final
-:class:`~repro.model.instance.Instance`).
+The joins run as *generated kernels*: for each delta entry (rule, body
+index), each rule's round-one body join and each multi-atom restricted
+head, the plan's templates are turned into Python source — nested
+``for`` loops over posting buckets, positions and slots as literals,
+bindings as locals, the canonical tuple, round-local dedup and trigger
+key built inline — and ``compile()``d.  A kernel's *shape* (the
+templates, the canonical permutation, the frontier indices, the dedup
+flag and the key mode) holds only plan-template ints, never a term id,
+predicate id or database value; the predicate ids arrive as an
+argument.  Kernels live in one module-level memo keyed by shape
+(:data:`_KERNELS`), so every program with the same join shape shares
+one function.
 
-The atom order comes from :func:`~repro.model.homomorphism._plan_order`
-and the position templates from
-:func:`~repro.model.homomorphism.classify_atom_positions` — the same
-planner behind the term-level homomorphism search.
+:meth:`StoreBodyPlan.iter_ids`, the interpretive backtracking
+enumerator the kernels are generated from, survives only as the test
+oracle (:func:`oracle_pending`, :func:`oracle_head_satisfied`), as the
+legacy rescan does for the driver.
+
+No :class:`~repro.model.atoms.Atom` or
+:class:`~repro.model.terms.Null` object is constructed on this path;
+decoding happens only at API boundaries (derivation recording, the
+final :class:`~repro.model.instance.Instance`).  The atom order comes
+from :func:`~repro.model.homomorphism._plan_order` and the position
+templates from :func:`~repro.model.homomorphism.classify_atom_positions`
+— the same planner behind the term-level homomorphism search.
 """
 
 from __future__ import annotations
@@ -58,28 +71,28 @@ def _tuple_getter(indexes: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int
     return itemgetter(*indexes)
 
 
-#: A per-atom evaluation step over the store: (pid, consts, lookups,
-#: binds, checks) with positions 0-based and consts carrying term ids.
-_StoreStep = Tuple[
-    int,
-    Tuple[Tuple[int, int], ...],
-    Tuple[Tuple[int, int], ...],
-    Tuple[Tuple[int, int], ...],
-    Tuple[Tuple[int, int], ...],
-]
+#: ``(position, slot)`` pairs, positions 0-based.
+_Template = Tuple[Tuple[int, int], ...]
+
+#: A per-atom evaluation step over the store: (pid, lookups, binds,
+#: checks).  TGDs are constant-free, so no step carries constants.
+_StoreStep = Tuple[int, _Template, _Template, _Template]
 
 
 class StoreBodyPlan:
-    """A compiled backtracking join over id tuples.
+    """A compiled join over id tuples: the kernels' template.
 
     The id-space twin of :class:`~repro.model.homomorphism.BodyPlan`:
     fixed atom order, integer slots per variable, per-atom templates of
-    constant/lookup/bind/check positions.  ``bound_first`` variables
-    keep a slot even when they do not occur in the atoms (delta plans
-    seed them from the forced fact and read them back out).
+    lookup/bind/check positions.  ``bound_first`` variables (in the order
+    the caller binds them) keep a slot even when they do not occur in
+    the atoms (delta plans seed them from the forced fact and read them
+    back out).  :meth:`iter_ids` is the interpretive enumerator over
+    these templates: the test oracle the generated kernels must agree
+    with, not a production path.
     """
 
-    __slots__ = ("atoms", "ordered", "variables", "slot_of", "_steps")
+    __slots__ = ("atoms", "ordered", "variables", "slot_of", "steps")
 
     def __init__(
         self,
@@ -92,9 +105,11 @@ class StoreBodyPlan:
         # The order is static (shape only, no fact counts), so the plan
         # stays valid for every store that shares ``store``'s ids.
         self.ordered: Tuple[Atom, ...] = tuple(_plan_order(self.atoms, bound, None))
+        # Slots are numbered in binding order: ``bound_first`` as given,
+        # then each fresh variable where the join first binds it.
         slot_of: Dict[Variable, int] = {}
-        for v in sorted(bound, key=lambda v: v.name):
-            slot_of[v] = len(slot_of)
+        for v in bound_first:
+            slot_of.setdefault(v, len(slot_of))
         for a in self.ordered:
             for arg in a.args:
                 if isinstance(arg, Variable) and arg not in slot_of:
@@ -109,20 +124,10 @@ class StoreBodyPlan:
             predicate, consts, lookups, binds, checks = classify_atom_positions(
                 pattern, known, slot_of
             )
-            steps.append(
-                (
-                    store.intern_predicate(predicate),
-                    tuple((i, store.intern_term(t)) for i, t in consts),
-                    lookups,
-                    binds,
-                    checks,
-                )
-            )
+            assert not consts, "TGD atoms are constant-free"
+            steps.append((store.intern_predicate(predicate), lookups, binds, checks))
             known |= pattern.variables()
-        self._steps: Tuple[_StoreStep, ...] = tuple(steps)
-
-    def fresh_slots(self) -> List[int]:
-        return [_UNSET_ID] * len(self.variables)
+        self.steps: Tuple[_StoreStep, ...] = tuple(steps)
 
     def iter_ids(
         self, store: FactStore, slots: Optional[List[int]] = None
@@ -135,179 +140,240 @@ class StoreBodyPlan:
         """
         if slots is None:
             slots = [_UNSET_ID] * len(self.variables)
-        return self._backtrack(store, slots, self._steps, 0)
+        return self._backtrack(store, slots, 0)
 
     def _backtrack(
-        self,
-        store: FactStore,
-        slots: List[int],
-        steps: Tuple[_StoreStep, ...],
-        index: int,
+        self, store: FactStore, slots: List[int], index: int
     ) -> Iterator[List[int]]:
-        if index == len(steps):
+        if index == len(self.steps):
             yield slots
             return
-        pid, consts, lookups, binds, checks = steps[index]
-        if consts or lookups:
-            bound = list(consts)
-            for position, slot in lookups:
-                bound.append((position, slots[slot]))
-            candidates = store.candidates(pid, bound)
+        pid, lookups, binds, checks = self.steps[index]
+        if lookups:
+            candidates = store.candidates(
+                pid, [(position, slots[slot]) for position, slot in lookups]
+            )
         else:
             candidates = store.facts_of(pid)
-        if not candidates:
-            return
-        next_index = index + 1
         for ids in candidates:
             for position, slot in binds:
                 slots[slot] = ids[position]
-            ok = True
-            for position, slot in checks:
-                if slots[slot] != ids[position]:
-                    ok = False
-                    break
-            if ok:
-                yield from self._backtrack(store, slots, steps, next_index)
+            if all(slots[slot] == ids[position] for position, slot in checks):
+                yield from self._backtrack(store, slots, index + 1)
         for _, slot in binds:
             slots[slot] = _UNSET_ID
 
 
-class StoreDeltaPlan:
-    """One body atom's semi-naive entry point in id space."""
+# -- generated join kernels ----------------------------------------------------
 
-    __slots__ = (
-        "pid",
-        "plan",
-        "perm_get",
-        "consts",
-        "binds",
-        "checks",
-        "_direct_get",
-        "_direct_checks",
-        "_forced_checks",
-        "_rest_pid",
-        "_rest_probe",
-        "_rest_const_probe",
-        "_rest_checks",
-        "_merge_get",
-    )
+#: Every compiled join kernel, shared by all programs: shape -> function.
+#: Shapes hold plan-template ints only (see :func:`_kernel_shape`), so
+#: the memo is bounded by the number of distinct join shapes, not by
+#: programs or databases.
+_KERNELS: Dict[tuple, Callable] = {}
+
+
+def _kernel_shape(
+    first: Tuple[_Template, _Template],
+    steps: Sequence[_StoreStep],
+    perm: Tuple[int, ...],
+    leaf: Optional[Tuple[Tuple[int, ...], bool, bool]],
+) -> tuple:
+    """A kernel's memo key.
+
+    ``first`` is the (binds, checks) template matched against each
+    input row (the forced fact, a row of the body's first atom, or the
+    canonical tuple a head seeds from), ``steps`` the joined atoms and
+    ``perm`` the slots the canonical tuple is read from (``()`` for a
+    head).  ``leaf`` is ``(frontier indices, dedup, frontier key)`` for
+    a pending-list kernel and ``None`` for a head-witness kernel.
+
+    :class:`StoreBodyPlan` numbers slots in binding order, so plans
+    differing only in variable names already agree on their templates;
+    predicate ids are dropped (the kernel takes them as ``pids``) and a
+    frontier key over the whole canonical tuple is the full key.
+    """
+    if leaf is not None:
+        frontier, dedup, frontier_key = leaf
+        # The key's frontier indices, or None for the full canonical.
+        full = not frontier_key or len(frontier) == len(perm)
+        leaf = (None if full else frontier, dedup)
+    return (first, tuple(step[1:] for step in steps), perm, leaf)
+
+
+def _tuple_source(items: Sequence[str]) -> str:
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return "(" + ", ".join(items) + ")"
+
+
+def _kernel_source(shape: tuple) -> str:
+    """Python source of the kernel for ``shape`` (see :func:`_kernel_shape`).
+
+    A pending-list kernel is ``kernel(store, rule, rows, pids, seen,
+    pending)``: it extends ``pending`` with one ``(rule, canonical,
+    key)`` triple per body image whose first atom maps onto one of
+    ``rows``, in the order the oracle enumerates them (rows in order,
+    then each step's candidates in row order), skipping canonicals
+    already in the round's ``seen`` set when ``dedup`` is on.  A
+    head-witness kernel is ``kernel(store, canonical, pids) -> bool``.
+    Posting columns are fetched on a step's first probe, in the
+    oracle's order, never prefetched: an empty bucket stops the probe
+    before the next column is built, exactly as ``FactStore.candidates``
+    does.
+    """
+    (first_binds, first_checks), steps, perm, leaf = shape
+    witness = leaf is None
+    lines: List[str] = []
+
+    def emit(depth: int, text: str) -> None:
+        lines.append("    " * depth + text)
+
+    if witness:
+        emit(0, "def kernel(store, f, pids):")
+    else:
+        frontier, dedup = leaf
+        emit(0, "def kernel(store, rule, rows, pids, seen, pending):")
+        emit(1, "ri = rule.index")
+    first_position = {slot: position for position, slot in first_binds}
+    # The first atom's own checks, against the input row's positions.
+    first_tests = [f"f[{p}] == f[{first_position[s]}]" for p, s in first_checks]
+    if not steps and not witness:
+        # A single-atom body: the canonical tuple is a permutation of
+        # the row, so the whole kernel is one comprehension.
+        positions = [first_position[s] for s in perm]
+        if positions == list(range(len(first_binds) + len(first_checks))):
+            canonical = "f"
+        else:
+            canonical = _tuple_source([f"f[{p}]" for p in positions])
+        if frontier is None:
+            if canonical == "f":
+                entry = "(rule, f, (ri, f))"
+            else:
+                entry = f"(rule, c := {canonical}, (ri, c))"
+        else:
+            key = _tuple_source([f"f[{positions[i]}]" for i in frontier])
+            entry = f"(rule, {canonical}, (ri, {key}))"
+        condition = f" if {' and '.join(first_tests)}" if first_tests else ""
+        emit(1, f"pending.extend([{entry} for f in rows{condition}])")
+        return "\n".join(lines) + "\n"
+
+    if steps:
+        emit(1, f"{_tuple_source([f'p{k}' for k in range(len(steps))])} = pids")
+    if any(lookups for lookups, _, _ in steps):
+        emit(1, "column = store.column")
+    if not all(lookups for lookups, _, _ in steps):
+        emit(1, "facts_of = store.facts_of")
+    # Per-call caches: a step's posting columns (or its row table when
+    # it looks nothing up), fetched on its first probe.
+    for k, (lookups, _, _) in enumerate(steps):
+        if not lookups:
+            emit(1, f"r{k} = None")
+        for j in range(len(lookups)):
+            emit(1, f"k{k}_{j} = None")
+    if not witness:
+        emit(1, "append = pending.append")
+        if dedup:
+            emit(1, "seen_add = seen.add")
+        emit(1, "for f in rows:")
+        depth, skip = 2, "continue"
+    else:
+        depth, skip = 1, "return False"
+    if first_tests:
+        emit(depth, f"if not ({' and '.join(first_tests)}): {skip}")
+    if len(first_binds) > 1 and not first_checks and not witness:
+        # Every position of the row binds a slot: one unpack.
+        emit(depth, f"{_tuple_source([f's{slot}' for _, slot in first_binds])} = f")
+    else:
+        for position, slot in first_binds:
+            emit(depth, f"s{slot} = f[{position}]")
+    for k, (lookups, binds, checks) in enumerate(steps):
+        bound_at = {slot: position for position, slot in binds}
+        tests = [f"g{k}[{p}] != g{k}[{bound_at[s]}]" for p, s in checks]
+        if not lookups:
+            emit(depth, f"if r{k} is None: r{k} = facts_of(p{k})")
+            source = f"r{k}"
+        else:
+            buckets = []
+            for j, (position, slot) in enumerate(lookups):
+                bucket = f"b{k}_{j}"
+                emit(depth, f"if k{k}_{j} is None: k{k}_{j} = column(p{k}, {position})")
+                emit(depth, f"{bucket} = k{k}_{j}.get(s{slot})")
+                emit(depth, f"if not {bucket}: {skip}")
+                buckets.append(bucket)
+            source = buckets[0]
+            if len(buckets) > 1:
+                # Walk the smallest bucket; it still holds facts
+                # failing the other lookups, so every lookup is tested.
+                source = f"b{k}"
+                emit(depth, f"{source} = {buckets[0]}")
+                for bucket in buckets[1:]:
+                    emit(depth, f"if len({bucket}) < len({source}): {source} = {bucket}")
+                tests = [f"g{k}[{p}] != s{s}" for p, s in lookups] + tests
+        emit(depth, f"for g{k} in {source}:")
+        depth, skip = depth + 1, "continue"
+        if tests:
+            emit(depth, f"if {' or '.join(tests)}: continue")
+        for position, slot in binds:
+            emit(depth, f"s{slot} = g{k}[{position}]")
+    if witness:
+        emit(depth, "return True")
+        emit(1, "return False")
+        return "\n".join(lines) + "\n"
+    emit(depth, f"c = {_tuple_source([f's{slot}' for slot in perm])}")
+    if dedup:
+        emit(depth, "d = (ri, c)")
+        emit(depth, "if d in seen: continue")
+        emit(depth, "seen_add(d)")
+    if frontier is not None:
+        key = f"(ri, {_tuple_source([f's{perm[i]}' for i in frontier])})"
+    else:
+        key = "d" if dedup else "(ri, c)"
+    emit(depth, f"append((rule, c, {key}))")
+    return "\n".join(lines) + "\n"
+
+
+def _kernel(shape: tuple) -> Tuple[Callable, float]:
+    """The kernel for ``shape`` and the seconds this call spent
+    generating and compiling it — ``0.0`` on a memo hit.
+
+    The source is built from the shape's ints and fixed names only,
+    never from program or database text.  Concurrent first uses may
+    both compile; the memo keeps one, and the two are the same
+    function of the same source anyway.
+    """
+    kernel = _KERNELS.get(shape)
+    if kernel is not None:
+        return kernel, 0.0
+    start = perf_counter()
+    namespace: Dict[str, Callable] = {}
+    exec(compile(_kernel_source(shape), "<join kernel>", "exec"), namespace)
+    kernel = _KERNELS.setdefault(shape, namespace["kernel"])
+    return kernel, perf_counter() - start
+
+
+class StoreDeltaPlan:
+    """One body atom's semi-naive entry point in id space.
+
+    Holds the templates only: ``plan`` joins the rest of the body
+    around a fact forced onto ``pattern`` (``binds``/``checks`` match
+    the fact, ``perm`` reads the canonical tuple out of the slots).
+    The pipeline generates this entry's kernel from them.
+    """
+
+    __slots__ = ("pid", "plan", "perm", "binds", "checks")
 
     def __init__(self, pattern: Atom, rest: Sequence[Atom], rule: "StoreCompiledRule",
                  store: FactStore) -> None:
         self.pid = store.intern_predicate(pattern.predicate)
-        self.plan = StoreBodyPlan(rest, store, bound_first=tuple(pattern.variables()))
-        perm = tuple(self.plan.slot_of[v] for v in rule.sorted_variables)
-        self.perm_get = _tuple_getter(perm)
+        # The pattern's variables in position order: the order the
+        # kernel binds them from the forced fact.
+        self.plan = StoreBodyPlan(rest, store, bound_first=tuple(dict.fromkeys(pattern.args)))
+        self.perm = tuple(self.plan.slot_of[v] for v in rule.sorted_variables)
         _, consts, _, self.binds, self.checks = classify_atom_positions(
             pattern, set(), self.plan.slot_of
         )
-        self.consts: Tuple[Tuple[int, int], ...] = tuple(
-            (i, store.intern_term(t)) for i, t in consts
-        )
-        # Single-atom bodies (every linear rule) skip the slot array
-        # entirely: the canonical tuple is a pure permutation of the
-        # forced fact, and repeated-variable checks compare positions
-        # of the forced fact against each other.
-        self._direct_get = None
-        self._direct_checks: Tuple[Tuple[int, int], ...] = ()
-        forced_position_of_slot = {slot: position for position, slot in self.binds}
-        self._forced_checks = tuple(
-            (position, forced_position_of_slot[slot]) for position, slot in self.checks
-        )
-        if not rest:
-            self._direct_get = _tuple_getter(
-                tuple(forced_position_of_slot[s] for s in perm)
-            )
-            self._direct_checks = self._forced_checks
-        # Two-atom bodies (forced pattern + one rest atom) skip the
-        # backtracking generator: the probe template binds the rest
-        # atom's shared positions from the forced fact, and the
-        # canonical tuple is one itemgetter over the concatenated
-        # ``forced + candidate`` row.
-        self._merge_get = None
-        if len(rest) == 1:
-            rest_pid, rest_consts, rest_lookups, rest_binds, rest_checks = (
-                self.plan._steps[0]
-            )
-            arity = pattern.predicate.arity
-            rest_position_of_slot = {slot: position for position, slot in rest_binds}
-            self._rest_pid = rest_pid
-            self._rest_const_probe = rest_consts
-            self._rest_probe = tuple(
-                (position, forced_position_of_slot[slot])
-                for position, slot in rest_lookups
-            )
-            self._rest_checks = tuple(
-                (position, rest_position_of_slot[slot])
-                for position, slot in rest_checks
-            )
-            self._merge_get = _tuple_getter(
-                tuple(
-                    forced_position_of_slot[slot]
-                    if slot in forced_position_of_slot
-                    else arity + rest_position_of_slot[slot]
-                    for slot in perm
-                )
-            )
-
-    def canonicals(self, store: FactStore, forced: Tuple[int, ...]) -> Iterator[CanonicalIds]:
-        """Canonical id bindings whose pattern maps onto ``forced``."""
-        for position, tid in self.consts:
-            if forced[position] != tid:
-                return
-        direct = self._direct_get
-        if direct is not None:
-            for position, first in self._direct_checks:
-                if forced[position] != forced[first]:
-                    return
-            yield direct(forced)
-            return
-        slots = self.plan.fresh_slots()
-        for position, slot in self.binds:
-            slots[slot] = forced[position]
-        for position, slot in self.checks:
-            if slots[slot] != forced[position]:
-                return
-        perm_get = self.perm_get
-        for bound in self.plan.iter_ids(store, slots):
-            yield perm_get(bound)
-
-    def canonical_list(
-        self, store: FactStore, forced: Tuple[int, ...]
-    ) -> List[CanonicalIds]:
-        """:meth:`canonicals` as a list, through the two-atom fast path.
-
-        For a body of the forced pattern plus one rest atom, the join
-        is a single posting probe and the canonical tuples fall out of
-        one itemgetter over ``forced + candidate`` — no slot array, no
-        generator frames.  Larger bodies fall back to the general
-        backtracking enumerator.
-        """
-        merge = self._merge_get
-        if merge is None:
-            return list(self.canonicals(store, forced))
-        for position, tid in self.consts:
-            if forced[position] != tid:
-                return []
-        for position, first in self._forced_checks:
-            if forced[position] != forced[first]:
-                return []
-        bound = list(self._rest_const_probe)
-        for position, forced_position in self._rest_probe:
-            bound.append((position, forced[forced_position]))
-        candidates = (
-            store.candidates(self._rest_pid, bound)
-            if bound
-            else store.facts_of(self._rest_pid)
-        )
-        checks = self._rest_checks
-        if not checks:
-            return [merge(forced + candidate) for candidate in candidates]
-        return [
-            merge(forced + candidate)
-            for candidate in candidates
-            if all(candidate[a] == candidate[b] for a, b in checks)
-        ]
+        assert not consts, "TGD atoms are constant-free"
 
 
 class StoreCompiledRule:
@@ -333,17 +399,17 @@ class StoreCompiledRule:
         "frontier_get",
         "has_existentials",
         "_var_names",
-        "_frontier_index",
+        "frontier_index",
         "_existentials",
         "_head_template",
         "_head_simple",
         "_head_builders",
-        "_body_perm_get",
+        "body_perm",
         "_names_frontier",
         "_names_full",
         "_names_fired",
         "_fire_slot",
-        "_head_plan",
+        "_head_kernel",
         "_head_single",
         "head_only",
         "head_single_fresh",
@@ -359,19 +425,19 @@ class StoreCompiledRule:
             sorted(tgd.body_variables(), key=lambda v: v.name)
         )
         self._var_names = tuple(v.name for v in self.sorted_variables)
-        self._frontier_index = tuple(
+        #: Indices of the frontier variables in a canonical tuple.
+        self.frontier_index = tuple(
             i for i, v in enumerate(self.sorted_variables) if v in frontier
         )
-        self.frontier_get = _tuple_getter(self._frontier_index)
+        self.frontier_get = _tuple_getter(self.frontier_index)
         self._existentials = tuple(
             v.name for v in sorted(tgd.existential_variables(), key=lambda v: v.name)
         )
         self.has_existentials = bool(self._existentials)
 
         self.body_plan = StoreBodyPlan(body, store)
-        self._body_perm_get = _tuple_getter(
-            tuple(self.body_plan.slot_of[v] for v in self.sorted_variables)
-        )
+        #: The body plan's slots in sorted-variable order.
+        self.body_perm = tuple(self.body_plan.slot_of[v] for v in self.sorted_variables)
         self.delta_plans: List[StoreDeltaPlan] = [
             StoreDeltaPlan(pattern, body[:i] + body[i + 1 :], self, store)
             for i, pattern in enumerate(body)
@@ -434,18 +500,21 @@ class StoreCompiledRule:
 
         # Null label name tuples per labelling mode, pre-sorted the way
         # make_null sorts binding items.
-        frontier_names = tuple(self._var_names[i] for i in self._frontier_index)
+        frontier_names = tuple(self._var_names[i] for i in self.frontier_index)
         self._names_frontier = frontier_names
         self._names_full = self._var_names
         fired = sorted(frontier_names + ("__fire__",))
         self._names_fired = tuple(fired)
         self._fire_slot = fired.index("__fire__")
 
-        # Head-satisfaction plan (restricted chase): join the head into
-        # the store with the frontier seeded from the canonical tuple,
-        # as a (plan, seed) pair.  Compiled lazily — only multi-atom
-        # heads under the restricted variant ever run it.
-        self._head_plan: Optional[Tuple[StoreBodyPlan, Tuple[Tuple[int, int], ...]]] = None
+        # Head-satisfaction join (restricted chase) of a multi-atom
+        # head: the witness kernel of the head plan, with the frontier
+        # seeded from the canonical tuple, and the head's predicate ids.
+        self._head_kernel: Optional[Tuple[Callable, Tuple[int, ...]]] = None
+        if len(tgd.head) > 1:
+            plan, seed = head_join_plan(tgd, store, self.sorted_variables)
+            kernel, _ = _kernel(_kernel_shape((seed, ()), plan.steps, (), None))
+            self._head_kernel = (kernel, tuple(step[0] for step in plan.steps))
         # Single-atom heads (the overwhelmingly common shape) shortcut
         # the plan entirely: satisfaction is one posting-list probe
         # (plus equality checks when an existential repeats in the atom).
@@ -551,8 +620,8 @@ class StoreCompiledRule:
 
         This is the restricted chase's activeness test run entirely on
         posting lists: a single-atom head is one candidates() probe
-        seeded with frontier ids; multi-atom heads run the compiled
-        head plan and the first witness wins.
+        seeded with frontier ids; multi-atom heads run the head's
+        witness kernel and the first witness wins.
         """
         single = self._head_single
         if single is not None:
@@ -566,30 +635,8 @@ class StoreCompiledRule:
                 if all(ids[a] == ids[b] for a, b in repeat_checks):
                     return True
             return False
-        head_plan = self._head_plan
-        if head_plan is None:
-            # Compiled against ``store``: its head predicate ids are the
-            # ones this rule was compiled for.  Plan and seed publish in
-            # one assignment, so concurrent runs never see half of it.
-            frontier = self.tgd.frontier()
-            plan = StoreBodyPlan(
-                self.tgd.head,
-                store,
-                bound_first=tuple(sorted(frontier, key=lambda v: v.name)),
-            )
-            seed = tuple(
-                (plan.slot_of[v], i)
-                for i, v in enumerate(self.sorted_variables)
-                if v in frontier
-            )
-            self._head_plan = head_plan = (plan, seed)
-        plan, seed = head_plan
-        slots = plan.fresh_slots()
-        for slot, i in seed:
-            slots[slot] = canonical[i]
-        for _ in plan.iter_ids(store, slots):
-            return True
-        return False
+        kernel, pids = self._head_kernel
+        return kernel(store, canonical, pids)
 
     # -- decoding (API boundary) ---------------------------------------------
 
@@ -603,16 +650,66 @@ class StoreCompiledRule:
             ),
         )
 
-    # -- enumeration ---------------------------------------------------------
-
-    def initial_canonicals(self, store: FactStore) -> Iterator[CanonicalIds]:
-        perm_get = self._body_perm_get
-        for bound in self.body_plan.iter_ids(store):
-            yield perm_get(bound)
+def head_join_plan(
+    tgd: TGD, store: FactStore, sorted_variables: Sequence[Variable]
+) -> Tuple[StoreBodyPlan, _Template]:
+    """The restricted chase's head join: the head planned with the
+    frontier bound, and the seed ``(canonical index, slot)`` pairs that
+    fill the frontier slots from a canonical tuple."""
+    frontier = tgd.frontier()
+    plan = StoreBodyPlan(
+        tgd.head, store, bound_first=tuple(sorted(frontier, key=lambda v: v.name))
+    )
+    seed = tuple(
+        (i, plan.slot_of[v]) for i, v in enumerate(sorted_variables) if v in frontier
+    )
+    return plan, seed
 
 
 #: A pending trigger: (rule, canonical ids, applied-memo key).
 PendingTrigger = Tuple[StoreCompiledRule, CanonicalIds, Tuple[int, CanonicalIds]]
+
+#: One kernel call of a pass: (rule, pid of the input rows, kernel,
+#: pids of the joined steps).
+_KernelEntry = Tuple[StoreCompiledRule, int, Callable, Tuple[int, ...]]
+
+
+class _KernelTable:
+    """One key mode's kernels: per rule (round one) and per delta entry,
+    with the seconds this table's memo misses spent compiling, per rule."""
+
+    __slots__ = ("initial", "delta", "compile_seconds")
+
+    def __init__(self, pipeline: "StoreTriggerPipeline", frontier_key: bool) -> None:
+        self.compile_seconds = [0.0] * len(pipeline.rules)
+        self.initial: List[_KernelEntry] = []
+        for rule in pipeline.rules:
+            # Round one enumerates the first planned atom's rows and
+            # joins the rest of the body around each of them.
+            (pid, _, binds, checks), *rest = rule.body_plan.steps
+            shape = _kernel_shape(
+                (binds, checks), rest, rule.body_perm, (rule.frontier_index, False, frontier_key)
+            )
+            self.initial.append(self._entry(rule, pid, shape, rest))
+        self.delta: List[_KernelEntry] = []
+        for rule, index, pid in pipeline.delta_entries:
+            delta = rule.delta_plans[index]
+            # Only multi-atom bodies can reach one canonical twice (from
+            # two forced facts, or two entries of the rule).
+            dedup = len(rule.delta_plans) > 1
+            shape = _kernel_shape(
+                (delta.binds, delta.checks),
+                delta.plan.steps,
+                delta.perm,
+                (rule.frontier_index, dedup, frontier_key),
+            )
+            self.delta.append(self._entry(rule, pid, shape, delta.plan.steps))
+
+    def _entry(self, rule: StoreCompiledRule, pid: int, shape: tuple,
+               steps: Sequence[_StoreStep]) -> _KernelEntry:
+        kernel, seconds = _kernel(shape)
+        self.compile_seconds[rule.index] += seconds
+        return (rule, pid, kernel, tuple(step[0] for step in steps))
 
 
 class StoreTriggerPipeline:
@@ -623,8 +720,8 @@ class StoreTriggerPipeline:
     images by their compact ``(rule index, id tuple)`` key.  The driver
     gets fully keyed *pending lists* rather than a generator: the
     round's triggers are materialised before application anyway, and
-    building them in one flat loop avoids per-trigger generator
-    resumptions on the hottest path.
+    the generated kernels build them in flat loops.  Kernels are
+    fetched per key mode (frontier or full binding) on first use.
     """
 
     def __init__(self, tgds: TGDSet, store: FactStore) -> None:
@@ -639,10 +736,20 @@ class StoreTriggerPipeline:
         #: Delta routing: one (rule, body index, body pid) entry per
         #: body atom, rule-major.
         self.delta_entries: List[Tuple[StoreCompiledRule, int, int]] = [
-            (rule, index, store.intern_predicate(atom.predicate))
+            (rule, index, plan.pid)
             for rule in self.rules
-            for index, atom in enumerate(rule.tgd.body)
+            for index, plan in enumerate(rule.delta_plans)
         ]
+        self._tables: Dict[bool, _KernelTable] = {}
+
+    def kernels(self, uses_frontier: bool) -> Tuple[_KernelTable, bool]:
+        """The key mode's kernel table, and whether this call built it."""
+        table = self._tables.get(uses_frontier)
+        if table is not None:
+            return table, False
+        built = _KernelTable(self, uses_frontier)
+        table = self._tables.setdefault(uses_frontier, built)
+        return table, table is built
 
     def initial_pending(
         self,
@@ -656,15 +763,11 @@ class StoreTriggerPipeline:
         each rule's index before that rule is enumerated.
         """
         pending: List[PendingTrigger] = []
-        append = pending.append
-        for rule in self.rules:
-            rule_index = rule.index
+        facts_of = store.facts_of
+        for rule, pid, kernel, pids in self.kernels(uses_frontier)[0].initial:
             if on_rule is not None:
-                on_rule(rule_index)
-            key_get = rule.frontier_get if uses_frontier else None
-            for canonical in rule.initial_canonicals(store):
-                key = (rule_index, key_get(canonical) if key_get else canonical)
-                append((rule, canonical, key))
+                on_rule(rule.index)
+            kernel(store, rule, facts_of(pid), pids, None, pending)
         return pending
 
     def delta_pending_rows(
@@ -681,15 +784,8 @@ class StoreTriggerPipeline:
         round applied): new facts simply occupy the tail of their row
         table, so no per-round regrouping by predicate is needed.
         Triggers come out per (rule, body index) in registration order,
-        forced facts in insertion order.
-
-        A rule with a single-atom body cannot produce the same
-        canonical from two distinct forced facts (the canonical is a
-        permutation of the fact), and it has no second delta entry to
-        collide with — such entries skip the round-local ``seen`` set
-        entirely, and when the pattern needs no checks their pending
-        entries are built with a single C-level ``map`` over the row
-        slice.
+        forced facts in insertion order; multi-atom bodies skip
+        canonicals already in the round-local ``seen`` set.
 
         ``on_rule`` is called with a rule's index where the owning rule
         of the entry walk changes.  The walk is rule-major (every rule's
@@ -697,81 +793,31 @@ class StoreTriggerPipeline:
         forced fact or trigger.
         """
         pending: List[PendingTrigger] = []
-        append = pending.append
         seen: Set[Tuple[int, CanonicalIds]] = set()
-        seen_add = seen.add
         rows_since = store.rows_since
         seg_index = -1
-        for rule, index, pid in self.delta_entries:
+        for rule, pid, kernel, pids in self.kernels(uses_frontier)[0].delta:
             if on_rule is not None and rule.index != seg_index:
                 seg_index = rule.index
                 on_rule(seg_index)
             forced_facts = rows_since(pid, marks[pid])
-            if not forced_facts:
-                continue
-            delta_plan = rule.delta_plans[index]
-            rule_index = rule.index
-            key_get = rule.frontier_get if uses_frontier else None
-            dedup = len(rule.delta_plans) > 1
-            direct = delta_plan._direct_get
-            if direct is not None and not dedup:
-                # Linear rule: one delta entry, injective pattern match.
-                direct_checks = delta_plan._direct_checks
-                consts = delta_plan.consts
-                if not consts and not direct_checks:
-                    if key_get is None:
-                        pending.extend(
-                            [
-                                (rule, canonical, (rule_index, canonical))
-                                for canonical in map(direct, forced_facts)
-                            ]
-                        )
-                    else:
-                        pending.extend(
-                            [
-                                (rule, canonical, (rule_index, key_get(canonical)))
-                                for canonical in map(direct, forced_facts)
-                            ]
-                        )
-                    continue
-                for forced in forced_facts:
-                    ok = True
-                    for position, tid in consts:
-                        if forced[position] != tid:
-                            ok = False
-                            break
-                    if ok:
-                        for position, first in direct_checks:
-                            if forced[position] != forced[first]:
-                                ok = False
-                                break
-                    if not ok:
-                        continue
-                    canonical = direct(forced)
-                    key = (rule_index, key_get(canonical) if key_get else canonical)
-                    append((rule, canonical, key))
-                continue
-            for forced in forced_facts:
-                for canonical in delta_plan.canonical_list(store, forced):
-                    dedup_key = (rule_index, canonical)
-                    if dedup_key in seen:
-                        continue
-                    seen_add(dedup_key)
-                    key = (rule_index, key_get(canonical) if key_get else canonical)
-                    append((rule, canonical, key))
+            if forced_facts:
+                kernel(store, rule, forced_facts, pids, seen, pending)
         return pending
 
 
 def compiled_pipeline(
-    tgds: TGDSet, store: FactStore
+    tgds: TGDSet, store: FactStore, uses_frontier: bool
 ) -> Tuple[StoreTriggerPipeline, List[float]]:
-    """``tgds``' pipeline for ``store``'s predicate ids, and this call's
-    per-rule compile seconds.
+    """``tgds``' pipeline for ``store``'s predicate ids with the key
+    mode's kernels ready, and this call's per-rule compile seconds.
 
     The pipeline lives in the program's memo under the vector of ids
     ``store`` assigns to ``sch(Σ)`` (interning any missing predicate),
-    the only store-dependent input of a compiled plan.  Only the call
-    that compiles reports its compile seconds; a memo hit reports zeros.
+    the only store-dependent input of a compiled plan.  A call reports
+    the plan-compile seconds if it built the pipeline plus the seconds
+    its kernel-memo misses spent compiling; a call that hits both
+    memos reports zeros.
     """
     pids = tuple(store.intern_predicate(p) for p in tgds.predicates_in_order())
     built: List[StoreTriggerPipeline] = []
@@ -782,5 +828,73 @@ def compiled_pipeline(
 
     pipeline = tgds.memo(("pipeline", pids), build)
     if built and built[0] is pipeline:
-        return pipeline, pipeline.compile_seconds
-    return pipeline, [0.0] * len(pipeline.rules)
+        seconds = list(pipeline.compile_seconds)
+    else:
+        seconds = [0.0] * len(pipeline.rules)
+    table, fresh = pipeline.kernels(uses_frontier)
+    if fresh:
+        seconds = [a + b for a, b in zip(seconds, table.compile_seconds)]
+    return pipeline, seconds
+
+
+# -- the interpretive oracle ---------------------------------------------------
+
+
+def oracle_pending(
+    pipeline: StoreTriggerPipeline,
+    store: FactStore,
+    marks: Optional[Sequence[int]],
+    uses_frontier: bool,
+) -> List[PendingTrigger]:
+    """The pending list a pass must return, enumerated interpretively
+    through :meth:`StoreBodyPlan.iter_ids` (round one when ``marks`` is
+    ``None``, else the delta past ``marks``).
+
+    The kernels' specification: the property suite requires
+    :meth:`StoreTriggerPipeline.initial_pending` and
+    :meth:`~StoreTriggerPipeline.delta_pending_rows` to equal it triple
+    for triple, in order.  Not a production path.
+    """
+    pending: List[PendingTrigger] = []
+
+    def keyed(rule: StoreCompiledRule, slots: List[int], perm: Tuple[int, ...]):
+        canonical = tuple(slots[slot] for slot in perm)
+        key = rule.frontier_get(canonical) if uses_frontier else canonical
+        return (rule, canonical, (rule.index, key))
+
+    if marks is None:
+        for rule in pipeline.rules:
+            for slots in rule.body_plan.iter_ids(store):
+                pending.append(keyed(rule, slots, rule.body_perm))
+        return pending
+    seen: Set[Tuple[int, CanonicalIds]] = set()
+    for rule, index, pid in pipeline.delta_entries:
+        delta = rule.delta_plans[index]
+        dedup = len(rule.delta_plans) > 1
+        for forced in store.rows_since(pid, marks[pid]):
+            slots = [_UNSET_ID] * len(delta.plan.variables)
+            for position, slot in delta.binds:
+                slots[slot] = forced[position]
+            if any(slots[slot] != forced[position] for position, slot in delta.checks):
+                continue
+            for bound in delta.plan.iter_ids(store, slots):
+                entry = keyed(rule, bound, delta.perm)
+                if dedup:
+                    if (rule.index, entry[1]) in seen:
+                        continue
+                    seen.add((rule.index, entry[1]))
+                pending.append(entry)
+    return pending
+
+
+def oracle_head_satisfied(
+    rule: StoreCompiledRule, store: FactStore, canonical: CanonicalIds
+) -> bool:
+    """:meth:`StoreCompiledRule.head_satisfied`'s verdict, decided by an
+    interpretive head join over :meth:`StoreBodyPlan.iter_ids` (for any
+    head, single-atom ones included).  Not a production path."""
+    plan, seed = head_join_plan(rule.tgd, store, rule.sorted_variables)
+    slots = [_UNSET_ID] * len(plan.variables)
+    for i, slot in seed:
+        slots[slot] = canonical[i]
+    return any(True for _ in plan.iter_ids(store, slots))

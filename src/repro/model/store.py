@@ -550,12 +550,13 @@ class FactStore:
         """The facts over ``pid`` appended after ``mark``."""
         return self._rows[pid][mark:]
 
-    def _column(self, pid: int, position: int) -> Dict[int, List[Tuple[int, ...]]]:
+    def column(self, pid: int, position: int) -> Dict[int, List[Tuple[int, ...]]]:
         """The posting column index for (pid, position), built on first use.
 
         Backfilled from the row table in insertion order (so buckets
         come out ascending by row id) and maintained by ``add`` from
-        then on.
+        then on.  The dict is live index state (the chase's join
+        kernels probe it directly): read it, never mutate it.
         """
         column = self._cols[pid][position]
         if column is None:
@@ -582,11 +583,11 @@ class FactStore:
     def posting(self, pid: int, position: int, tid: int):
         """Read-only posting list for ``(pid, position, tid)``.
 
-        This is the safe public accessor (the join hot path goes
-        through :meth:`candidates` instead): an immutable tuple of the
+        This is the safe public accessor (the join hot path probes
+        :meth:`column` instead): an immutable tuple of the
         column's packed facts in row order.
         """
-        bucket = self._column(pid, position).get(tid)
+        bucket = self.column(pid, position).get(tid)
         if not bucket:
             return ()
         return tuple(bucket)
@@ -600,7 +601,7 @@ class FactStore:
         it is read-only), used by tooling and tests that want the sorted
         ids rather than decoded facts.
         """
-        bucket = self._column(pid, position).get(tid)
+        bucket = self.column(pid, position).get(tid)
         row_of = self._row_of[pid]
         ids = array("q", (row_of[ids_] for ids_ in bucket)) if bucket else array("q")
         return memoryview(ids).toreadonly()
@@ -618,7 +619,7 @@ class FactStore:
         if not signature:
             return self.count(pid) > 0
         if len(signature) == 1:
-            return value[0] in self._column(pid, signature[0])
+            return value[0] in self.column(pid, signature[0])
         rows = self._rows[pid]
         entry = self._proj[pid].get(signature)
         if entry is None:
@@ -651,7 +652,7 @@ class FactStore:
             return bool(self._rows[pid])
         if len(bound) == 1:
             position, tid = bound[0]
-            return tid in self._column(pid, position)
+            return tid in self.column(pid, position)
         if len(bound) == 2:
             (position_a, tid_a), (position_b, tid_b) = bound
             return self.has_projection(pid, (position_a, position_b), (tid_a, tid_b))
@@ -674,7 +675,7 @@ class FactStore:
             return self._rows[pid]
         if len(bound) == 1:
             position, tid = bound[0]
-            return self._column(pid, position).get(tid, ())
+            return self.column(pid, position).get(tid, ())
         # Multi-position probe: walk the smallest column and keep the
         # facts whose remaining bound positions match.  A direct
         # ``ids[position] == tid`` compare per fact beats any hash
@@ -683,7 +684,7 @@ class FactStore:
         # maintenance on the add path.
         buckets: List[Tuple[int, int, List[Tuple[int, ...]]]] = []
         for position, tid in bound:
-            bucket = self._column(pid, position).get(tid)
+            bucket = self.column(pid, position).get(tid)
             if not bucket:
                 return ()
             buckets.append((position, tid, bucket))

@@ -7,13 +7,17 @@ events, in registration order::
     run_start(rule_ids, compile_seconds)          once, after setup + compile
       round_start(store, delta_size, totals)      every round
         rule_segment(rule_index, totals)          where the rule changes
+        enumerated(totals)                        the round's triggers are listed
+        rule_segment(rule_index, totals)          where the rule changes
       round_end(rounds, store, marks, totals, complete)
     rule_segment(-1, totals)                      closes the open segment
     run_end(store, driver_seconds, setup_seconds) once
 
 ``totals`` is the running ``(considered, fired, created, nulls)`` tuple
 (nulls: all nulls the instance holds); observers derive their own
-deltas from it.  ``rule_segment`` goes only to classes that set
+deltas from it.  ``enumerated`` splits a round into its two phases:
+enumeration (building the round's trigger list) before it, application
+after it.  ``rule_segment`` goes only to classes that set
 ``rule_segments = True``: the drivers walk triggers rule-major, so it
 fires where the owning rule changes, never per trigger.  ``complete``
 is False only on the round a budget stopped mid-way; ``marks`` (the
@@ -50,6 +54,9 @@ class RunObserver:
         pass
 
     def rule_segment(self, rule_index: int, totals: Totals) -> None:
+        pass
+
+    def enumerated(self, totals: Totals) -> None:
         pass
 
     def round_end(

@@ -2,10 +2,11 @@
 
 A :class:`ChaseProbe` is a :class:`~repro.obs.observer.RunObserver`
 that rides along a single chase run.  It listens to the round events
-only (``round_start`` / ``round_end``, once per round — never per
-trigger) and derives each round's deltas from the drivers' running
-totals, so the enabled overhead is a handful of attribute writes per
-round.  Telemetry off means no probe object exists at all: the run is
+only (``round_start`` / ``enumerated`` / ``round_end``, once per round
+— never per trigger) and derives each round's deltas from the drivers'
+running totals, so the enabled overhead is a handful of attribute
+writes per round.  ``enumerated`` splits each round's wall time into
+its enumerate phase (building the trigger list) and the rest.  Telemetry off means no probe object exists at all: the run is
 unobserved and its summary carries no ``telemetry`` key.
 
 Totals (rounds, triggers, atoms, nulls, index builds) are always exact.
@@ -33,6 +34,7 @@ class RoundSample:
     __slots__ = (
         "round_index",
         "wall_seconds",
+        "enumerate_seconds",
         "delta_size",
         "triggers_considered",
         "triggers_applied",
@@ -51,9 +53,11 @@ class RoundSample:
         atoms_created: int,
         nulls_invented: int,
         index_builds: int,
+        enumerate_seconds: float = 0.0,
     ) -> None:
         self.round_index = round_index
         self.wall_seconds = wall_seconds
+        self.enumerate_seconds = enumerate_seconds
         self.delta_size = delta_size
         self.triggers_considered = triggers_considered
         self.triggers_applied = triggers_applied
@@ -65,6 +69,7 @@ class RoundSample:
         return {
             "round": self.round_index,
             "wall_seconds": round(self.wall_seconds, 9),
+            "enumerate_seconds": round(self.enumerate_seconds, 9),
             "delta_size": self.delta_size,
             "triggers_considered": self.triggers_considered,
             "triggers_applied": self.triggers_applied,
@@ -83,12 +88,14 @@ class ChaseProbe(RunObserver):
         "samples",
         "rounds",
         "total_wall_seconds",
+        "total_enumerate_seconds",
         "total_triggers_considered",
         "total_triggers_applied",
         "total_atoms_created",
         "total_nulls_invented",
         "total_index_builds",
         "_round_start",
+        "_enumerate_seconds",
         "_stride",
         "_clock",
         "_delta_size",
@@ -106,12 +113,14 @@ class ChaseProbe(RunObserver):
         self.samples: List[RoundSample] = []
         self.rounds = 0
         self.total_wall_seconds = 0.0
+        self.total_enumerate_seconds = 0.0
         self.total_triggers_considered = 0
         self.total_triggers_applied = 0
         self.total_atoms_created = 0
         self.total_nulls_invented = 0
         self.total_index_builds = 0
         self._round_start = 0.0
+        self._enumerate_seconds = 0.0
         self._stride = sample_every
         self._clock = time.perf_counter
         self._delta_size = 0
@@ -124,6 +133,9 @@ class ChaseProbe(RunObserver):
         self._before = totals
         # Lazy index builds exist only on the store engine.
         self._builds_before = store.index_builds if store is not None else 0
+
+    def enumerated(self, totals: Totals) -> None:
+        self._enumerate_seconds = self._clock() - self._round_start
 
     def round_end(
         self, rounds: int, store: Any, marks: Any, totals: Totals, complete: bool
@@ -138,6 +150,7 @@ class ChaseProbe(RunObserver):
             index_builds=(
                 store.index_builds - self._builds_before if store is not None else 0
             ),
+            enumerate_seconds=self._enumerate_seconds,
         )
 
     def payload(self) -> Tuple[str, Dict[str, Any]]:
@@ -145,6 +158,7 @@ class ChaseProbe(RunObserver):
 
     def begin_round(self) -> None:
         self._round_start = self._clock()
+        self._enumerate_seconds = 0.0
 
     def end_round(
         self,
@@ -154,11 +168,13 @@ class ChaseProbe(RunObserver):
         atoms_created: int,
         nulls_invented: int = 0,
         index_builds: int = 0,
+        enumerate_seconds: float = 0.0,
     ) -> None:
         elapsed = self._clock() - self._round_start
         round_index = self.rounds
         self.rounds += 1
         self.total_wall_seconds += elapsed
+        self.total_enumerate_seconds += enumerate_seconds
         self.total_triggers_considered += triggers_considered
         self.total_triggers_applied += triggers_applied
         self.total_atoms_created += atoms_created
@@ -176,6 +192,7 @@ class ChaseProbe(RunObserver):
                 atoms_created,
                 nulls_invented,
                 index_builds,
+                enumerate_seconds,
             )
         )
         if len(self.samples) > self.max_samples:
@@ -189,6 +206,7 @@ class ChaseProbe(RunObserver):
         return {
             "rounds": self.rounds,
             "wall_seconds": round(self.total_wall_seconds, 9),
+            "enumerate_seconds": round(self.total_enumerate_seconds, 9),
             "triggers_considered": self.total_triggers_considered,
             "triggers_applied": self.total_triggers_applied,
             "atoms_created": self.total_atoms_created,

@@ -8,8 +8,10 @@ time.  It attributes two phases to rules:
 compile
     Each rule's plan compilation inside the store engine's trigger
     pipeline (:class:`~repro.chase.store_plan.StoreTriggerPipeline`),
-    which times every rule's compile; the profiler receives the
-    per-rule seconds with ``run_start``.
+    which times every rule's compile, plus the generation and
+    ``compile()`` of the rule's join kernels where the shared kernel
+    memo missed; the profiler receives the per-rule seconds with
+    ``run_start``.
 enumerate + apply
     The drivers walk a round's triggers rule-major — enumeration, then
     application — and send ``rule_segment`` where the owning rule

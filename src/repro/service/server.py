@@ -82,14 +82,34 @@ class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
     request thread; without a cap a connection flood grows threads and
     file descriptors without limit regardless of the job-queue bound.
     Over-cap connections get an immediate 503 and are closed.
+
+    A slot is held until the connection's handler thread returns, which
+    is *after* the client closed its socket: the keep-alive handler
+    first has to read the EOF.  :meth:`wait_open` lets callers that
+    must not race admission or that teardown synchronise on the count.
     """
 
     def __init__(self, address, handler, max_connections: int) -> None:
         super().__init__(address, handler)
-        self._connection_slots = threading.Semaphore(max_connections)
+        self._max_connections = max_connections
+        self._open_connections = 0
+        self._connections_changed = threading.Condition()
+
+    def wait_open(self, count: int, timeout: Optional[float] = None) -> bool:
+        """Block until exactly ``count`` admitted connections are open;
+        False on timeout."""
+        with self._connections_changed:
+            return self._connections_changed.wait_for(
+                lambda: self._open_connections == count, timeout
+            )
 
     def process_request(self, request, client_address):  # noqa: ANN001
-        if not self._connection_slots.acquire(blocking=False):
+        with self._connections_changed:
+            admitted = self._open_connections < self._max_connections
+            if admitted:
+                self._open_connections += 1
+                self._connections_changed.notify_all()
+        if not admitted:
             body = b'{"error": "connection limit reached"}\n'
             head = (
                 "HTTP/1.1 503 Service Unavailable\r\n"
@@ -111,7 +131,9 @@ class _BoundedThreadingHTTPServer(ThreadingHTTPServer):
         try:
             super().process_request_thread(request, client_address)
         finally:
-            self._connection_slots.release()
+            with self._connections_changed:
+                self._open_connections -= 1
+                self._connections_changed.notify_all()
 
 
 def _parse_job_entry(entry: Dict[str, object]) -> ChaseJob:
@@ -343,6 +365,19 @@ class ChaseService:
     def wait_stopped(self, timeout: Optional[float] = None) -> bool:
         """Block until :meth:`stop` completes (foreground ``serve`` loop)."""
         return self._stopped_event.wait(timeout)
+
+    def wait_open_connections(self, count: int = 0, timeout: Optional[float] = None) -> bool:
+        """Block until exactly ``count`` admitted HTTP connections hold
+        a slot under ``max_connections``; False if ``timeout`` ran out.
+
+        A connection holds its slot from admission until the server's
+        handler thread returns, which for a client that closed its
+        socket is only once the handler has read the EOF: a request
+        sent right after another connection's close can still meet the
+        cap.  Callers that must not race admission or that teardown
+        (tests of the cap, an orderly hand-over) synchronise here.
+        """
+        return self._httpd is not None and self._httpd.wait_open(count, timeout)
 
     def __enter__(self) -> "ChaseService":
         return self.start()

@@ -14,7 +14,7 @@ from repro.chase.engine import ChaseBudget
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
 from repro.chase.semi_oblivious import semi_oblivious_chase
-from repro.chase.store_plan import StoreCompiledRule, StoreTriggerPipeline
+from repro.chase.store_plan import StoreTriggerPipeline
 from repro.model.store import FactStore
 from repro.generators.families import (
     example_7_1,
@@ -89,8 +89,9 @@ class TestCompiledRule:
     def test_trigger_and_keys_match_trigger_api(self):
         database, tgds = prop45_family(3)
         store = _seeded_store(database)
-        rule = StoreCompiledRule(tgds[0], store, 0)
-        canonicals = list(rule.initial_canonicals(store))
+        pipeline = StoreTriggerPipeline(tgds, store)
+        rule = pipeline.rules[0]
+        canonicals = [c for r, c, _ in pipeline.initial_pending(store, True) if r is rule]
         assert canonicals
 
         def decode(ids):

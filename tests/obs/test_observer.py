@@ -4,8 +4,9 @@ Both chase drivers send one event stream to their observers.  The
 contract pinned here:
 
 (a) the store driver and the legacy rescan report the same running
-    totals at every round end, and the same per-rule segment totals,
-    for every variant on random SL/L/G programs;
+    totals at every round end and at every round's end of enumeration
+    (``enumerated``, once per round), and the same per-rule segment
+    totals, for every variant on random SL/L/G programs;
 (b) per-rule segment totals sum to the run's ``ChaseStatistics``;
 (c) observers receive every event in registration order;
 (d) ``complete=False`` marks only the round a budget stopped, and the
@@ -43,6 +44,7 @@ class Recorder(RunObserver):
     def __init__(self):
         self.initial = None
         self.rounds = []
+        self.enumerated_totals = []
         self.rule_totals = {}
         self._rule_ids = []
         self._open = -1
@@ -63,6 +65,9 @@ class Recorder(RunObserver):
                 bucket[i] += totals[i] - self._anchor[i]
         self._open = rule_index
         self._anchor = totals
+
+    def enumerated(self, totals):
+        self.enumerated_totals.append(totals)
 
     def round_end(self, rounds, store, marks, totals, complete):
         self.rounds.append((rounds, totals, complete))
@@ -88,6 +93,9 @@ class Logger(RunObserver):
 
     def rule_segment(self, rule_index, totals):
         self.log.append((self.name, "rule_segment"))
+
+    def enumerated(self, totals):
+        self.log.append((self.name, "enumerated"))
 
     def round_end(self, rounds, store, marks, totals, complete):
         self.log.append((self.name, "round_end"))
@@ -115,6 +123,8 @@ def test_store_and_legacy_emit_the_same_totals(variant, kind, seed):
     legacy, legacy_events = _observed(variant, "legacy", database, tgds)
     assert store.outcome == legacy.outcome
     assert store_events.rounds == legacy_events.rounds
+    assert store_events.enumerated_totals == legacy_events.enumerated_totals
+    assert len(store_events.enumerated_totals) == len(store_events.rounds)
     assert store_events.nonzero_rule_totals() == legacy_events.nonzero_rule_totals()
 
 
@@ -151,6 +161,7 @@ def test_observers_see_events_in_registration_order(engine):
     events = [event for name, event in log[::2]]
     assert events[0] == "run_start" and events[-1] == "run_end"
     assert events.count("round_start") == events.count("round_end")
+    assert events.count("enumerated") == events.count("round_end")
 
 
 @pytest.mark.parametrize("engine", ENGINES)

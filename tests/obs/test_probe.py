@@ -91,6 +91,12 @@ class TestEngineIntegration:
         assert sum(s["triggers_applied"] for s in telemetry["samples"]) == (
             probed.statistics.triggers_applied
         )
+        # The enumerate phase is a part of every round's wall time.
+        for sample in telemetry["samples"]:
+            assert 0.0 < sample["enumerate_seconds"] <= sample["wall_seconds"]
+        assert telemetry["enumerate_seconds"] == pytest.approx(
+            sum(s["enumerate_seconds"] for s in telemetry["samples"])
+        )
 
     def test_store_probe_counts_nulls_and_delta(self):
         probe = ChaseProbe()

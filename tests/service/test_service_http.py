@@ -319,7 +319,6 @@ class TestSaturationAndDedup:
 class TestConnectionBound:
     def test_over_cap_connections_get_503(self):
         import http.client
-        import time as time_module
 
         gate, started = threading.Event(), threading.Event()
 
@@ -334,55 +333,44 @@ class TestConnectionBound:
             submitted = client.submit_job(make_job("pinned"))
             assert started.wait(timeout=30.0)
             job_id = submitted["job_id"]
+            # A closed connection frees its slot only once the server's
+            # handler thread has read the EOF: synchronise on the slot
+            # counts instead of racing that teardown.
+            assert service.wait_open_connections(0, timeout=30.0)
+            statuses = []
 
             def long_poll():
-                # A slot may still be pinned by a just-finished client
-                # request (keep-alive teardown race): a poller that gets
-                # rejected retries until it actually holds a slot, so
-                # the test always ends up with both slots pinned.
-                poll_deadline = time_module.monotonic() + 10.0
-                while time_module.monotonic() < poll_deadline:
-                    connection = http.client.HTTPConnection(
-                        "127.0.0.1", service.port, timeout=30.0
-                    )
-                    try:
-                        connection.request("GET", f"/jobs/{job_id}?wait=20")
-                        response = connection.getresponse()
-                        status = response.status
-                        response.read()
-                    finally:
-                        connection.close()
-                    if status != 503:
-                        return
-                    time_module.sleep(0.02)
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", service.port, timeout=30.0
+                )
+                try:
+                    connection.request("GET", f"/jobs/{job_id}?wait=20")
+                    response = connection.getresponse()
+                    statuses.append(response.status)
+                    response.read()
+                finally:
+                    connection.close()
 
             pollers = [threading.Thread(target=long_poll, daemon=True) for _ in range(2)]
             for poller in pollers:
                 poller.start()
-            # Wait (bounded) until both long-polls have pinned their
-            # connection slots: once they have, every further request is
-            # rejected until the gate opens, so retrying until the first
-            # 503 closes the startup race a fixed sleep used to lose on
-            # cold or loaded machines.
-            deadline = time_module.monotonic() + 10.0
-            status, body = None, b""
-            while time_module.monotonic() < deadline:
-                third = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10.0)
-                try:
-                    third.request("GET", "/healthz")
-                    response = third.getresponse()
-                    status, body = response.status, response.read()
-                finally:
-                    third.close()
-                if status == 503:
-                    break
-                time_module.sleep(0.05)
-            assert status == 503, f"third connection never rejected (last: {status})"
+            # Both long-polls hold their slots until the gate opens.
+            assert service.wait_open_connections(2, timeout=30.0)
+            third = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10.0)
+            try:
+                third.request("GET", "/healthz")
+                response = third.getresponse()
+                status, body = response.status, response.read()
+            finally:
+                third.close()
+            assert status == 503
             assert b"connection limit" in body
             gate.set()
             for poller in pollers:
                 poller.join(timeout=30.0)
+            assert statuses == [200, 200]
             # Slots freed: the daemon serves normally again.
+            assert service.wait_open_connections(0, timeout=30.0)
             assert client.healthz()["status"] == "ok"
 
 
