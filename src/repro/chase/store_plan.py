@@ -207,6 +207,12 @@ def _tuple_source(items: Sequence[str]) -> str:
     return "(" + ", ".join(items) + ")"
 
 
+#: ``for`` loops one generated function may nest: CPython refuses more
+#: than 20 statically nested blocks per function.  A deeper join goes on
+#: in a nested helper function (see :func:`_kernel_source`).
+_MAX_NESTED_LOOPS = 20
+
+
 def _kernel_source(shape: tuple) -> str:
     """Python source of the kernel for ``shape`` (see :func:`_kernel_shape`).
 
@@ -221,13 +227,20 @@ def _kernel_source(shape: tuple) -> str:
     oracle's order, never prefetched: an empty bucket stops the probe
     before the next column is built, exactly as ``FactStore.candidates``
     does.
+
+    A join nesting more than :data:`_MAX_NESTED_LOOPS` loops goes on in
+    nested helper functions ``n<step>(<bound slots>)``, each holding at
+    most that many loops and sharing the kernel's column caches; a
+    witness helper returns a true value once a witness is found.
     """
     (first_binds, first_checks), steps, perm, leaf = shape
     witness = leaf is None
-    lines: List[str] = []
+    # The kernel's header and prologue, its loop nest, then one section
+    # per helper; helpers are defined before the loop nest runs.
+    sections: List[List[str]] = [[]]
 
     def emit(depth: int, text: str) -> None:
-        lines.append("    " * depth + text)
+        sections[-1].append("    " * depth + text)
 
     if witness:
         emit(0, "def kernel(store, f, pids):")
@@ -256,7 +269,7 @@ def _kernel_source(shape: tuple) -> str:
             entry = f"(rule, {canonical}, (ri, {key}))"
         condition = f" if {' and '.join(first_tests)}" if first_tests else ""
         emit(1, f"pending.extend([{entry} for f in rows{condition}])")
-        return "\n".join(lines) + "\n"
+        return "\n".join(sections[0]) + "\n"
 
     if steps:
         emit(1, f"{_tuple_source([f'p{k}' for k in range(len(steps))])} = pids")
@@ -266,19 +279,22 @@ def _kernel_source(shape: tuple) -> str:
         emit(1, "facts_of = store.facts_of")
     # Per-call caches: a step's posting columns (or its row table when
     # it looks nothing up), fetched on its first probe.
-    for k, (lookups, _, _) in enumerate(steps):
-        if not lookups:
-            emit(1, f"r{k} = None")
-        for j in range(len(lookups)):
-            emit(1, f"k{k}_{j} = None")
+    caches = [
+        [f"r{k}"] if not lookups else [f"k{k}_{j}" for j in range(len(lookups))]
+        for k, (lookups, _, _) in enumerate(steps)
+    ]
+    for names in caches:
+        for name in names:
+            emit(1, f"{name} = None")
+    sections.append([])
     if not witness:
         emit(1, "append = pending.append")
         if dedup:
             emit(1, "seen_add = seen.add")
         emit(1, "for f in rows:")
-        depth, skip = 2, "continue"
+        depth, skip, loops = 2, "continue", 1
     else:
-        depth, skip = 1, "return False"
+        depth, skip, loops = 1, "return False", 0
     if first_tests:
         emit(depth, f"if not ({' and '.join(first_tests)}): {skip}")
     if len(first_binds) > 1 and not first_checks and not witness:
@@ -287,7 +303,18 @@ def _kernel_source(shape: tuple) -> str:
     else:
         for position, slot in first_binds:
             emit(depth, f"s{slot} = f[{position}]")
+    bound = [slot for _, slot in first_binds]
     for k, (lookups, binds, checks) in enumerate(steps):
+        if loops == _MAX_NESTED_LOOPS:
+            # This function is full: the rest of the join goes on in a
+            # helper called with the slots bound so far.
+            arguments = ", ".join(f"s{slot}" for slot in sorted(bound))
+            call = f"n{k}({arguments})"
+            emit(depth, f"if {call}: return True" if witness else call)
+            sections.append([])
+            emit(1, f"def n{k}({arguments}):")
+            emit(2, "nonlocal " + ", ".join(name for names in caches[k:] for name in names))
+            depth, skip, loops = 2, "return", 0
         bound_at = {slot: position for position, slot in binds}
         tests = [f"g{k}[{p}] != g{k}[{bound_at[s]}]" for p, s in checks]
         if not lookups:
@@ -311,26 +338,28 @@ def _kernel_source(shape: tuple) -> str:
                     emit(depth, f"if len({bucket}) < len({source}): {source} = {bucket}")
                 tests = [f"g{k}[{p}] != s{s}" for p, s in lookups] + tests
         emit(depth, f"for g{k} in {source}:")
-        depth, skip = depth + 1, "continue"
+        depth, skip, loops = depth + 1, "continue", loops + 1
         if tests:
             emit(depth, f"if {' or '.join(tests)}: continue")
         for position, slot in binds:
             emit(depth, f"s{slot} = g{k}[{position}]")
+        bound.extend(slot for _, slot in binds)
     if witness:
         emit(depth, "return True")
-        emit(1, "return False")
-        return "\n".join(lines) + "\n"
-    emit(depth, f"c = {_tuple_source([f's{slot}' for slot in perm])}")
-    if dedup:
-        emit(depth, "d = (ri, c)")
-        emit(depth, "if d in seen: continue")
-        emit(depth, "seen_add(d)")
-    if frontier is not None:
-        key = f"(ri, {_tuple_source([f's{perm[i]}' for i in frontier])})"
+        sections[1].append("    return False")
     else:
-        key = "d" if dedup else "(ri, c)"
-    emit(depth, f"append((rule, c, {key}))")
-    return "\n".join(lines) + "\n"
+        emit(depth, f"c = {_tuple_source([f's{slot}' for slot in perm])}")
+        if dedup:
+            emit(depth, "d = (ri, c)")
+            emit(depth, "if d in seen: continue")
+            emit(depth, "seen_add(d)")
+        if frontier is not None:
+            key = f"(ri, {_tuple_source([f's{perm[i]}' for i in frontier])})"
+        else:
+            key = "d" if dedup else "(ri, c)"
+        emit(depth, f"append((rule, c, {key}))")
+    return "\n".join(sections[0] + [line for helper in sections[2:] for line in helper]
+                     + sections[1]) + "\n"
 
 
 def _kernel(shape: tuple) -> Tuple[Callable, float]:
@@ -508,13 +537,8 @@ class StoreCompiledRule:
         self._fire_slot = fired.index("__fire__")
 
         # Head-satisfaction join (restricted chase) of a multi-atom
-        # head: the witness kernel of the head plan, with the frontier
-        # seeded from the canonical tuple, and the head's predicate ids.
+        # head: built on first use (see :meth:`head_satisfied`).
         self._head_kernel: Optional[Tuple[Callable, Tuple[int, ...]]] = None
-        if len(tgd.head) > 1:
-            plan, seed = head_join_plan(tgd, store, self.sorted_variables)
-            kernel, _ = _kernel(_kernel_shape((seed, ()), plan.steps, (), None))
-            self._head_kernel = (kernel, tuple(step[0] for step in plan.steps))
         # Single-atom heads (the overwhelmingly common shape) shortcut
         # the plan entirely: satisfaction is one posting-list probe
         # (plus equality checks when an existential repeats in the atom).
@@ -635,7 +659,17 @@ class StoreCompiledRule:
                 if all(ids[a] == ids[b] for a, b in repeat_checks):
                     return True
             return False
-        kernel, pids = self._head_kernel
+        head_kernel = self._head_kernel
+        if head_kernel is None:
+            # The witness kernel of the head plan, with the frontier
+            # seeded from the canonical tuple, and the head's predicate
+            # ids.  Built on the first test, so only restricted runs
+            # compile it; kernel and ids publish in one assignment, so
+            # concurrent runs never see half of it.
+            plan, seed = head_join_plan(self.tgd, store, self.sorted_variables)
+            kernel, _ = _kernel(_kernel_shape((seed, ()), plan.steps, (), None))
+            self._head_kernel = head_kernel = (kernel, tuple(step[0] for step in plan.steps))
+        kernel, pids = head_kernel
         return kernel(store, canonical, pids)
 
     # -- decoding (API boundary) ---------------------------------------------

@@ -366,19 +366,6 @@ class ChaseService:
         """Block until :meth:`stop` completes (foreground ``serve`` loop)."""
         return self._stopped_event.wait(timeout)
 
-    def wait_open_connections(self, count: int = 0, timeout: Optional[float] = None) -> bool:
-        """Block until exactly ``count`` admitted HTTP connections hold
-        a slot under ``max_connections``; False if ``timeout`` ran out.
-
-        A connection holds its slot from admission until the server's
-        handler thread returns, which for a client that closed its
-        socket is only once the handler has read the EOF: a request
-        sent right after another connection's close can still meet the
-        cap.  Callers that must not race admission or that teardown
-        (tests of the cap, an orderly hand-over) synchronise here.
-        """
-        return self._httpd is not None and self._httpd.wait_open(count, timeout)
-
     def __enter__(self) -> "ChaseService":
         return self.start()
 

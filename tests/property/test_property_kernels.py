@@ -51,7 +51,8 @@ from repro.generators.random_programs import (
 )
 from repro.generators.workloads import restricted_heavy
 from repro.model.instance import Database
-from repro.model.serialization import atom_to_text
+from repro.model.parser import parse_database, parse_program
+from repro.model.serialization import atom_to_text, canonical_instance_text
 from repro.model.store import FactStore
 from repro.model.tgd import TGDSet
 from repro.obs.observer import RunObserver
@@ -92,6 +93,22 @@ def case(name):
         return _random_case(*value)
     return value
 
+
+def deep_join(n):
+    """One rule whose body is an ``n``-atom chain and whose head is an
+    ``n``-atom chain of existentials; two body images, one of whose
+    heads the database already satisfies."""
+    body = ", ".join(f"R{i}(x{i}, x{i + 1})" for i in range(n))
+    head = ", ".join(["S0(x0, z0)"] + [f"S{i}(z{i - 1}, z{i})" for i in range(1, n)])
+    existentials = ", ".join(f"z{i}" for i in range(n))
+    tgds = parse_program(f"{body} -> exists {existentials} . {head}")
+    facts = [f"R{i}({c}{i}, {c}{i + 1})." for c in "ab" for i in range(n)]
+    facts.append(f"R{n // 2}(a{n // 2}, e).")
+    facts += ["S0(a0, w0)."] + [f"S{i}(w{i - 1}, w{i})." for i in range(1, n)]
+    return parse_database("\n".join(facts)), tgds
+
+
+CASES["deep-join"] = deep_join(25)
 
 VARIANTS = sorted(VARIANT_RUNNERS)
 
@@ -196,6 +213,19 @@ def test_checkpoint_restarts_enumerate_the_oracles_pending_lists(name, variant, 
     restarted = _run(variant, database, tgds, checkpoint=checkpoint)
     assert restarted.summary() == full.summary()
     assert checked["passes"] > passes
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n", [20, 21, 25, 45])
+def test_joins_nesting_past_one_function_match_legacy(n, variant, checked):
+    """CPython nests at most 20 blocks per function: longer bodies and
+    heads go on in nested helper kernels, with the same answers."""
+    database, tgds = deep_join(n)
+    store = _run(variant, database, tgds)
+    legacy = _run(variant, database, tgds, engine="legacy")
+    assert store.summary() == legacy.summary()
+    assert canonical_instance_text(store.instance) == canonical_instance_text(legacy.instance)
+    assert store.statistics.triggers_applied == (1 if variant == "restricted" else 2)
 
 
 def test_restricted_head_verdicts_are_checked(checked, monkeypatch):
@@ -356,6 +386,20 @@ def test_memo_keys_hold_only_plan_template_ints():
 
     assert store_plan._KERNELS
     assert all(ints_only(key) for key in store_plan._KERNELS)
+
+
+def test_head_kernels_compile_for_restricted_runs_only(cold_memo):
+    database, program = case("deep-join")
+    tgds = _copy(program)
+
+    def head_kernels():
+        return [shape for shape in cold_memo if shape[3] is None]
+
+    for variant in ("oblivious", "semi-oblivious"):
+        _run(variant, database, tgds)
+    assert head_kernels() == []
+    _run("restricted", database, tgds)
+    assert len(head_kernels()) == 1
 
 
 def test_a_warm_program_still_pickles():

@@ -336,7 +336,7 @@ class TestConnectionBound:
             # A closed connection frees its slot only once the server's
             # handler thread has read the EOF: synchronise on the slot
             # counts instead of racing that teardown.
-            assert service.wait_open_connections(0, timeout=30.0)
+            assert service._httpd.wait_open(0, timeout=30.0)
             statuses = []
 
             def long_poll():
@@ -355,7 +355,7 @@ class TestConnectionBound:
             for poller in pollers:
                 poller.start()
             # Both long-polls hold their slots until the gate opens.
-            assert service.wait_open_connections(2, timeout=30.0)
+            assert service._httpd.wait_open(2, timeout=30.0)
             third = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10.0)
             try:
                 third.request("GET", "/healthz")
@@ -370,7 +370,7 @@ class TestConnectionBound:
                 poller.join(timeout=30.0)
             assert statuses == [200, 200]
             # Slots freed: the daemon serves normally again.
-            assert service.wait_open_connections(0, timeout=30.0)
+            assert service._httpd.wait_open(0, timeout=30.0)
             assert client.healthz()["status"] == "ok"
 
 
