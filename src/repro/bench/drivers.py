@@ -347,18 +347,13 @@ def _engine_workloads(
     return out
 
 
-def _results_equivalent(variant: str, results: Dict[str, ChaseResult]) -> bool:
+def _results_equivalent(results: Dict[str, ChaseResult]) -> bool:
     """Byte-level result identity across engines for one bench row.
 
-    Semi-oblivious and oblivious results are unique, so the decoded
-    instances must be equal atom for atom (same nulls included).  The
-    restricted chase numbers its per-application fire marks in trigger
-    order, which legitimately differs between engines; its instances
-    are compared through the fire-invariant key, which is exact up to
-    that numbering.
+    Every variant labels a null by its trigger key, so engines that
+    fire the same triggers decode equal instances, atom for atom (same
+    nulls included).
     """
-    from repro.model.serialization import fire_invariant_instance_key
-
     baseline = results["legacy"]
     for engine in results:
         if engine == "legacy":
@@ -372,12 +367,7 @@ def _results_equivalent(variant: str, results: Dict[str, ChaseResult]) -> bool:
             != baseline.statistics.triggers_considered
         ):
             return False
-        if variant == "restricted":
-            if fire_invariant_instance_key(candidate.instance) != (
-                fire_invariant_instance_key(baseline.instance)
-            ):
-                return False
-        elif candidate.instance != baseline.instance:
+        if candidate.instance != baseline.instance:
             return False
     return True
 
@@ -506,7 +496,7 @@ def engine_benchmark_rows(
                 "store_profile_seconds": round(profile_store, 4),
                 "profile_overhead": round(profile_overhead, 3),
                 "profile_overhead_floor": round(profile_floor, 3),
-                "equivalent": _results_equivalent(variant, results),
+                "equivalent": _results_equivalent(results),
                 "peak_rss_mb": _peak_rss_mb(),
                 # Kept for dashboards that read the E14 column.
                 "speedup": round(timings["legacy"] / store_seconds, 2),

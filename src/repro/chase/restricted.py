@@ -17,16 +17,15 @@ store path, which the equivalence suite pins to the same verdicts.
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.model.atoms import Atom
 from repro.model.homomorphism import Substitution, extend_homomorphism
 from repro.model.instance import Database, Instance
-from repro.model.terms import Constant
 from repro.model.tgd import TGDSet
 from repro.obs.observer import RunObserver
-from repro.chase.engine import BaseChaseEngine, ChaseBudget, ChaseResult
+from repro.chase.engine import ChaseBudget, ChaseResult
+from repro.chase.semi_oblivious import SemiObliviousChase
 from repro.chase.trigger import Trigger
 
 
@@ -43,36 +42,20 @@ def head_extension_exists(
     return extend_homomorphism(head_atoms, instance, frontier_binding) is not None
 
 
-class RestrictedChase(BaseChaseEngine):
-    """Restricted chase engine: fire only when the head is not yet satisfied."""
+class RestrictedChase(SemiObliviousChase):
+    """Restricted chase engine: fire only when the head is not yet satisfied.
 
-    uses_frontier_identity = True
-
-    def __init__(self, tgds: TGDSet, budget: Optional[ChaseBudget] = None,
-                 record_derivation: bool = True, engine: Optional[str] = None,
-                 observers: Sequence[RunObserver] = ()) -> None:
-        super().__init__(tgds, budget=budget, record_derivation=record_derivation,
-                         engine=engine, observers=observers)
-        self._fire_counter = itertools.count()
-        self._satisfied_memo: set = set()
-
-    def trigger_key(self, trigger: Trigger):
-        # Like the semi-oblivious chase, a restricted-chase trigger never
-        # needs to fire twice for the same frontier binding: after the
-        # first application the head is satisfied by the invented nulls.
-        return trigger.frontier_key()
+    Trigger identity and null labelling are the semi-oblivious chase's:
+    a trigger is keyed by ``(σ, h|fr(σ))`` and its nulls are labelled
+    ``⊥^z_{σ,h|fr(σ)}``.  The variants differ only in when a trigger is
+    active.  The labels stay fresh because each key fires at most once
+    per run, and a key that fired before a resume or checkpoint restart
+    has its head satisfied in the restored store (head satisfaction is
+    monotone), so it never fires again.
+    """
 
     def is_active(self, trigger: Trigger, instance: Instance) -> bool:
         return trigger.is_active_restricted(instance)
-
-    def trigger_result(self, trigger: Trigger) -> List[Atom]:
-        # Nulls are fresh per application; a per-engine counter entry is
-        # mixed into the label so distinct applications yield distinct
-        # nulls while the depth bookkeeping (driven by the frontier
-        # images in the binding) stays correct.
-        binding = dict(trigger.frontier_binding())
-        binding["__fire__"] = Constant(f"fire{next(self._fire_counter)}")
-        return trigger.result(null_binding=binding)
 
     # -- store engine --------------------------------------------------------
 
@@ -92,15 +75,7 @@ class RestrictedChase(BaseChaseEngine):
         if rule.head_satisfied(store, canonical):
             memo.add(key)
             return None
-        # The counter ticks for every fired trigger — full rules
-        # included — to keep null numbering aligned with the legacy
-        # engine; the constant itself is only interned when a null will
-        # actually carry it.
-        fire = next(self._fire_counter)
-        fire_tid = (
-            store.intern_term(Constant(f"fire{fire}")) if rule.has_existentials else -1
-        )
-        return rule.result_facts_fired(store, canonical, fire_tid)
+        return rule.result_facts(store, canonical)
 
 
 def restricted_chase(
@@ -120,18 +95,21 @@ def restricted_chase(
     database delta.  Head satisfaction is monotone, so the resumed run
     is itself a valid fair restricted-chase derivation of the enlarged
     database — but because the restricted chase is order-dependent in
-    general, it need not equal the cold derivation atom for atom; on
+    general, it need not equal the cold derivation atom for atom.  On
     order-invariant programs (full TGDs, the ``restricted_heavy``
-    family) the two agree up to fire numbering
-    (:func:`~repro.model.serialization.fire_invariant_instance_key`).
+    family) the two agree *exactly*: restricted nulls carry the
+    semi-oblivious label ``⊥^z_{σ,h|fr(σ)}``, so equal fired triggers
+    mean equal atoms.  ``checkpoint`` restarts an interrupted run and
+    reproduces the uninterrupted one, summary and instance (see
+    :meth:`~repro.chase.engine.BaseChaseEngine.run`).
     """
-    if checkpoint is not None:
-        # A checkpoint cannot restore the per-run fire counter that
-        # numbers restricted-chase nulls, so a resumed run would reuse
-        # labels and silently merge facts.  Restricted retries run cold.
-        raise ValueError("the restricted chase does not support checkpoint resume")
     chase_engine = RestrictedChase(
         tgds, budget=budget, record_derivation=record_derivation, engine=engine,
         observers=observers,
     )
-    return chase_engine.run(database, resume_from=resume_from, database_size=database_size)
+    return chase_engine.run(
+        database,
+        resume_from=resume_from,
+        database_size=database_size,
+        checkpoint=checkpoint,
+    )

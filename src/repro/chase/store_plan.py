@@ -426,7 +426,6 @@ class StoreCompiledRule:
         "delta_plans",
         "sorted_variables",
         "frontier_get",
-        "has_existentials",
         "_var_names",
         "frontier_index",
         "_existentials",
@@ -436,8 +435,6 @@ class StoreCompiledRule:
         "body_perm",
         "_names_frontier",
         "_names_full",
-        "_names_fired",
-        "_fire_slot",
         "_head_kernel",
         "_head_single",
         "head_only",
@@ -462,7 +459,6 @@ class StoreCompiledRule:
         self._existentials = tuple(
             v.name for v in sorted(tgd.existential_variables(), key=lambda v: v.name)
         )
-        self.has_existentials = bool(self._existentials)
 
         self.body_plan = StoreBodyPlan(body, store)
         #: The body plan's slots in sorted-variable order.
@@ -529,12 +525,8 @@ class StoreCompiledRule:
 
         # Null label name tuples per labelling mode, pre-sorted the way
         # make_null sorts binding items.
-        frontier_names = tuple(self._var_names[i] for i in self.frontier_index)
-        self._names_frontier = frontier_names
+        self._names_frontier = tuple(self._var_names[i] for i in self.frontier_index)
         self._names_full = self._var_names
-        fired = sorted(frontier_names + ("__fire__",))
-        self._names_fired = tuple(fired)
-        self._fire_slot = fired.index("__fire__")
 
         # Head-satisfaction join (restricted chase) of a multi-atom
         # head: built on first use (see :meth:`head_satisfied`).
@@ -610,17 +602,6 @@ class StoreCompiledRule:
         )
         pid, getter = self.head_single_fresh
         return pid, getter(combined)
-
-    def result_facts_fired(
-        self, store: FactStore, canonical: CanonicalIds, fire_tid: int
-    ) -> List[Fact]:
-        """Restricted-chase result: frontier labels plus the fire mark."""
-        simple = self._head_simple
-        if simple is not None:
-            return [(pid, getter(canonical)) for pid, getter in simple]
-        label = list(self.frontier_get(canonical))
-        label.insert(self._fire_slot, fire_tid)
-        return self._build_facts(store, canonical, self._names_fired, tuple(label))
 
     def _build_facts(
         self,

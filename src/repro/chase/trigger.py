@@ -61,10 +61,10 @@ class Trigger:
         """``result(σ, h)``: the head instantiated with frontier images and nulls.
 
         ``null_binding`` overrides the binding used to *label* the
-        invented nulls; the semi-oblivious chase uses the frontier
-        binding (the default), the oblivious chase passes the full body
-        binding, and the restricted chase adds a per-application
-        discriminator.
+        invented nulls.  The semi-oblivious and restricted chases use
+        the frontier binding (the default), so a null is
+        ``⊥^z_{σ,h|fr(σ)}``; the oblivious chase passes the full body
+        binding.
         """
         substitution = self.substitution()
         label_binding = null_binding if null_binding is not None else self.frontier_binding()

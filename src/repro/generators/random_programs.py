@@ -134,7 +134,8 @@ def random_full_program(seed: int, rule_count: int = 4) -> TGDSet:
     rules = []
     for index, tgd in enumerate(base):
         body_variables = sorted(tgd.body_variables(), key=lambda v: v.name)
-        mapping = {z: rng.choice(body_variables) for z in tgd.existential_variables()}
+        existentials = sorted(tgd.existential_variables(), key=lambda v: v.name)
+        mapping = {z: rng.choice(body_variables) for z in existentials}
         rules.append(
             TGD(
                 body=tgd.body,

@@ -65,8 +65,8 @@ def restricted_heavy(chain_length: int, payloads: int) -> Tuple[Database, TGDSet
 
     Every trigger's activeness is decided by facts created in *earlier*
     rounds, never by another trigger of the same round with a different
-    frontier key, so the fired-key set — and with it the result modulo
-    fire numbering — does not depend on within-round application order.
+    frontier key, so the fired-key set — and with it the result — does
+    not depend on within-round application order.
     The chase terminates for all three variants.
     """
     if chain_length < 2 or payloads < 1:

@@ -209,46 +209,3 @@ def canonical_database_text(database: Database) -> str:
     """Canonical form of a database (sorted facts; see
     :func:`canonical_instance_text`)."""
     return canonical_instance_text(database)
-
-
-# --------------------------------------------------------------------------
-# Fire-invariant comparison keys
-# --------------------------------------------------------------------------
-
-
-def _fire_stripped_term(term) -> Tuple:
-    if isinstance(term, Null):
-        return (
-            "n",
-            term.rule_id,
-            term.variable,
-            tuple(
-                (name, _fire_stripped_term(value))
-                for name, value in term.binding
-                if name != "__fire__"
-            ),
-        )
-    return ("c", term.name)
-
-
-def fire_invariant_instance_key(instance: Instance) -> frozenset:
-    """A comparison key invariant under restricted-chase fire numbering.
-
-    The restricted chase mixes a per-application counter into its null
-    labels (``__fire__``), so two runs that fire the same triggers in a
-    different order produce equal instances up to that numbering.  This
-    key renders each null by rule, variable and its binding with the
-    fire component stripped; because the engine fires each (rule,
-    frontier binding) at most once, the stripped label still identifies
-    the null uniquely within one run and the key is a faithful
-    set-of-atoms comparison.  For null-free or semi-oblivious/oblivious
-    instances it degrades to plain structural comparison.
-    """
-    return frozenset(
-        (
-            a.predicate.name,
-            a.predicate.arity,
-            tuple(_fire_stripped_term(t) for t in a.args),
-        )
-        for a in instance
-    )

@@ -437,9 +437,9 @@ class BatchExecutor:
         """Whether this job's runs persist (and resume from) checkpoints.
 
         Checkpoints freeze the columnar summary driver's loop state, so
-        they need the store engine and a variant whose null labelling
-        survives a restart (the restricted chase's per-run fire counter
-        does not).  Probed/profiled runs are excluded: their payloads
+        they need the store engine; every variant's null labels are
+        functions of the trigger key and survive a restart.
+        Probed/profiled runs are excluded: their payloads
         sample per-round, and a resume would observe only the tail.
         Depth-truncating runs are excluded too: a checkpoint does not
         carry the run's ``depth_truncated`` flag.
@@ -448,7 +448,6 @@ class BatchExecutor:
             self.checkpoint_every_rounds is not None
             and self.checkpoint_dir is not None
             and self._snapshot_capable()
-            and job.variant in ("semi-oblivious", "oblivious")
             and not (job.budget is not None and job.budget.truncate_at_depth)
             and not self.telemetry
             and not self.profile

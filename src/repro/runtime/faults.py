@@ -53,9 +53,11 @@ Fault points and the actions they honour:
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import os
+import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -198,9 +200,28 @@ class FaultPlan:
         return cls.from_dict(record)
 
 
+@contextlib.contextmanager
+def _sigterm_deferred():
+    """Hold off SIGTERM while a pool worker counts and logs a fault.
+
+    A broken pool terminates its surviving workers.  One stopped
+    between truncating a spec's counter file and rewriting it would
+    restart the count, and one stopped before logging would consume an
+    occurrence unseen; either way the schedule fires the wrong number
+    of times.
+    """
+    if not _worker_process or not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
 def _flocked(handle):
     """flock the handle exclusively for the caller's with-block."""
-    import contextlib
 
     @contextlib.contextmanager
     def _ctx():
@@ -359,10 +380,11 @@ class FaultInjector:
                 haystack = [v for v in (job, key) if v is not None]
                 if not any(spec.match in value for value in haystack):
                     continue
-            occurrence = self._next_occurrence(index)
-            if occurrence <= spec.after or occurrence > spec.after + spec.times:
-                continue
-            self._record(index, spec, {"job": job, "round": round, "key": key})
+            with _sigterm_deferred():
+                occurrence = self._next_occurrence(index)
+                if occurrence <= spec.after or occurrence > spec.after + spec.times:
+                    continue
+                self._record(index, spec, {"job": job, "round": round, "key": key})
             result = self._apply(point, spec)
             if result is not None:
                 effect = result

@@ -4,11 +4,11 @@ The randomized-program equivalence suite of the interned-fact-store
 PR: across all three chase variants, the store engine must reproduce
 the legacy engine's results — instances atom for atom where the
 variant's result is order-independent, canonical fingerprints, trigger
-counts, derivation step sets, and budget outcomes.  The restricted
-chase legitimately numbers its fire marks in application order, so its
-instances are compared through the fire-invariant key on the paper
-families and exactly on existential-free programs (whose restricted
-result is the unique full closure).
+counts, derivation step sets, and budget outcomes.  Restricted nulls
+carry the semi-oblivious frontier label, so restricted instances are
+compared exactly too, on the programs whose restricted result does not
+depend on trigger order (``restricted_heavy`` and existential-free
+programs, whose restricted result is the unique full closure).
 """
 
 import json
@@ -38,10 +38,7 @@ from repro.generators.random_programs import (
     random_simple_linear_program,
 )
 from repro.generators.workloads import restricted_heavy
-from repro.model.serialization import (
-    canonical_instance_text,
-    fire_invariant_instance_key,
-)
+from repro.model.serialization import canonical_instance_text
 from repro.obs.observer import RunObserver
 
 BUDGET = ChaseBudget(max_atoms=20_000, max_rounds=200)
@@ -110,35 +107,22 @@ def test_store_matches_legacy_on_families(name, workload, runner):
         # A budget-stopped run is whatever prefix of the round fit,
         # which is order-dependent; only the stop reason is comparable.
         return
-    if runner is restricted_chase:
+    if runner is restricted_chase and name not in RESTRICTED_ORDER_INVARIANT:
         # The restricted chase is order-dependent in general, and the
         # legacy engine's trigger order shifts with string-hash
         # randomisation and process-global null-uid state — so exact
         # cross-engine comparison is only sound on families whose
         # restricted result is order-invariant by construction.
-        if name not in RESTRICTED_ORDER_INVARIANT:
-            return
-        assert store.size == legacy.size
-        assert store.statistics.triggers_applied == legacy.statistics.triggers_applied
-        assert (
-            store.statistics.triggers_considered
-            == legacy.statistics.triggers_considered
-        )
-        # Same fired keys, same atoms up to the per-application fire
-        # numbering in the null labels.
-        assert fire_invariant_instance_key(store.instance) == (
-            fire_invariant_instance_key(legacy.instance)
-        )
-    else:
-        assert store.size == legacy.size
-        assert store.statistics.triggers_applied == legacy.statistics.triggers_applied
-        assert (
-            store.statistics.triggers_considered
-            == legacy.statistics.triggers_considered
-        )
-        assert store.instance == legacy.instance
-        assert store.max_depth == legacy.max_depth
-        assert derivation_atoms(store) == derivation_atoms(legacy)
+        return
+    assert store.size == legacy.size
+    assert store.statistics.triggers_applied == legacy.statistics.triggers_applied
+    assert (
+        store.statistics.triggers_considered
+        == legacy.statistics.triggers_considered
+    )
+    assert store.instance == legacy.instance
+    assert store.max_depth == legacy.max_depth
+    assert derivation_atoms(store) == derivation_atoms(legacy)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -179,7 +163,7 @@ def test_store_fingerprints_match_legacy_on_random_programs(seed):
 def test_restricted_store_matches_legacy_on_full_programs(seed):
     # Existential-free programs: the restricted result is the unique
     # closure, so the engines must agree atom for atom — including
-    # derivation step sets (no nulls, no fire numbering involved).
+    # derivation step sets.
     tgds = random_full_program(seed)
     database = random_database(tgds, seed=seed + 700, fact_count=12, constant_count=3)
     store = restricted_chase(database, tgds, budget=BUDGET, engine="store")
@@ -347,9 +331,7 @@ def test_columnar_driver_matches_recording_driver(runner):
     lean = runner(database, tgds, budget=BUDGET, record_derivation=False, engine="store")
     general = runner(database, tgds, budget=BUDGET, record_derivation=True, engine="store")
     assert lean.summary() == general.summary()
-    assert fire_invariant_instance_key(lean.instance) == (
-        fire_invariant_instance_key(general.instance)
-    )
+    assert lean.instance == general.instance
 
 
 #: SL/L/G families (plus the paper's non-terminating intro example)
@@ -427,7 +409,7 @@ def test_truncated_store_matches_legacy_on_random_programs(seed, make_program):
 
 
 class TestCheckpointResume:
-    def _checkpointed(self, database, tgds, at_round):
+    def _checkpointed(self, database, tgds, at_round, runner=semi_oblivious_chase):
         """An uninterrupted summary run plus a checkpoint of its state
         at the end of round ``at_round``."""
         captured = []
@@ -448,16 +430,17 @@ class TestCheckpointResume:
                         )
                     )
 
-        full = semi_oblivious_chase(
+        full = runner(
             database, tgds, budget=BUDGET, record_derivation=False,
             observers=[Capture()],
         )
         return full, captured[0]
 
-    def test_resumed_run_matches_uninterrupted_run(self):
+    @pytest.mark.parametrize("runner", VARIANTS, ids=VARIANT_IDS)
+    def test_resumed_run_matches_uninterrupted_run(self, runner):
         database, tgds = sl_lower_bound(2, 2, 2)
-        full, checkpoint = self._checkpointed(database, tgds, at_round=1)
-        resumed = semi_oblivious_chase(
+        full, checkpoint = self._checkpointed(database, tgds, at_round=1, runner=runner)
+        resumed = runner(
             database, tgds, budget=BUDGET, record_derivation=False,
             checkpoint=checkpoint,
         )
@@ -539,8 +522,8 @@ def test_resume_matches_cold_chase_on_random_programs(seed, make_program, runner
     assert resumed.max_depth == cold.max_depth
     assert resumed.database_size == cold.database_size
     assert resumed.instance == cold.instance
-    assert fire_invariant_instance_key(resumed.instance) == (
-        fire_invariant_instance_key(cold.instance)
+    assert canonical_instance_text(resumed.instance) == (
+        canonical_instance_text(cold.instance)
     )
 
 
@@ -561,7 +544,7 @@ def test_restricted_resume_matches_cold_on_full_programs(seed):
 def test_resume_matches_cold_on_restricted_heavy(chain_length, payloads, runner):
     """All three variants on the order-invariant family: chasing the
     full database equals chasing a payload prefix, snapshotting, and
-    resuming with the delta (fire numbering aside)."""
+    resuming with the delta, atom for atom."""
     from repro.model.instance import Database
 
     if runner is oblivious_chase and chain_length > 12:
@@ -586,9 +569,7 @@ def test_resume_matches_cold_on_restricted_heavy(chain_length, payloads, runner)
     assert resumed.terminated and cold.terminated
     assert resumed.size == cold.size
     assert resumed.database_size == cold.database_size
-    assert fire_invariant_instance_key(resumed.instance) == (
-        fire_invariant_instance_key(cold.instance)
-    )
+    assert resumed.instance == cold.instance
 
 
 def test_resume_requires_store_engine():

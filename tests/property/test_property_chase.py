@@ -5,7 +5,8 @@ and databases (via the seeded generators, so shrinking stays
 meaningful) and check the structural invariants the paper relies on:
 the chase result contains the database, satisfies the TGDs when it
 terminates, is insensitive to the order in which facts are supplied,
-and never shrinks the database.
+and never shrinks the database; and the restricted chase's result is a
+subset of the semi-oblivious one.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 from repro.model.homomorphism import extend_homomorphism, find_homomorphisms
 from repro.model.instance import Database
 from repro.chase.engine import ChaseBudget
+from repro.chase.restricted import restricted_chase
 from repro.chase.semi_oblivious import semi_oblivious_chase
 from repro.generators.random_programs import (
     random_database,
     random_guarded_program,
+    random_linear_program,
     random_simple_linear_program,
 )
 
@@ -91,3 +94,28 @@ def test_chase_is_monotone_in_the_database(program_seed, database_seed):
     large_result = semi_oblivious_chase(large, tgds, budget=BUDGET, record_derivation=False)
     if small_result.terminated and large_result.terminated:
         assert set(small_result.instance) <= set(large_result.instance)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    make_program=st.sampled_from(
+        [random_simple_linear_program, random_linear_program, random_guarded_program]
+    ),
+    program_seed=program_seeds,
+    database_seed=database_seeds,
+)
+def test_restricted_result_is_a_subset_of_the_semi_oblivious_one(
+    make_program, program_seed, database_seed
+):
+    """Restricted nulls carry the semi-oblivious label ``⊥^z_{σ,h|fr(σ)}``
+    and the restricted chase fires a subset of the semi-oblivious
+    triggers, so its instance is a literal subset: same atoms, same
+    nulls."""
+    tgds = make_program(program_seed)
+    database = random_database(tgds, database_seed, fact_count=6)
+    semi = semi_oblivious_chase(database, tgds, budget=BUDGET, record_derivation=False)
+    if not semi.terminated:
+        return
+    restricted = restricted_chase(database, tgds, budget=BUDGET, record_derivation=False)
+    assert restricted.terminated
+    assert set(restricted.instance) <= set(semi.instance)

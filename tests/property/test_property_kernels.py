@@ -202,7 +202,7 @@ def test_resumed_runs_enumerate_the_oracles_pending_lists(name, variant, checked
     assert checked["passes"] > passes
 
 
-@pytest.mark.parametrize("variant", ["oblivious", "semi-oblivious"])
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_checkpoint_restarts_enumerate_the_oracles_pending_lists(name, variant, checked):
     database, tgds = case(name)
@@ -212,6 +212,7 @@ def test_checkpoint_restarts_enumerate_the_oracles_pending_lists(name, variant, 
     passes = checked["passes"]
     restarted = _run(variant, database, tgds, checkpoint=checkpoint)
     assert restarted.summary() == full.summary()
+    assert restarted.instance == full.instance
     assert checked["passes"] > passes
 
 

@@ -11,6 +11,7 @@ from repro.runtime import (
     execute_payload,
 )
 from repro.generators.workloads import mixed_workload_jobs
+from repro.runtime.faults import ENV_VAR, FaultPlan, FaultSpec
 
 
 def small_batch():
@@ -352,3 +353,46 @@ class TestIncrementalRechase:
         executor2 = BatchExecutor(workers=1, cache=reloaded, incremental=True)
         grown = executor2.run_all([ChaseJob(program=tgds, database=full_db)])[0]
         assert grown.resumed_from == base.cache_key
+
+
+@pytest.mark.parametrize("variant", ["semi-oblivious", "oblivious", "restricted"])
+def test_killed_job_resumes_from_its_checkpoint(variant, tmp_path, monkeypatch):
+    """A ``worker.round`` kill at round 16 of a 24-round chain: the retry
+    resumes from the last checkpoint and reports the cold run's summary
+    byte for byte, for every chase variant."""
+
+    def probe():
+        return ChaseJob(
+            program=parse_program("E(x, y) -> exists z . E(y, z)"),
+            database=parse_database("E(a, b)."),
+            job_id="checkpoint-probe",
+            variant=variant,
+            budget_mode="explicit",
+            budget=ChaseBudget(max_rounds=24, max_atoms=10**6),
+        )
+
+    cold = BatchExecutor(workers=1).run_all([probe()])[0]
+    cold_rounds = cold.summary["rounds"]
+    plan = FaultPlan(
+        faults=(
+            FaultSpec(
+                point="worker.round", action="kill", at_round=16, match="checkpoint-probe"
+            ),
+        ),
+        seed=13,
+        state_dir=str(tmp_path / "faults"),
+    )
+    # The injector re-reads the plan whenever the variable changes.
+    monkeypatch.setenv(ENV_VAR, plan.to_env())
+    executor = BatchExecutor(
+        workers=1,
+        max_retries=1,
+        checkpoint_every_rounds=4,
+        checkpoint_dir=str(tmp_path / "ckpt"),
+    )
+    resumed = executor.run_all([probe()])[0]
+    provenance = resumed.as_dict()["checkpoint"]
+    assert provenance["base_rounds"] > 0
+    assert provenance["resumed_rounds"] < cold_rounds
+    assert resumed.status == cold.status == "ok"
+    assert resumed.summary_json() == cold.summary_json()
