@@ -1,14 +1,20 @@
 """Compiled rule plans and generated join kernels over the fact store.
 
-Each TGD is compiled against the predicate ids of a
-:class:`~repro.model.store.FactStore`: a static greedy body join
-order, one delta plan per body atom, per-atom bound-position
-templates, and semi-naive delta routing by body predicate.  A plan
-depends on the program and on those ids only — never on a store's
-facts — so :func:`compiled_pipeline` builds it once per (program,
-predicate-id vector) and every later run over a store with the same
-ids reuses it.  A fresh chase store interns ``sch(Σ)`` first, in
-program order, so all fresh runs of one program share one entry.
+A rule's plan — a static greedy body join order, one delta plan per
+body atom, per-atom bound-position templates, the head's builders and
+probes — depends on the rule's *shape* only (see
+:func:`~repro.model.tgd.rule_shape`): its atoms with predicates
+numbered by first occurrence and variables ranked by name.  Each
+distinct shape is compiled once per process into a
+:class:`RuleTemplate`, against local predicate ids ``0..k-1``, and
+kept in one module-level memo (:data:`_TEMPLATES`).  A program's
+:class:`StoreCompiledRule` only binds its shape's template: the
+store's id of each local predicate, the rule's index and id, and the
+variable names of null labels.  :func:`compiled_pipeline` binds a
+program once per predicate-id vector and every later run over a store
+with the same ids reuses it; a fresh chase store interns ``sch(Σ)``
+first, in program order, so all fresh runs of one program share one
+entry.
 
 The joins run as *generated kernels*: for each delta entry (rule, body
 index), each rule's round-one body join and each multi-atom restricted
@@ -20,11 +26,11 @@ templates, the canonical permutation, the frontier indices, the dedup
 flag and the key mode) holds only plan-template ints, never a term id,
 predicate id or database value; the predicate ids arrive as an
 argument.  Kernels live in one module-level memo keyed by shape
-(:data:`_KERNELS`), so every program with the same join shape shares
-one function.
+(:data:`_KERNELS`), so every rule with the same join shape shares one
+function, and each template keeps its own kernels per key mode.
 
-:meth:`StoreBodyPlan.iter_ids`, the interpretive backtracking
-enumerator the kernels are generated from, survives only as the test
+:func:`iter_ids`, the interpretive backtracking enumerator over the
+templates the kernels are generated from, survives only as the test
 oracle (:func:`oracle_pending`, :func:`oracle_head_satisfied`), as the
 legacy rescan does for the driver.
 
@@ -43,11 +49,12 @@ from operator import itemgetter
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.model.atoms import Atom
+from repro.model import serialization
+from repro.model.atoms import Atom, Predicate
 from repro.model.homomorphism import _plan_order, classify_atom_positions
 from repro.model.store import Fact, FactStore
 from repro.model.terms import Variable
-from repro.model.tgd import TGD, TGDSet
+from repro.model.tgd import TGD, RuleShape, TGDSet, rule_from_shape, rule_layout, shared
 from repro.chase.trigger import Trigger
 
 #: A body homomorphism as term ids in the rule's sorted-variable order.
@@ -56,6 +63,12 @@ CanonicalIds = Tuple[int, ...]
 #: Sentinel for an unbound slot (term ids are non-negative).
 _UNSET_ID = -1
 
+#: One getter per index tuple: templates of different shapes repeat
+#: most of their getters (and, see :func:`~repro.model.tgd.shared`,
+#: their position/slot pairs, steps and permutations).
+_GETTERS: Dict[Tuple[int, ...], Callable] = {}
+
+
 def _tuple_getter(indexes: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int, ...]]:
     """A callable extracting ``tuple(seq[i] for i in indexes)``.
 
@@ -63,12 +76,18 @@ def _tuple_getter(indexes: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int
     the 0- and 1-index arities need wrapping because itemgetter then
     returns a scalar instead of a tuple.
     """
+    indexes = tuple(indexes)
+    getter = _GETTERS.get(indexes)
+    if getter is not None:
+        return getter
     if not indexes:
-        return lambda seq: ()
-    if len(indexes) == 1:
+        getter = lambda seq: ()  # noqa: E731
+    elif len(indexes) == 1:
         index = indexes[0]
-        return lambda seq: (seq[index],)
-    return itemgetter(*indexes)
+        getter = lambda seq: (seq[index],)  # noqa: E731
+    else:
+        getter = itemgetter(*indexes)
+    return _GETTERS.setdefault(indexes, getter)
 
 
 #: ``(position, slot)`` pairs, positions 0-based.
@@ -84,27 +103,24 @@ class StoreBodyPlan:
 
     The id-space twin of :class:`~repro.model.homomorphism.BodyPlan`:
     fixed atom order, integer slots per variable, per-atom templates of
-    lookup/bind/check positions.  ``bound_first`` variables (in the order
-    the caller binds them) keep a slot even when they do not occur in
-    the atoms (delta plans seed them from the forced fact and read them
-    back out).  :meth:`iter_ids` is the interpretive enumerator over
-    these templates: the test oracle the generated kernels must agree
-    with, not a production path.
+    lookup/bind/check positions, predicates as the ids ``intern``
+    assigns.  ``bound_first`` variables (in the order the caller binds
+    them) keep a slot even when they do not occur in the atoms (delta
+    plans seed them from the forced fact and read them back out).
     """
 
-    __slots__ = ("atoms", "ordered", "variables", "slot_of", "steps")
+    __slots__ = ("ordered", "slot_of", "steps")
 
     def __init__(
         self,
         atoms: Sequence[Atom],
-        store: FactStore,
+        intern: Callable[[Predicate], int],
         bound_first: Sequence[Variable] = (),
     ) -> None:
-        self.atoms: Tuple[Atom, ...] = tuple(atoms)
         bound = frozenset(bound_first)
         # The order is static (shape only, no fact counts), so the plan
-        # stays valid for every store that shares ``store``'s ids.
-        self.ordered: Tuple[Atom, ...] = tuple(_plan_order(self.atoms, bound, None))
+        # stays valid for every store that shares the ids.
+        self.ordered: Tuple[Atom, ...] = tuple(_plan_order(tuple(atoms), bound, None))
         # Slots are numbered in binding order: ``bound_first`` as given,
         # then each fresh variable where the join first binds it.
         slot_of: Dict[Variable, int] = {}
@@ -115,9 +131,6 @@ class StoreBodyPlan:
                 if isinstance(arg, Variable) and arg not in slot_of:
                     slot_of[arg] = len(slot_of)
         self.slot_of = slot_of
-        self.variables: Tuple[Variable, ...] = tuple(
-            sorted(slot_of, key=lambda v: slot_of[v])
-        )
         steps: List[_StoreStep] = []
         known: Set[Variable] = set(bound)
         for pattern in self.ordered:
@@ -125,43 +138,39 @@ class StoreBodyPlan:
                 pattern, known, slot_of
             )
             assert not consts, "TGD atoms are constant-free"
-            steps.append((store.intern_predicate(predicate), lookups, binds, checks))
+            steps.append((intern(predicate), lookups, binds, checks))
             known |= pattern.variables()
         self.steps: Tuple[_StoreStep, ...] = tuple(steps)
 
-    def iter_ids(
-        self, store: FactStore, slots: Optional[List[int]] = None
-    ) -> Iterator[List[int]]:
-        """Yield the live slot array for every body image in ``store``.
 
-        The *same* list is yielded each time; copy out what you need
-        before advancing.  ``store`` must not be mutated while the
-        generator is live (candidates alias posting lists).
-        """
-        if slots is None:
-            slots = [_UNSET_ID] * len(self.variables)
-        return self._backtrack(store, slots, 0)
+def iter_ids(
+    store: FactStore, steps: Sequence[_StoreStep], slots: List[int]
+) -> Iterator[List[int]]:
+    """Yield the live slot array for every image of ``steps`` in ``store``.
 
-    def _backtrack(
-        self, store: FactStore, slots: List[int], index: int
-    ) -> Iterator[List[int]]:
-        if index == len(self.steps):
-            yield slots
-            return
-        pid, lookups, binds, checks = self.steps[index]
-        if lookups:
-            candidates = store.candidates(
-                pid, [(position, slots[slot]) for position, slot in lookups]
-            )
-        else:
-            candidates = store.facts_of(pid)
-        for ids in candidates:
-            for position, slot in binds:
-                slots[slot] = ids[position]
-            if all(slots[slot] == ids[position] for position, slot in checks):
-                yield from self._backtrack(store, slots, index + 1)
-        for _, slot in binds:
-            slots[slot] = _UNSET_ID
+    The interpretive enumerator over a plan's templates: the test
+    oracle the generated kernels must agree with, not a production
+    path.  The *same* list is yielded each time; copy out what you
+    need before advancing.  ``store`` must not be mutated while the
+    generator is live (candidates alias posting lists).
+    """
+    if not steps:
+        yield slots
+        return
+    (pid, lookups, binds, checks), rest = steps[0], steps[1:]
+    if lookups:
+        candidates = store.candidates(
+            pid, [(position, slots[slot]) for position, slot in lookups]
+        )
+    else:
+        candidates = store.facts_of(pid)
+    for ids in candidates:
+        for position, slot in binds:
+            slots[slot] = ids[position]
+        if all(slots[slot] == ids[position] for position, slot in checks):
+            yield from iter_ids(store, rest, slots)
+    for _, slot in binds:
+        slots[slot] = _UNSET_ID
 
 
 # -- generated join kernels ----------------------------------------------------
@@ -362,9 +371,8 @@ def _kernel_source(shape: tuple) -> str:
                      + sections[1]) + "\n"
 
 
-def _kernel(shape: tuple) -> Tuple[Callable, float]:
-    """The kernel for ``shape`` and the seconds this call spent
-    generating and compiling it — ``0.0`` on a memo hit.
+def _kernel(shape: tuple) -> Callable:
+    """The kernel for ``shape``, generated and compiled on first use.
 
     The source is built from the shape's ints and fixed names only,
     never from program or database text.  Concurrent first uses may
@@ -373,127 +381,156 @@ def _kernel(shape: tuple) -> Tuple[Callable, float]:
     """
     kernel = _KERNELS.get(shape)
     if kernel is not None:
-        return kernel, 0.0
-    start = perf_counter()
+        return kernel
     namespace: Dict[str, Callable] = {}
     exec(compile(_kernel_source(shape), "<join kernel>", "exec"), namespace)
-    kernel = _KERNELS.setdefault(shape, namespace["kernel"])
-    return kernel, perf_counter() - start
+    return _KERNELS.setdefault(shape, namespace["kernel"])
 
 
-class StoreDeltaPlan:
-    """One body atom's semi-naive entry point in id space.
+# -- rule templates --------------------------------------------------------------
 
-    Holds the templates only: ``plan`` joins the rest of the body
-    around a fact forced onto ``pattern`` (``binds``/``checks`` match
-    the fact, ``perm`` reads the canonical tuple out of the slots).
-    The pipeline generates this entry's kernel from them.
-    """
+#: Every rule template, shared by all programs: rule shape -> template.
+#: Shapes hold ints only (see :func:`~repro.model.tgd.rule_shape`), so
+#: the memo is bounded by the number of distinct rule shapes, not by
+#: programs or databases.
+_TEMPLATES: Dict[RuleShape, "RuleTemplate"] = {}
 
-    __slots__ = ("pid", "plan", "perm", "binds", "checks")
-
-    def __init__(self, pattern: Atom, rest: Sequence[Atom], rule: "StoreCompiledRule",
-                 store: FactStore) -> None:
-        self.pid = store.intern_predicate(pattern.predicate)
-        # The pattern's variables in position order: the order the
-        # kernel binds them from the forced fact.
-        self.plan = StoreBodyPlan(rest, store, bound_first=tuple(dict.fromkeys(pattern.args)))
-        self.perm = tuple(self.plan.slot_of[v] for v in rule.sorted_variables)
-        _, consts, _, self.binds, self.checks = classify_atom_positions(
-            pattern, set(), self.plan.slot_of
-        )
-        assert not consts, "TGD atoms are constant-free"
+#: One body atom's semi-naive entry: (pid of the forced fact, the
+#: joined steps, their slot count, the canonical permutation, and the
+#: forced fact's bind and check templates).
+_DeltaTemplate = Tuple[int, Tuple[_StoreStep, ...], int, Tuple[int, ...], _Template, _Template]
 
 
-class StoreCompiledRule:
-    """Everything per-TGD the store-backed chase needs, computed once.
+def _delta_template(
+    pattern: Atom,
+    rest: Sequence[Atom],
+    sorted_variables: Sequence[Variable],
+    intern: Callable[[Predicate], int],
+) -> _DeltaTemplate:
+    """The join of ``rest`` around a fact forced onto ``pattern``."""
+    pid = intern(pattern.predicate)
+    # The pattern's variables in position order: the order the kernel
+    # binds them from the forced fact.
+    plan = StoreBodyPlan(rest, intern, bound_first=tuple(dict.fromkeys(pattern.args)))
+    perm = tuple(plan.slot_of[v] for v in sorted_variables)
+    _, consts, _, binds, checks = classify_atom_positions(pattern, set(), plan.slot_of)
+    assert not consts, "TGD atoms are constant-free"
+    return (pid, plan.steps, len(plan.slot_of), perm, binds, checks)
 
-    A :data:`CanonicalIds` tuple lays out the body homomorphism's term
-    ids in sorted-variable order; trigger keys are ``(rule index, id
-    tuple)``.  Null labels are parallel
-    (names, ids) tuples whose name components are precomputed per rule
-    and labelling mode, in the sorted order
-    :func:`~repro.model.terms.make_null` would produce — so decoding a
-    store null yields a :class:`~repro.model.terms.Null` *equal* to the
-    legacy engine's.
+
+def head_join_plan(
+    tgd: TGD, intern: Callable[[Predicate], int]
+) -> Tuple[StoreBodyPlan, _Template]:
+    """The restricted chase's head join: the head planned with the
+    frontier bound, and the seed ``(canonical index, slot)`` pairs that
+    fill the frontier slots from a canonical tuple."""
+    frontier = tgd.frontier()
+    plan = StoreBodyPlan(
+        tgd.head, intern, bound_first=tuple(sorted(frontier, key=lambda v: v.name))
+    )
+    sorted_variables = sorted(tgd.body_variables(), key=lambda v: v.name)
+    seed = tuple(
+        (i, plan.slot_of[v]) for i, v in enumerate(sorted_variables) if v in frontier
+    )
+    return plan, seed
+
+
+class RuleTemplate:
+    """Everything per-TGD the store-backed chase compiles, without names.
+
+    The direct compile of one rule, with predicates as the ids
+    ``intern`` assigns: the body plan and one delta plan per body atom
+    (steps, slot count, canonical permutation), the frontier indices
+    of a canonical tuple, the head's templates, builders and
+    single-atom probe, the head join of a multi-atom head and, per key
+    mode on first use, the generated kernels.  A :data:`CanonicalIds`
+    tuple lays out the body variables' term ids in name order;
+    ``canonical_ranks`` and ``existential_ranks`` are the ranks (see
+    :func:`~repro.model.tgd.rule_shape`) of the body and existential
+    variables in name order.
+
+    :func:`rule_template` compiles each distinct rule shape once, on
+    the rule :func:`~repro.model.tgd.rule_from_shape` rebuilds, against
+    local predicate ids ``0..k-1``; :class:`StoreCompiledRule` binds
+    the result to a program.  Compiling a real rule against a store's
+    ids is the reference a bound rule must equal.
     """
 
     __slots__ = (
-        "tgd",
-        "rule_id",
-        "index",
-        "body_plan",
-        "delta_plans",
-        "sorted_variables",
-        "frontier_get",
-        "_var_names",
+        "intern_order",
+        "canonical_ranks",
+        "existential_ranks",
         "frontier_index",
-        "_existentials",
-        "_head_template",
-        "_head_simple",
-        "_head_builders",
+        "frontier_get",
+        "body_steps",
+        "body_slots",
         "body_perm",
-        "_names_frontier",
-        "_names_full",
+        "delta",
+        "calls",
+        "head_template",
+        "head_builders",
+        "head_single",
+        "head_join",
+        "_frontier_kernels",
+        "_full_kernels",
         "_head_kernel",
-        "_head_single",
-        "head_only",
-        "head_single_fresh",
     )
 
-    def __init__(self, tgd: TGD, store: FactStore, index: int) -> None:
-        self.tgd = tgd
-        self.rule_id = tgd.rule_id
-        self.index = index
+    def __init__(self, tgd: TGD, intern: Callable[[Predicate], int]) -> None:
+        _, _, variables = rule_layout(tgd)
         body = tgd.body
+        body_variables = tgd.body_variables()
         frontier = tgd.frontier()
-        self.sorted_variables: Tuple[Variable, ...] = tuple(
-            sorted(tgd.body_variables(), key=lambda v: v.name)
-        )
-        self._var_names = tuple(v.name for v in self.sorted_variables)
+        sorted_variables = [v for v in variables if v in body_variables]
+        existentials = [v for v in variables if v not in body_variables]
+        rank = {v: r for r, v in enumerate(variables)}
+        self.canonical_ranks = shared(tuple(rank[v] for v in sorted_variables))
+        self.existential_ranks = shared(tuple(rank[v] for v in existentials))
         #: Indices of the frontier variables in a canonical tuple.
-        self.frontier_index = tuple(
-            i for i, v in enumerate(self.sorted_variables) if v in frontier
+        self.frontier_index = shared(
+            tuple(i for i, v in enumerate(sorted_variables) if v in frontier)
         )
         self.frontier_get = _tuple_getter(self.frontier_index)
-        self._existentials = tuple(
-            v.name for v in sorted(tgd.existential_variables(), key=lambda v: v.name)
-        )
 
-        self.body_plan = StoreBodyPlan(body, store)
+        body_plan = StoreBodyPlan(body, intern)
+        self.body_steps = shared(body_plan.steps)
+        self.body_slots = len(body_plan.slot_of)
         #: The body plan's slots in sorted-variable order.
-        self.body_perm = tuple(self.body_plan.slot_of[v] for v in self.sorted_variables)
-        self.delta_plans: List[StoreDeltaPlan] = [
-            StoreDeltaPlan(pattern, body[:i] + body[i + 1 :], self, store)
+        self.body_perm = shared(tuple(body_plan.slot_of[v] for v in sorted_variables))
+        self.delta: Tuple[_DeltaTemplate, ...] = shared(tuple(
+            _delta_template(pattern, body[:i] + body[i + 1 :], sorted_variables, intern)
             for i, pattern in enumerate(body)
-        ]
+        ))
+        #: Where the kernels (see :meth:`kernels`) run, in their order:
+        #: per kernel the pid of its input rows and the pids of its
+        #: joined steps.
+        self.calls: Tuple[Tuple[int, Tuple[int, ...]], ...] = shared(
+            ((self.body_steps[0][0], tuple(step[0] for step in self.body_steps[1:])),)
+            + tuple((pid, tuple(step[0] for step in steps)) for pid, steps, *_ in self.delta)
+        )
 
         # Head template: per head atom its pid plus one spec per
         # argument — a canonical index for a frontier variable, or
         # ``-1 - k`` for the k-th existential variable.
-        position_of = {v: i for i, v in enumerate(self.sorted_variables)}
-        existential_slot = {name: k for k, name in enumerate(self._existentials)}
-        self._head_template: Tuple[Tuple[int, Tuple[int, ...]], ...] = tuple(
+        position_of = {v: i for i, v in enumerate(sorted_variables)}
+        existential_slot = {v: k for k, v in enumerate(existentials)}
+        self.head_template: Tuple[Tuple[int, Tuple[int, ...]], ...] = shared(tuple(
             (
-                store.intern_predicate(a.predicate),
+                intern(a.predicate),
                 tuple(
-                    position_of[arg]
-                    if arg in position_of
-                    else -1 - existential_slot[arg.name]
+                    position_of[arg] if arg in position_of else -1 - existential_slot[arg]
                     for arg in a.args
                 ),
             )
             for a in tgd.head
-        )
+        ))
         # Precompiled head builders: every head atom is one itemgetter
         # over the *combined* row ``canonical + nulls`` — a spec ``-1-k``
         # (the k-th existential) maps past the canonical prefix, so a
         # pure-frontier atom and an existential atom build identically
-        # at C speed.  Rules without existentials additionally keep the
-        # canonical-only getters (``_head_simple``) and skip null
-        # labelling entirely.
-        variable_count = len(self.sorted_variables)
-        self._head_builders = tuple(
+        # at C speed.
+        variable_count = len(sorted_variables)
+        self.head_builders = tuple(
             (
                 pid,
                 _tuple_getter(
@@ -503,8 +540,170 @@ class StoreCompiledRule:
                     )
                 ),
             )
-            for pid, template in self._head_template
+            for pid, template in self.head_template
         )
+
+        # Single-atom heads (the overwhelmingly common shape) test
+        # satisfaction with one posting-list probe (plus equality checks
+        # when an existential repeats in the atom); multi-atom heads run
+        # the head join's witness kernel.
+        self.head_single = None
+        self.head_join: Optional[Tuple[Tuple[_StoreStep, ...], _Template]] = None
+        if len(tgd.head) == 1:
+            head_atom = tgd.head[0]
+            bound_template: List[Tuple[int, int]] = []
+            first_of_existential: Dict[Variable, int] = {}
+            repeat_checks: List[Tuple[int, int]] = []
+            for position, arg in enumerate(head_atom.args):
+                canonical_index = position_of.get(arg)
+                if canonical_index is not None:
+                    bound_template.append((position, canonical_index))
+                else:
+                    seen_at = first_of_existential.get(arg)
+                    if seen_at is None:
+                        first_of_existential[arg] = position
+                    else:
+                        repeat_checks.append((seen_at, position))
+            self.head_single = (
+                intern(head_atom.predicate),
+                shared(tuple(position for position, _ in bound_template)),
+                _tuple_getter(tuple(index for _, index in bound_template)),
+                shared(tuple(bound_template)),
+                shared(tuple(repeat_checks)),
+            )
+        else:
+            plan, seed = head_join_plan(tgd, intern)
+            self.head_join = shared((plan.steps, seed))
+        #: The local pids in the order this compile first interned them
+        #: (set by :func:`rule_template`): binding interns a program's
+        #: predicates in the same order, so a store assigns the ids a
+        #: direct compile would.
+        self.intern_order: Tuple[int, ...] = ()
+        self._frontier_kernels: Optional[Tuple[Callable, ...]] = None
+        self._full_kernels: Optional[Tuple[Callable, ...]] = None
+        self._head_kernel: Optional[Tuple[Callable, Tuple[int, ...]]] = None
+
+    def kernels(self, frontier_key: bool) -> Tuple[Tuple[Callable, ...], float]:
+        """The key mode's kernels — round one's, then one per delta entry
+        — and the seconds this call spent building them (``0.0`` once
+        they are built).  Round one enumerates the first planned atom's
+        rows and joins the rest of the body around each of them.
+        """
+        kernels = self._frontier_kernels if frontier_key else self._full_kernels
+        if kernels is not None:
+            return kernels, 0.0
+        start = perf_counter()
+        (_, _, binds, checks), *rest = self.body_steps
+        leaf = (self.frontier_index, False, frontier_key)
+        initial = _kernel(_kernel_shape((binds, checks), rest, self.body_perm, leaf))
+        # Only multi-atom bodies can reach one canonical twice (from
+        # two forced facts, or two entries of the rule).
+        leaf = (self.frontier_index, len(self.delta) > 1, frontier_key)
+        kernels = (initial,) + tuple(
+            _kernel(_kernel_shape((binds, checks), steps, perm, leaf))
+            for _, steps, _, perm, binds, checks in self.delta
+        )
+        # Concurrent first uses may both build; either result is kept,
+        # and both hold the same memoised kernels.
+        if frontier_key:
+            self._frontier_kernels = kernels
+        else:
+            self._full_kernels = kernels
+        return kernels, perf_counter() - start
+
+    def head_kernel(self) -> Tuple[Callable, Tuple[int, ...]]:
+        """A multi-atom head's witness kernel and the pids of its steps,
+        built on first use, so only restricted runs compile it."""
+        head_kernel = self._head_kernel
+        if head_kernel is None:
+            steps, seed = self.head_join
+            kernel = _kernel(_kernel_shape((seed, ()), steps, (), None))
+            self._head_kernel = head_kernel = (kernel, tuple(step[0] for step in steps))
+        return head_kernel
+
+
+def rule_template(shape: RuleShape) -> RuleTemplate:
+    """The template of every rule of ``shape``, compiled on first use.
+
+    Compiles :func:`~repro.model.tgd.rule_from_shape`'s rule, whose
+    local predicate ``i`` gets id ``i``.  Concurrent first uses may
+    both compile; the memo keeps one, and the two are equal anyway.
+    """
+    template = _TEMPLATES.get(shape)
+    if template is not None:
+        return template
+    rule = rule_from_shape(shape)
+    local = {p: i for i, p in enumerate(rule_layout(rule)[1])}
+    order: Dict[int, None] = {}
+
+    def intern(predicate: Predicate) -> int:
+        pid = local[predicate]
+        order.setdefault(pid)
+        return pid
+
+    template = RuleTemplate(rule, intern)
+    template.intern_order = shared(tuple(order))
+    return _TEMPLATES.setdefault(shared(shape), template)
+
+
+class StoreCompiledRule:
+    """One program rule, bound to its shape's :class:`RuleTemplate`.
+
+    Binding maps the template's local predicate ids to the store's
+    (``pids``) and names what the template leaves nameless: the rule's
+    index and ``rule_id``, and the variable names of null labels.  A
+    :data:`CanonicalIds` tuple lays out the body homomorphism's term
+    ids in sorted-variable order; trigger keys are ``(rule index, id
+    tuple)``.  Null labels are parallel (names, ids) tuples whose name
+    components are precomputed per rule and labelling mode, in the
+    sorted order :func:`~repro.model.terms.make_null` would produce —
+    so decoding a store null yields a
+    :class:`~repro.model.terms.Null` *equal* to the legacy engine's.
+    """
+
+    __slots__ = (
+        "tgd",
+        "rule_id",
+        "index",
+        "template",
+        "pids",
+        "frontier_index",
+        "frontier_get",
+        "_var_names",
+        "_names_frontier",
+        "_existentials",
+        "_head_builders",
+        "_head_simple",
+        "_head_single",
+        "_head_kernel",
+        "head_only",
+        "head_single_fresh",
+    )
+
+    def __init__(self, tgd: TGD, store: FactStore, index: int) -> None:
+        shape, predicates, variables = rule_layout(tgd)
+        template = rule_template(shape)
+        self.tgd = tgd
+        self.rule_id = tgd.rule_id
+        self.index = index
+        self.template = template
+        pids = [0] * len(predicates)
+        for local in template.intern_order:
+            pids[local] = store.intern_predicate(predicates[local])
+        #: The store's id of each local predicate of the template.
+        self.pids: Tuple[int, ...] = tuple(pids)
+        self.frontier_index = template.frontier_index
+        self.frontier_get = template.frontier_get
+        # Null label name tuples per labelling mode, pre-sorted the way
+        # make_null sorts binding items.
+        self._var_names = tuple(variables[r].name for r in template.canonical_ranks)
+        self._names_frontier = tuple(self._var_names[i] for i in template.frontier_index)
+        self._existentials = tuple(variables[r].name for r in template.existential_ranks)
+        self._head_builders = tuple(
+            (pids[pid], getter) for pid, getter in template.head_builders
+        )
+        # Rules without existentials keep canonical-only builders and
+        # skip null labelling entirely.
         self._head_simple = self._head_builders if not self._existentials else None
         # The dominant rule shape — one head atom, no existentials — as
         # a bare (pid, getter) pair: the columnar driver inlines its
@@ -519,44 +718,23 @@ class StoreCompiledRule:
         # fact without list machinery.
         self.head_single_fresh = (
             self._head_builders[0]
-            if len(tgd.head) == 1 and self._existentials
+            if len(self._head_builders) == 1 and self._existentials
             else None
         )
-
-        # Null label name tuples per labelling mode, pre-sorted the way
-        # make_null sorts binding items.
-        self._names_frontier = tuple(self._var_names[i] for i in self.frontier_index)
-        self._names_full = self._var_names
-
-        # Head-satisfaction join (restricted chase) of a multi-atom
-        # head: built on first use (see :meth:`head_satisfied`).
+        single = template.head_single
+        self._head_single = None if single is None else (pids[single[0]],) + single[1:]
+        # The multi-atom head's witness kernel with the store's pids:
+        # bound on the first head test (see :meth:`head_satisfied`).
         self._head_kernel: Optional[Tuple[Callable, Tuple[int, ...]]] = None
-        # Single-atom heads (the overwhelmingly common shape) shortcut
-        # the plan entirely: satisfaction is one posting-list probe
-        # (plus equality checks when an existential repeats in the atom).
-        self._head_single = None
-        if len(tgd.head) == 1:
-            head_atom = tgd.head[0]
-            bound_template: List[Tuple[int, int]] = []
-            first_of_existential: Dict[str, int] = {}
-            repeat_checks: List[Tuple[int, int]] = []
-            for position, arg in enumerate(head_atom.args):
-                canonical_index = position_of.get(arg)
-                if canonical_index is not None:
-                    bound_template.append((position, canonical_index))
-                else:
-                    seen_at = first_of_existential.get(arg.name)
-                    if seen_at is None:
-                        first_of_existential[arg.name] = position
-                    else:
-                        repeat_checks.append((seen_at, position))
-            self._head_single = (
-                store.intern_predicate(head_atom.predicate),
-                tuple(position for position, _ in bound_template),
-                _tuple_getter(tuple(index for _, index in bound_template)),
-                tuple(bound_template),
-                tuple(repeat_checks),
-            )
+
+    def bind_kernels(self, kernels: Sequence[Callable]) -> List["_KernelEntry"]:
+        """The template's kernels (see :meth:`RuleTemplate.kernels`) as
+        kernel-table entries of this rule, with the store's pids."""
+        pids = self.pids
+        return [
+            (self, pids[pid], kernel, tuple(pids[p] for p in step_pids))
+            for kernel, (pid, step_pids) in zip(kernels, self.template.calls)
+        ]
 
     # -- trigger identity ---------------------------------------------------
 
@@ -574,7 +752,7 @@ class StoreCompiledRule:
         if simple is not None:
             return [(pid, getter(canonical)) for pid, getter in simple]
         if full_labels:
-            names, label_ids = self._names_full, canonical
+            names, label_ids = self._var_names, canonical
         else:
             names = self._names_frontier
             label_ids = self.frontier_get(canonical)
@@ -590,7 +768,7 @@ class StoreCompiledRule:
         interning plus one template fill, no intermediate lists.
         """
         if full_labels:
-            names, label_ids = self._names_full, canonical
+            names, label_ids = self._var_names, canonical
         else:
             names = self._names_frontier
             label_ids = self.frontier_get(canonical)
@@ -642,14 +820,11 @@ class StoreCompiledRule:
             return False
         head_kernel = self._head_kernel
         if head_kernel is None:
-            # The witness kernel of the head plan, with the frontier
-            # seeded from the canonical tuple, and the head's predicate
-            # ids.  Built on the first test, so only restricted runs
-            # compile it; kernel and ids publish in one assignment, so
-            # concurrent runs never see half of it.
-            plan, seed = head_join_plan(self.tgd, store, self.sorted_variables)
-            kernel, _ = _kernel(_kernel_shape((seed, ()), plan.steps, (), None))
-            self._head_kernel = head_kernel = (kernel, tuple(step[0] for step in plan.steps))
+            # Kernel and ids publish in one assignment, so concurrent
+            # runs never see half of it.
+            kernel, step_pids = self.template.head_kernel()
+            pids = self.pids
+            self._head_kernel = head_kernel = (kernel, tuple(pids[p] for p in step_pids))
         kernel, pids = head_kernel
         return kernel(store, canonical, pids)
 
@@ -665,21 +840,6 @@ class StoreCompiledRule:
             ),
         )
 
-def head_join_plan(
-    tgd: TGD, store: FactStore, sorted_variables: Sequence[Variable]
-) -> Tuple[StoreBodyPlan, _Template]:
-    """The restricted chase's head join: the head planned with the
-    frontier bound, and the seed ``(canonical index, slot)`` pairs that
-    fill the frontier slots from a canonical tuple."""
-    frontier = tgd.frontier()
-    plan = StoreBodyPlan(
-        tgd.head, store, bound_first=tuple(sorted(frontier, key=lambda v: v.name))
-    )
-    seed = tuple(
-        (i, plan.slot_of[v]) for i, v in enumerate(sorted_variables) if v in frontier
-    )
-    return plan, seed
-
 
 #: A pending trigger: (rule, canonical ids, applied-memo key).
 PendingTrigger = Tuple[StoreCompiledRule, CanonicalIds, Tuple[int, CanonicalIds]]
@@ -690,41 +850,22 @@ _KernelEntry = Tuple[StoreCompiledRule, int, Callable, Tuple[int, ...]]
 
 
 class _KernelTable:
-    """One key mode's kernels: per rule (round one) and per delta entry,
-    with the seconds this table's memo misses spent compiling, per rule."""
+    """One key mode's kernels bound to a pipeline's predicate ids: per
+    rule (round one) and per delta entry, with the seconds each rule
+    spent building its template's kernels."""
 
     __slots__ = ("initial", "delta", "compile_seconds")
 
     def __init__(self, pipeline: "StoreTriggerPipeline", frontier_key: bool) -> None:
-        self.compile_seconds = [0.0] * len(pipeline.rules)
+        self.compile_seconds: List[float] = []
         self.initial: List[_KernelEntry] = []
-        for rule in pipeline.rules:
-            # Round one enumerates the first planned atom's rows and
-            # joins the rest of the body around each of them.
-            (pid, _, binds, checks), *rest = rule.body_plan.steps
-            shape = _kernel_shape(
-                (binds, checks), rest, rule.body_perm, (rule.frontier_index, False, frontier_key)
-            )
-            self.initial.append(self._entry(rule, pid, shape, rest))
         self.delta: List[_KernelEntry] = []
-        for rule, index, pid in pipeline.delta_entries:
-            delta = rule.delta_plans[index]
-            # Only multi-atom bodies can reach one canonical twice (from
-            # two forced facts, or two entries of the rule).
-            dedup = len(rule.delta_plans) > 1
-            shape = _kernel_shape(
-                (delta.binds, delta.checks),
-                delta.plan.steps,
-                delta.perm,
-                (rule.frontier_index, dedup, frontier_key),
-            )
-            self.delta.append(self._entry(rule, pid, shape, delta.plan.steps))
-
-    def _entry(self, rule: StoreCompiledRule, pid: int, shape: tuple,
-               steps: Sequence[_StoreStep]) -> _KernelEntry:
-        kernel, seconds = _kernel(shape)
-        self.compile_seconds[rule.index] += seconds
-        return (rule, pid, kernel, tuple(step[0] for step in steps))
+        for rule in pipeline.rules:
+            kernels, seconds = rule.template.kernels(frontier_key)
+            self.compile_seconds.append(seconds)
+            initial, *delta = rule.bind_kernels(kernels)
+            self.initial.append(initial)
+            self.delta.extend(delta)
 
 
 class StoreTriggerPipeline:
@@ -741,8 +882,8 @@ class StoreTriggerPipeline:
 
     def __init__(self, tgds: TGDSet, store: FactStore) -> None:
         self.rules: List[StoreCompiledRule] = []
-        #: Per-rule plan-compile wall seconds, rule-indexed (one clock
-        #: pair per rule per compile; the profiler reports them).
+        #: Per-rule bind wall seconds (template build included on a
+        #: template-memo miss), rule-indexed; the profiler reports them.
         self.compile_seconds: List[float] = []
         for index, t in enumerate(tgds):
             compile_start = perf_counter()
@@ -751,9 +892,9 @@ class StoreTriggerPipeline:
         #: Delta routing: one (rule, body index, body pid) entry per
         #: body atom, rule-major.
         self.delta_entries: List[Tuple[StoreCompiledRule, int, int]] = [
-            (rule, index, plan.pid)
+            (rule, index, rule.pids[delta[0]])
             for rule in self.rules
-            for index, plan in enumerate(rule.delta_plans)
+            for index, delta in enumerate(rule.template.delta)
         ]
         self._tables: Dict[bool, _KernelTable] = {}
 
@@ -829,10 +970,11 @@ def compiled_pipeline(
 
     The pipeline lives in the program's memo under the vector of ids
     ``store`` assigns to ``sch(Σ)`` (interning any missing predicate),
-    the only store-dependent input of a compiled plan.  A call reports
-    the plan-compile seconds if it built the pipeline plus the seconds
-    its kernel-memo misses spent compiling; a call that hits both
-    memos reports zeros.
+    the only store-dependent input of a compiled plan.  A call that
+    built the pipeline reports its binding seconds (plus any rule
+    template it built) and the seconds spent building any template's
+    kernels for the key mode; a call that hits the pipeline memo
+    reports zeros.
     """
     pids = tuple(store.intern_predicate(p) for p in tgds.predicates_in_order())
     built: List[StoreTriggerPipeline] = []
@@ -852,6 +994,19 @@ def compiled_pipeline(
     return pipeline, seconds
 
 
+def compile_memo_sizes() -> Dict[str, int]:
+    """Entry counts of the process-wide memos of compiled Σ-side work.
+
+    None of them evicts: a long-running daemon keeps one entry per
+    distinct join shape, rule shape and labelling key it has seen.
+    """
+    return {
+        "kernels": len(_KERNELS),
+        "rule_templates": len(_TEMPLATES),
+        "canonical_labels": len(serialization._LABELS),
+    }
+
+
 # -- the interpretive oracle ---------------------------------------------------
 
 
@@ -862,7 +1017,7 @@ def oracle_pending(
     uses_frontier: bool,
 ) -> List[PendingTrigger]:
     """The pending list a pass must return, enumerated interpretively
-    through :meth:`StoreBodyPlan.iter_ids` (round one when ``marks`` is
+    through :func:`iter_ids` (round one when ``marks`` is
     ``None``, else the delta past ``marks``).
 
     The kernels' specification: the property suite requires
@@ -877,23 +1032,29 @@ def oracle_pending(
         key = rule.frontier_get(canonical) if uses_frontier else canonical
         return (rule, canonical, (rule.index, key))
 
+    def bound_steps(rule: StoreCompiledRule, steps: Sequence[_StoreStep]):
+        return tuple((rule.pids[step[0]],) + step[1:] for step in steps)
+
     if marks is None:
         for rule in pipeline.rules:
-            for slots in rule.body_plan.iter_ids(store):
-                pending.append(keyed(rule, slots, rule.body_perm))
+            template = rule.template
+            slots = [_UNSET_ID] * template.body_slots
+            for bound in iter_ids(store, bound_steps(rule, template.body_steps), slots):
+                pending.append(keyed(rule, bound, template.body_perm))
         return pending
     seen: Set[Tuple[int, CanonicalIds]] = set()
     for rule, index, pid in pipeline.delta_entries:
-        delta = rule.delta_plans[index]
-        dedup = len(rule.delta_plans) > 1
+        _, steps, slot_count, perm, binds, checks = rule.template.delta[index]
+        steps = bound_steps(rule, steps)
+        dedup = len(rule.template.delta) > 1
         for forced in store.rows_since(pid, marks[pid]):
-            slots = [_UNSET_ID] * len(delta.plan.variables)
-            for position, slot in delta.binds:
+            slots = [_UNSET_ID] * slot_count
+            for position, slot in binds:
                 slots[slot] = forced[position]
-            if any(slots[slot] != forced[position] for position, slot in delta.checks):
+            if any(slots[slot] != forced[position] for position, slot in checks):
                 continue
-            for bound in delta.plan.iter_ids(store, slots):
-                entry = keyed(rule, bound, delta.perm)
+            for bound in iter_ids(store, steps, slots):
+                entry = keyed(rule, bound, perm)
                 if dedup:
                     if (rule.index, entry[1]) in seen:
                         continue
@@ -906,10 +1067,11 @@ def oracle_head_satisfied(
     rule: StoreCompiledRule, store: FactStore, canonical: CanonicalIds
 ) -> bool:
     """:meth:`StoreCompiledRule.head_satisfied`'s verdict, decided by an
-    interpretive head join over :meth:`StoreBodyPlan.iter_ids` (for any
-    head, single-atom ones included).  Not a production path."""
-    plan, seed = head_join_plan(rule.tgd, store, rule.sorted_variables)
-    slots = [_UNSET_ID] * len(plan.variables)
+    interpretive head join (:func:`iter_ids`) planned directly on the
+    rule against ``store`` (for any head, single-atom ones included).
+    Not a production path."""
+    plan, seed = head_join_plan(rule.tgd, store.intern_predicate)
+    slots = [_UNSET_ID] * len(plan.slot_of)
     for i, slot in seed:
         slots[slot] = canonical[i]
-    return any(True for _ in plan.iter_ids(store, slots))
+    return any(True for _ in iter_ids(store, plan.steps, slots))

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 from repro.model.atoms import Atom
 from repro.model.instance import Database, Instance
 from repro.model.terms import Constant, Null, Variable
-from repro.model.tgd import TGD, TGDSet
+from repro.model.tgd import TGD, TGDSet, rule_from_shape, rule_layout, shared
 
 
 def term_to_text(term) -> str:
@@ -167,6 +167,46 @@ def _render_canonical_atom(a: Atom, labels: Dict[object, int], prefix: str) -> s
     return f"{a.predicate.name}({', '.join(parts)})"
 
 
+#: Canonical variable labels of every rule seen, shared by all programs:
+#: (rule shape, name rank of each local predicate) -> label per
+#: variable rank.  Keys hold ints only, so the memo is bounded by the
+#: number of distinct rule shapes and predicate-name orders.
+_LABELS: Dict[tuple, Tuple[int, ...]] = {}
+
+
+def _direct_labels(tgd: TGD) -> Dict[object, int]:
+    """The rule's canonical variable labels, computed from the rule."""
+    tagged = [("B", a) for a in tgd.body] + [("H", a) for a in tgd.head]
+    return _canonical_labels(tagged, tgd.body_variables() | tgd.head_variables())
+
+
+def _rule_labels(tgd: TGD) -> Dict[object, int]:
+    """:func:`_direct_labels`, memoised by rule shape.
+
+    :func:`_canonical_labels` looks at a rule's structure and compares
+    predicate names only with each other, so the rule's shape plus the
+    order of its predicate names determine the labels.  A miss labels
+    :func:`~repro.model.tgd.rule_from_shape`'s rule, whose predicate
+    names keep that order.
+    """
+    shape, predicates, variables = rule_layout(tgd)
+    name_rank = {name: r for r, name in enumerate(sorted({p.name for p in predicates}))}
+    key = (shape, tuple(name_rank[p.name] for p in predicates))
+    labels = _LABELS.get(key)
+    if labels is None:
+        rule = rule_from_shape(*key)
+        direct = _direct_labels(rule)
+        labels = shared(tuple(direct[v] for v in rule_layout(rule)[2]))
+        labels = _LABELS.setdefault(shared(key), labels)
+    return dict(zip(variables, labels))
+
+
+def _render_tgd(tgd: TGD, labels: Dict[object, int]) -> str:
+    body = sorted(_render_canonical_atom(a, labels, "v") for a in tgd.body)
+    head = sorted(_render_canonical_atom(a, labels, "v") for a in tgd.head)
+    return f"{', '.join(body)} -> {', '.join(head)}"
+
+
 def canonical_tgd_text(tgd: TGD) -> str:
     """A renaming- and atom-order-invariant rendering of a TGD.
 
@@ -174,11 +214,7 @@ def canonical_tgd_text(tgd: TGD) -> str:
     same logical content fingerprint equal.  The output is for hashing
     and display, not for re-parsing.
     """
-    tagged = [("B", a) for a in tgd.body] + [("H", a) for a in tgd.head]
-    labels = _canonical_labels(tagged, tgd.body_variables() | tgd.head_variables())
-    body = sorted(_render_canonical_atom(a, labels, "v") for a in tgd.body)
-    head = sorted(_render_canonical_atom(a, labels, "v") for a in tgd.head)
-    return f"{', '.join(body)} -> {', '.join(head)}"
+    return _render_tgd(tgd, _rule_labels(tgd))
 
 
 def canonical_program_text(program: TGDSet) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -151,6 +152,94 @@ class TGD:
             head=tuple(a.substitute(mapping) for a in self.head),
             rule_id=self.rule_id,
         )
+
+
+#: A rule's structure without its names (see :func:`rule_shape`).
+RuleShape = Tuple[Tuple[Tuple[int, int, Tuple[int, ...]], ...], ...]
+
+
+def rule_layout(tgd: TGD) -> Tuple[RuleShape, Tuple[Predicate, ...], Tuple[Variable, ...]]:
+    """``(rule_shape(tgd), predicates, variables)``.
+
+    ``predicates`` lists the rule's predicates by local index (first
+    occurrence, body then head) and ``variables`` lists its variables
+    by rank (sorted by name): together they give the names back to a
+    shape.
+    """
+    variables = tuple(
+        sorted({v for a in tgd.body + tgd.head for v in a.args}, key=attrgetter("name"))
+    )
+    rank = dict(zip(variables, range(len(variables)))).__getitem__
+    local: Dict[Predicate, int] = {}
+
+    def encode(atoms: Tuple[Atom, ...]) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
+        return tuple([
+            (local.setdefault(a.predicate, len(local)), a.predicate.arity, tuple(map(rank, a.args)))
+            for a in atoms
+        ])
+
+    shape = (encode(tgd.body), encode(tgd.head))
+    return shape, tuple(local), variables
+
+
+def rule_shape(tgd: TGD) -> RuleShape:
+    """The rule's structure with every name replaced by an int.
+
+    ``(body, head)``, each a tuple of ``(local predicate index, arity,
+    variable ranks)`` per atom in order.  A variable's rank is its
+    position among the rule's variables sorted by name; local predicate
+    indexes number predicates by first occurrence, body then head.  Two
+    rules with equal shapes differ only in names that keep the order of
+    their variables, so they compile to the same plan: the compiled
+    store layout follows the name-sorted variable order.
+    """
+    return rule_layout(tgd)[0]
+
+
+#: One instance of each int tuple held by the process-wide memos keyed
+#: by rule shape (see :func:`shared`).
+_SHARED: Dict[tuple, tuple] = {}
+
+
+def shared(value: _T) -> _T:
+    """``value`` (ints and tuples of them) with every tuple replaced by
+    its one shared instance.
+
+    Memo entries of different rule shapes repeat most of their small
+    tuples (atoms, position/slot pairs, permutations); sharing them
+    keeps a memo's size close to what its distinct tuples need.
+    """
+    if type(value) is not tuple:
+        return value
+    value = tuple(shared(item) for item in value)
+    return _SHARED.setdefault(value, value)
+
+
+def rule_from_shape(shape: RuleShape, name_ranks: Optional[Sequence[int]] = None) -> TGD:
+    """A rule whose :func:`rule_shape` is ``shape``.
+
+    The variable of rank ``r`` is named ``v<r>`` and local predicate
+    ``i`` is named ``p<name_ranks[i]>`` (``p<i>`` by default), both
+    zero-padded, so that names sort as their numbers do.  Predicates
+    sharing a name rank differ in arity.
+    """
+    atoms = shape[0] + shape[1]
+    ranks = [r for _, _, args in atoms for r in args]
+    if name_ranks is None:
+        name_ranks = range(1 + max(pid for pid, _, _ in atoms))
+    var_width = len(str(max(ranks, default=0)))
+    pred_width = len(str(max(name_ranks)))
+
+    def decode(encoded: Tuple[Tuple[int, int, Tuple[int, ...]], ...]) -> Tuple[Atom, ...]:
+        return tuple(
+            Atom(
+                Predicate(f"p{name_ranks[pid]:0{pred_width}d}", arity),
+                tuple(Variable(f"v{r:0{var_width}d}") for r in args),
+            )
+            for pid, arity, args in encoded
+        )
+
+    return TGD(body=decode(shape[0]), head=decode(shape[1]), rule_id="shape")
 
 
 class TGDSet:

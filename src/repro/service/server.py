@@ -39,6 +39,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.chase.store_plan import compile_memo_sizes
 from repro.core.termination_analysis import DIVERGING, TerminationAnalyzer
 from repro.obs.conformance import record_conformance
 from repro.obs.metrics import (
@@ -426,6 +427,7 @@ class ChaseService:
             "cache_hit_rate": hit_rate,
             "registry": self.registry.counts(),
             "ttl_seconds": self.registry.ttl_seconds,
+            "compile_memos": compile_memo_sizes(),
         }
         if self.admission_analysis:
             document["admission_analysis"] = {

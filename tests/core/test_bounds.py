@@ -14,7 +14,7 @@ from repro.core.bounds import (
     sl_lower_bound_value,
 )
 from repro.core.classify import TGDClass
-from repro.generators.families import sl_lower_bound
+from repro.generators.families import guarded_lower_bound, sl_lower_bound
 
 
 class TestDepthBound:
@@ -32,6 +32,16 @@ class TestDepthBound:
         program = parse_program("R(x, y), P(x) -> exists z . R(y, z)")
         # |sch| = 2, ar = 2  ->  d_G = 2 * 2^5 * 2^(2*4) = 2 * 32 * 256.
         assert depth_bound(program, TGDClass.GUARDED) == 2 * 32 * 256
+
+    def test_guarded_formula_on_the_guarded_family(self):
+        _, tgds = guarded_lower_bound(1, 1, 1)
+        schema_size, arity = len(tgds.schema()), tgds.arity()
+        assert (schema_size, arity) == (16, 6)
+        expected = (
+            schema_size * arity ** (2 * arity + 1) * 2 ** (schema_size * arity**arity)
+        )
+        assert depth_bound(tgds, TGDClass.GUARDED) == expected
+        assert expected.bit_length() == 746_534
 
     def test_bounds_are_monotone_across_classes(self):
         program = parse_program("R(x, y) -> exists z . S(y, z)")

@@ -1,9 +1,9 @@
 """Generated join kernels against the interpretive oracle.
 
 The chase enumerates through kernels generated per join shape
-(``chase/store_plan.py``).  :meth:`StoreBodyPlan.iter_ids` — the
-backtracking enumerator the kernels are generated from — is their
-specification.  These tests pin, on random SL/L/G and full programs,
+(``chase/store_plan.py``).  ``iter_ids`` — the backtracking
+enumerator over the templates the kernels are generated from — is
+their specification.  These tests pin, on random SL/L/G and full programs,
 the pipeline families and ``restricted_heavy``, for all three variants
 on fresh, ``resume_from`` and checkpoint-restarted runs:
 
@@ -15,7 +15,8 @@ on fresh, ``resume_from`` and checkpoint-restarted runs:
     ``posting_memory``) and reaches the same summary.
 
 They also pin the kernel memo's hygiene: racing threads, memo keys,
-pickling and compile-second accounting.
+pickling and compile-second accounting; and that every rule bound from
+its shape's template equals a direct compile of the rule.
 """
 
 import pickle
@@ -28,11 +29,13 @@ import repro.chase.store_plan as store_plan
 from repro.chase import VARIANT_RUNNERS
 from repro.chase.engine import ChaseBudget, EngineCheckpoint
 from repro.chase.store_plan import (
+    RuleTemplate,
     StoreCompiledRule,
     StoreTriggerPipeline,
     compiled_pipeline,
     oracle_head_satisfied,
     oracle_pending,
+    rule_template,
 )
 from repro.generators.families import (
     example_7_1,
@@ -52,9 +55,13 @@ from repro.generators.random_programs import (
 from repro.generators.workloads import restricted_heavy
 from repro.model.instance import Database
 from repro.model.parser import parse_database, parse_program
-from repro.model.serialization import atom_to_text, canonical_instance_text
+from repro.model import serialization
+from repro.model import tgd as tgd_module
+from repro.model.atoms import Atom, Predicate
+from repro.model.serialization import atom_to_text, canonical_instance_text, canonical_program_text
 from repro.model.store import FactStore
-from repro.model.tgd import TGDSet
+from repro.model.terms import Variable
+from repro.model.tgd import TGD, TGDSet, rule_shape
 from repro.obs.observer import RunObserver
 from repro.obs.profile import RuleProfiler
 
@@ -293,9 +300,11 @@ def test_kernels_build_the_oracles_posting_columns(name, variant, oracle_driven)
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """An empty kernel memo for the test, the shared one restored after."""
+    """Empty kernel and rule-template memos for the test, the shared
+    ones restored after (a warm template holds its kernels)."""
     memo = {}
     monkeypatch.setattr(store_plan, "_KERNELS", memo)
+    monkeypatch.setattr(store_plan, "_TEMPLATES", {})
     return memo
 
 
@@ -335,6 +344,7 @@ def test_threads_racing_cold_shapes_get_the_serial_pending_lists(cold_memo):
     cases = [case(name) for name in names]
     expected = [_passes(database, _copy(tgds)) for database, tgds in cases]
     cold_memo.clear()
+    store_plan._TEMPLATES.clear()
     results, errors = {}, []
 
     def work(worker):
@@ -377,6 +387,7 @@ def test_two_databases_over_one_program_add_no_memo_key(name):
 def test_memo_keys_hold_only_plan_template_ints():
     for name in sorted(CASES):
         database, tgds = case(name)
+        canonical_program_text(tgds)
         for variant in VARIANTS:
             _run(variant, database, tgds)
 
@@ -385,8 +396,11 @@ def test_memo_keys_hold_only_plan_template_ints():
             return all(ints_only(item) for item in value)
         return value is None or type(value) in (int, bool)
 
-    assert store_plan._KERNELS
-    assert all(ints_only(key) for key in store_plan._KERNELS)
+    memos = (store_plan._KERNELS, store_plan._TEMPLATES, store_plan._GETTERS,
+             serialization._LABELS, tgd_module._SHARED)
+    for memo in memos:
+        assert memo
+        assert all(ints_only(key) for key in memo)
 
 
 def test_head_kernels_compile_for_restricted_runs_only(cold_memo):
@@ -443,3 +457,146 @@ def test_profiler_attribution_stays_within_driver_time(memo, cold_memo):
     assert (kernel_seconds > 0.0) is (memo == "miss")
     assert sum(profiler.compile_seconds) >= kernel_seconds
     assert profiler.attributed_seconds() <= profiler.driver_seconds
+
+
+# -- rule templates -----------------------------------------------------------------
+
+
+TEMPLATE_CASES = sorted(CASES) + [
+    f"{kind}-{seed}" for kind in ("sl", "l", "g", "full") for seed in range(5, 15)
+]
+
+
+def template_case(name):
+    if name in CASES:
+        return case(name)
+    kind, seed = name.rsplit("-", 1)
+    return _random_case(kind, int(seed))
+
+
+def _calls(template, pids, frontier_key):
+    """A template's kernel calls for a key mode, in the store's pids."""
+    kernels, _ = template.kernels(frontier_key)
+    return [(pids[pid], kernel, tuple(pids[p] for p in step_pids))
+            for kernel, (pid, step_pids) in zip(kernels, template.calls)]
+
+
+def _view(template, pids, probe):
+    """A template's plan, kernel calls and head probes in the store's
+    pids; getters are compared by what they read from ``probe``."""
+    def steps(plan_steps):
+        return tuple((pids[step[0]],) + step[1:] for step in plan_steps)
+
+    single = template.head_single
+    if single is not None:
+        pid, signature, value_get, bound, repeats = single
+        single = (pids[pid], signature, value_get(probe), bound, repeats)
+    head_join = template.head_join
+    if head_join is not None:
+        head_join = (steps(head_join[0]), head_join[1])
+    return {
+        "body": (steps(template.body_steps), template.body_slots, template.body_perm),
+        "delta": [(pids[d[0]], steps(d[1])) + d[2:] for d in template.delta],
+        "frontier": (template.frontier_index, template.frontier_get(probe)),
+        "ranks": (template.canonical_ranks, template.existential_ranks),
+        "head_template": tuple((pids[pid], specs) for pid, specs in template.head_template),
+        "head_builders": [(pids[pid], getter(probe)) for pid, getter in template.head_builders],
+        "head_single": single,
+        "head_join": head_join,
+        "kernels": (_calls(template, pids, True), _calls(template, pids, False)),
+    }
+
+
+@pytest.mark.parametrize("name", TEMPLATE_CASES)
+def test_bound_rules_equal_a_direct_compile(name):
+    """Every rule bound from its shape's template equals the rule
+    compiled directly against the same store: plans, head probes,
+    null-label names and the pipeline's kernel tables."""
+    database, tgds = template_case(name)
+    store = _seeded_store(database, tgds)
+    pipeline = StoreTriggerPipeline(tgds, store)
+    identity = range(len(store.row_marks()))
+    directs = []
+    for rule in pipeline.rules:
+        tgd = rule.tgd
+        direct = RuleTemplate(tgd, store.intern_predicate)
+        directs.append(direct)
+        probe = tuple(range(100, 100 + len(direct.canonical_ranks) + len(direct.existential_ranks)))
+        assert _view(rule.template, rule.pids, probe) == _view(direct, identity, probe), tgd
+        names = sorted(v.name for v in tgd.body_variables())
+        frontier = {v.name for v in tgd.frontier()}
+        assert rule._var_names == tuple(names)
+        assert rule._names_frontier == tuple(n for n in names if n in frontier)
+        assert rule._existentials == tuple(sorted(v.name for v in tgd.existential_variables()))
+        assert [(pid, g(probe)) for pid, g in rule._head_builders] == [
+            (pid, g(probe)) for pid, g in direct.head_builders
+        ]
+        if direct.head_single is not None:
+            assert rule._head_single[0] == direct.head_single[0]
+    for frontier_key in (True, False):
+        table, _ = pipeline.kernels(frontier_key)
+        initial, delta = [], []
+        for rule, direct in zip(pipeline.rules, directs):
+            first, *rest = _calls(direct, identity, frontier_key)
+            initial.append((rule, *first))
+            delta.extend((rule, *call) for call in rest)
+        assert table.initial == initial
+        assert table.delta == delta
+
+
+@pytest.mark.parametrize("name", TEMPLATE_CASES)
+def test_binding_interns_predicates_as_a_direct_compile(name):
+    """A store that has not seen the program's predicates (or only the
+    database's) assigns them the ids a direct compile of the rules, in
+    order, would: the join order, not the rule's text, decides which
+    predicate a compile meets first."""
+    database, tgds = template_case(name)
+
+    def predicates(store):
+        return [store.predicate_of(pid) for pid in range(len(store.row_marks()))]
+
+    for facts in ((), database):
+        bound, direct = FactStore(), FactStore()
+        for store in (bound, direct):
+            for atom in facts:
+                store.add_atom(atom)
+        StoreTriggerPipeline(tgds, bound)
+        for tgd in tgds:
+            RuleTemplate(tgd, direct.intern_predicate)
+        assert predicates(bound) == predicates(direct)
+
+
+def _renamed(tgd: TGD, variable_name, predicate_name) -> TGD:
+    def move(a):
+        return Atom(
+            Predicate(predicate_name(a.predicate.name), a.predicate.arity),
+            tuple(Variable(variable_name(v.name)) for v in a.args),
+        )
+
+    return TGD(tuple(move(a) for a in tgd.body), tuple(move(a) for a in tgd.head), "renamed")
+
+
+@pytest.mark.parametrize("name", TEMPLATE_CASES)
+def test_renamed_rules_share_a_template(name):
+    """Renaming variables in name order and predicates in any way keeps
+    the template; reversing the name order of the variables changes the
+    layout, so the rule gets a template of its own."""
+    _, tgds = template_case(name)
+    for tgd in tgds:
+        template = rule_template(rule_shape(tgd))
+        renamed = _renamed(tgd, lambda n: f"w_{n}", lambda n: f"Q_{n[::-1]}")
+        assert rule_template(rule_shape(renamed)) is template
+        variables = sorted(v.name for v in tgd.body_variables() | tgd.head_variables())
+        reverse = dict(zip(variables, reversed(variables)))
+        mirrored = _renamed(tgd, reverse.__getitem__, lambda n: n)
+        if rule_shape(mirrored) != rule_shape(tgd):
+            assert rule_template(rule_shape(mirrored)) is not template
+
+
+def test_variable_order_decides_the_template():
+    first = parse_program("R(x, y) -> S(y, x)")[0]
+    second = parse_program("R(y, x) -> S(x, y)")[0]
+    assert rule_shape(first) != rule_shape(second)
+    assert rule_template(rule_shape(first)) is not rule_template(rule_shape(second))
+    renamed = parse_program("P(a, b) -> Q(b, a)")[0]
+    assert rule_template(rule_shape(renamed)) is rule_template(rule_shape(first))

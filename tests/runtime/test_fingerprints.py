@@ -177,3 +177,86 @@ class TestNullRenamingInvariance:
         r2 = semi_oblivious_chase(database, copy, record_derivation=False)
         assert r1.terminated and r2.terminated
         assert canonical_instance_text(r1.instance) == canonical_instance_text(r2.instance)
+
+
+class TestFingerprintsCannotDrift:
+    """Canonical labels are memoised by rule shape and predicate-name
+    order (``serialization._LABELS``); the text must not move."""
+
+    #: sha256 over the sorted program fingerprints of the 1,320 distinct
+    #: programs in ``mixed_workload_jobs(4500, 11)``, computed with the
+    #: direct (unmemoised) labelling.
+    POOL_DIGEST = "73428c6a35844a828deb304c167b4ed3c469ead13da979ec346046a1bb1a7d41"
+
+    def test_mixed_pool_digest(self):
+        from hashlib import sha256
+
+        from repro.generators.workloads import mixed_workload_jobs
+
+        jobs = mixed_workload_jobs(4500, 11)
+        fingerprints = sorted({program_fingerprint(job.program) for job in jobs})
+        assert len(fingerprints) == 1320
+        assert sha256("\n".join(fingerprints).encode()).hexdigest() == self.POOL_DIGEST
+
+    SYMMETRIC = [
+        "R(x, y), R(y, x) -> S(x, y)",
+        "R(x, y), R(y, z), R(z, x) -> T(x)",
+        "R(x), R(y) -> S(x, y)",
+        "E(x, y), E(y, x) -> exists z . E(x, z), E(y, z)",
+        "R(x, y), R(x, z) -> exists u, w . S(y, u), S(z, w)",
+        "R(x, x, y), R(y, y, x) -> R(x, y)",
+        "R(x, y), R(x, y, z) -> R(z)",
+    ]
+
+    @staticmethod
+    def _random_rule(rng: random.Random, index: int) -> TGD:
+        """Few names, so predicates share names across arities, and
+        few variables, so atoms repeat them and bodies have ties."""
+        def atom(variables):
+            arity = rng.randint(1, 3)
+            name = rng.choice("RST")
+            return Atom(Predicate(name, arity), tuple(rng.choice(variables) for _ in range(arity)))
+
+        pool = [Variable(f"x{i}") for i in range(rng.randint(1, 4))]
+        body = tuple(atom(pool) for _ in range(rng.randint(1, 4)))
+        used = sorted({v for a in body for v in a.args}, key=lambda v: v.name)
+        head_pool = used + [Variable(f"z{i}") for i in range(rng.randint(0, 2))]
+        head = tuple(atom(head_pool) for _ in range(rng.randint(1, 2)))
+        return TGD(body=body, head=head, rule_id=f"rand{index}")
+
+    @staticmethod
+    def _renamed(tgd: TGD, rng: random.Random) -> TGD:
+        """Variables renamed in a random order, predicate names permuted."""
+        variables = sorted(tgd.body_variables() | tgd.head_variables(), key=lambda v: v.name)
+        fresh = [Variable(f"q{i}") for i in range(len(variables))]
+        rng.shuffle(fresh)
+        names = sorted({a.predicate.name for a in tgd.atoms()})
+        permuted = list(names)
+        rng.shuffle(permuted)
+        rename = dict(zip(names, permuted))
+        mapping = dict(zip(variables, fresh))
+
+        def move(a: Atom) -> Atom:
+            return Atom(
+                Predicate(rename[a.predicate.name], a.predicate.arity),
+                tuple(mapping[v] for v in a.args),
+            )
+
+        return TGD(tuple(move(a) for a in tgd.body), tuple(move(a) for a in tgd.head), tgd.rule_id)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_memoised_labels_equal_direct_labels(self, seed, monkeypatch):
+        from repro.model import serialization
+
+        memo = {}
+        monkeypatch.setattr(serialization, "_LABELS", memo)
+        rng = random.Random(seed)
+        rules = [parse_program(text)[0] for text in self.SYMMETRIC]
+        rules += [self._random_rule(rng, i) for i in range(150)]
+        checked = 0
+        for tgd in rules:
+            for rule in (tgd, self._renamed(tgd, rng), self._renamed(tgd, rng)):
+                direct = serialization._render_tgd(rule, serialization._direct_labels(rule))
+                assert canonical_tgd_text(rule) == direct, rule
+                checked += 1
+        assert 0 < len(memo) < checked

@@ -53,6 +53,14 @@ class TestHealthAndStats:
         assert stats["scheduler"]["cache"]["stores"] == 1
         assert "by_class" in stats["scheduler"]
 
+    def test_compile_memos_stop_growing_on_a_resubmitted_job(self, client):
+        client.run_job(make_job("memos", job_id="memos-1"), timeout=60.0)
+        memos = client.stats()["compile_memos"]
+        assert set(memos) == {"kernels", "rule_templates", "canonical_labels"}
+        assert all(count > 0 for count in memos.values())
+        client.run_job(make_job("memos", job_id="memos-2"), timeout=60.0)
+        assert client.stats()["compile_memos"] == memos
+
     def test_unknown_routes_404(self, client):
         for method, path in (("GET", "/nope"), ("POST", "/nope")):
             with pytest.raises(ServiceError) as excinfo:
