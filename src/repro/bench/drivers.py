@@ -10,17 +10,14 @@ from __future__ import annotations
 
 import gc
 import json
-import math
-import os
 import platform
 import sys
 import time
 from statistics import median
 from contextlib import contextmanager
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.instance import Database
 from repro.model.tgd import TGDSet
@@ -34,7 +31,7 @@ from repro.core.bounds import (
     linear_lower_bound_value,
     sl_lower_bound_value,
 )
-from repro.core.decision import decide_termination, naive_decision, syntactic_decision, ucq_decision
+from repro.core.decision import decide_termination
 from repro.core.ucq import build_termination_ucq
 from repro.generators.families import (
     guarded_lower_bound,
@@ -830,592 +827,6 @@ def _maybe_append_history(report: Dict[str, object], history_path: Optional[str]
         append_history(report, history_path)
     except OSError as exc:
         print(f"warning: could not append bench history to {history_path}: {exc}")
-
-
-# --------------------------------------------------------------------------
-# E15: batch runtime — pool vs serial, cache replay, auto-budgets
-# --------------------------------------------------------------------------
-
-
-def _checkpoint_resume_measurement(
-    kill_at_round: int = 16,
-    checkpoint_every: int = 4,
-    max_rounds: int = 24,
-) -> Dict[str, object]:
-    """Kill a long linear chase mid-run; measure the checkpointed retry.
-
-    The probe is a single-rule linear chain chased for ``max_rounds``
-    rounds under an explicit budget — long enough that a kill at round
-    ``kill_at_round`` lands well past several checkpoint boundaries.
-    The injected ``worker.round`` kill (serial mode: a transient
-    failure) forces one retry, which must resume from the newest intact
-    checkpoint rather than restart cold.
-    """
-    import shutil
-    import tempfile
-
-    from repro.model.parser import parse_database, parse_program
-    from repro.runtime import BatchExecutor, ChaseJob
-    from repro.runtime.faults import ENV_VAR, FaultPlan, FaultSpec, reset_injector
-
-    def probe() -> ChaseJob:
-        return ChaseJob(
-            program=parse_program("E(x, y) -> exists z . E(y, z)"),
-            database=parse_database("E(a, b)."),
-            job_id="checkpoint-probe",
-            variant="semi-oblivious",
-            budget_mode="explicit",
-            budget=ChaseBudget(max_rounds=max_rounds, max_atoms=10**6),
-        )
-
-    cold_start = time.perf_counter()
-    cold = BatchExecutor(workers=1).run_all([probe()])[0]
-    cold_seconds = time.perf_counter() - cold_start
-    cold_rounds = int(cold.summary["rounds"]) if cold.summary else 0
-    scratch = tempfile.mkdtemp(prefix="repro-bench-ckpt-")
-    plan = FaultPlan(
-        faults=(
-            FaultSpec(
-                point="worker.round",
-                action="kill",
-                at_round=kill_at_round,
-                match="checkpoint-probe",
-            ),
-        ),
-        seed=13,
-        state_dir=os.path.join(scratch, "faults"),
-    )
-    previous = os.environ.get(ENV_VAR)
-    os.environ[ENV_VAR] = plan.to_env()
-    reset_injector()
-    try:
-        executor = BatchExecutor(
-            workers=1,
-            max_retries=1,
-            checkpoint_every_rounds=checkpoint_every,
-            checkpoint_dir=os.path.join(scratch, "ckpt"),
-        )
-        resumed_start = time.perf_counter()
-        resumed = executor.run_all([probe()])[0]
-        resumed_seconds = time.perf_counter() - resumed_start
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = previous
-        reset_injector()
-        shutil.rmtree(scratch, ignore_errors=True)
-    provenance = resumed.as_dict().get("checkpoint") or {}
-    base_rounds = int(provenance.get("base_rounds", 0))
-    resumed_rounds = int(provenance.get("resumed_rounds", 0))
-    return {
-        "kill_at_round": kill_at_round,
-        "checkpoint_every_rounds": checkpoint_every,
-        "cold_rounds": cold_rounds,
-        "cold_seconds": round(cold_seconds, 3),
-        "base_rounds": base_rounds,
-        "resumed_rounds": resumed_rounds,
-        "killed_seconds": round(resumed_seconds, 3),
-        "resumed_from_checkpoint": 0 < base_rounds and resumed_rounds < cold_rounds,
-        "byte_identical": resumed.status == cold.status
-        and resumed.summary_json() == cold.summary_json(),
-    }
-
-
-def runtime_benchmark_rows(
-    job_count: int = 200,
-    workers: int = 4,
-    repeats: int = 1,
-    seed: int = 7,
-) -> Tuple[List[SweepRow], Dict[str, object]]:
-    """Measure the batch runtime on a mixed manifest.
-
-    Four measurements, each its own row:
-
-    1. **serial** — cold, no cache, ``workers=1`` (best of ``repeats``);
-    2. **pool** — cold, no cache, ``workers`` processes;
-    3. **cache** — a cold pass filling a fresh cache, then a replay pass
-       that must hit on every job and return byte-identical summaries;
-    4. **auto-budgets** — over the serial results: auto-budgeted SL/L
-       jobs tagged ``terminating`` must never report
-       ``ATOM_BUDGET_EXCEEDED`` (or any budget outcome — the paper's
-       bounds guarantee termination fits inside them);
-    5. **checkpoint-resume** — a long linear job is killed mid-run by
-       an injected ``worker.round`` fault; the retry must resume from
-       its last round checkpoint (``base_rounds > 0``), re-execute
-       fewer rounds than the cold run, and still produce the cold
-       run's summary bytes.
-
-    Returns the rows plus a machine-readable summary.
-    """
-    from repro.generators.workloads import mixed_workload_jobs
-    from repro.runtime import BatchExecutor, ResultCache
-
-    jobs = mixed_workload_jobs(job_count=job_count, seed=seed)
-
-    def timed_run(executor: BatchExecutor) -> Tuple[float, List]:
-        start = time.perf_counter()
-        results = executor.run_all(jobs)
-        return time.perf_counter() - start, results
-
-    serial_seconds = float("inf")
-    serial_results: List = []
-    for _ in range(max(1, repeats)):
-        elapsed, results = timed_run(BatchExecutor(workers=1))
-        if elapsed < serial_seconds:
-            serial_seconds, serial_results = elapsed, results
-
-    pool_seconds = float("inf")
-    pool_results: List = []
-    for _ in range(max(1, repeats)):
-        elapsed, results = timed_run(BatchExecutor(workers=workers))
-        if elapsed < pool_seconds:
-            pool_seconds, pool_results = elapsed, results
-
-    # Serial and pooled runs of the same job must agree byte for byte.
-    by_id_serial = {r.job_id: r.summary_json() for r in serial_results if r.status == "ok"}
-    by_id_pool = {r.job_id: r.summary_json() for r in pool_results if r.status == "ok"}
-    shared = set(by_id_serial) & set(by_id_pool)
-    pool_deterministic = all(by_id_serial[i] == by_id_pool[i] for i in shared)
-
-    cache = ResultCache()
-    cold_seconds, cold_results = timed_run(BatchExecutor(workers=1, cache=cache))
-    warm_seconds, warm_results = timed_run(BatchExecutor(workers=1, cache=cache))
-    cold_by_id = {r.job_id: r for r in cold_results}
-    cacheable = [r for r in cold_results if r.status == "ok"]
-    warm_hits = [r for r in warm_results if r.cache_hit]
-    cache_identical = all(
-        r.summary_json() == cold_by_id[r.job_id].summary_json() for r in warm_hits
-    )
-    all_cacheable_hit = len(warm_hits) >= len(cacheable)
-    # Per-hit replay latency, separate from the warm pass total: jobs
-    # with non-deterministic outcomes (timeouts) are never cached and
-    # re-run on the warm pass, which would otherwise dominate it.
-    mean_hit_ms = (
-        round(sum(r.wall_seconds for r in warm_hits) / len(warm_hits) * 1000, 3)
-        if warm_hits
-        else None
-    )
-
-    def is_auto_sl_l(result) -> bool:
-        budget = result.budget_provenance
-        return budget["source"] == "paper-bound" and budget["class"] in ("SL", "L")
-
-    auto_terminating = [
-        r
-        for r in serial_results
-        if is_auto_sl_l(r) and "terminating" in r.tags and "nonterminating" not in r.tags
-    ]
-    auto_within_budget = all(
-        r.summary is not None and r.summary["outcome"] == "terminated"
-        for r in auto_terminating
-    )
-    outcome_histogram = Counter(
-        r.summary["outcome"] if r.summary else r.status for r in serial_results
-    )
-
-    checkpoint_summary = _checkpoint_resume_measurement()
-
-    cpu_count = os.cpu_count() or 1
-    speedup = round(serial_seconds / max(pool_seconds, 1e-9), 2)
-    rows = [
-        SweepRow(
-            label="runtime-serial",
-            parameters={"jobs": len(jobs), "workers": 1},
-            measured={"seconds": round(serial_seconds, 3),
-                      "jobs_per_s": round(len(jobs) / max(serial_seconds, 1e-9), 1)},
-        ),
-        SweepRow(
-            label="runtime-pool",
-            parameters={"jobs": len(jobs), "workers": workers},
-            measured={
-                "seconds": round(pool_seconds, 3),
-                "jobs_per_s": round(len(jobs) / max(pool_seconds, 1e-9), 1),
-                "speedup": speedup,
-                "deterministic": pool_deterministic,
-            },
-        ),
-        SweepRow(
-            label="runtime-cache",
-            parameters={"jobs": len(jobs), "workers": 1},
-            measured={
-                "cold_seconds": round(cold_seconds, 3),
-                "warm_seconds": round(warm_seconds, 3),
-                "hits": len(warm_hits),
-                "mean_hit_ms": mean_hit_ms,
-                "replay_speedup": round(cold_seconds / max(warm_seconds, 1e-9), 1),
-                "byte_identical": cache_identical,
-            },
-        ),
-        SweepRow(
-            label="runtime-auto-budget",
-            parameters={"jobs": len(auto_terminating)},
-            measured={
-                "auto_sl_l_terminating": len(auto_terminating),
-                "all_within_budget": auto_within_budget,
-            },
-        ),
-        SweepRow(
-            label="runtime-checkpoint-resume",
-            parameters={
-                "kill_at_round": checkpoint_summary["kill_at_round"],
-                "checkpoint_every_rounds": checkpoint_summary["checkpoint_every_rounds"],
-            },
-            measured={
-                key: checkpoint_summary[key]
-                for key in (
-                    "cold_rounds", "base_rounds", "resumed_rounds",
-                    "resumed_from_checkpoint", "byte_identical",
-                )
-            },
-        ),
-    ]
-    summary = {
-        "job_count": len(jobs),
-        "workers": workers,
-        "cpu_count": cpu_count,
-        "serial_seconds": round(serial_seconds, 3),
-        "pool_seconds": round(pool_seconds, 3),
-        "pool_speedup": speedup,
-        "pool_deterministic": pool_deterministic,
-        "speedup_target_met": pool_speedup_target_met(speedup, cpu_count, workers),
-        "cache_warm_seconds": round(warm_seconds, 3),
-        "cache_mean_hit_ms": mean_hit_ms,
-        "cache_hits_byte_identical": cache_identical,
-        "all_cacheable_jobs_hit": all_cacheable_hit,
-        "auto_budgeted_sl_l_within_budget": auto_within_budget,
-        "checkpoint_resume": checkpoint_summary,
-        "outcomes": dict(sorted(outcome_histogram.items())),
-    }
-    return rows, summary
-
-
-def pool_speedup_target_met(speedup: float, cpu_count: int, workers: int) -> Optional[bool]:
-    """Whether the pool met the 2.5x-over-serial target (E15).
-
-    ``None`` when the target cannot be evaluated: with fewer cores than
-    workers a process pool cannot physically reach it.
-    """
-    return None if cpu_count < workers else speedup >= 2.5
-
-
-def write_runtime_report(
-    path: str = "BENCH_runtime.json",
-    rows: Optional[Sequence[SweepRow]] = None,
-    summary: Optional[Dict[str, object]] = None,
-    job_count: int = 200,
-    workers: int = 4,
-    repeats: int = 1,
-    seed: int = 7,
-    history_path: Optional[str] = None,
-) -> Dict[str, object]:
-    """Run the runtime benchmark and write ``BENCH_runtime.json``.
-
-    The PR-facing artefact backing the batch-runtime claims: pool
-    speedup over serial (``speedup_target_met`` is ``None`` on machines
-    with fewer cores than workers, where a process pool cannot
-    physically win — see :func:`pool_speedup_target_met`),
-    byte-identical cache replay, and paper-derived auto-budgets
-    never cutting off terminating SL/L jobs.  See EXPERIMENTS.md (E15).
-    Pass precomputed ``rows``/``summary`` to write without re-running.
-    """
-    if rows is None or summary is None:
-        rows, summary = runtime_benchmark_rows(
-            job_count=job_count, workers=workers, repeats=repeats, seed=seed
-        )
-    report = {
-        "experiment": "E15-batch-runtime",
-        "description": (
-            "Concurrent batch executor with fingerprint cache and "
-            "paper-derived auto-budgets on a mixed SL/L/G/random manifest"
-        ),
-        "python": platform.python_version(),
-        "rows": [r.as_flat_dict() for r in rows],
-        "summary": summary,
-    }
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
-    _maybe_append_history(report, history_path)
-    return report
-
-
-# --------------------------------------------------------------------------
-# E16: chase service — HTTP daemon throughput, latency, cache speedup
-# --------------------------------------------------------------------------
-
-
-def _percentile(values: Sequence[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile (q in [0, 1]); None on empty input."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(1, int(math.ceil(q * len(ordered))))
-    return ordered[rank - 1]
-
-
-def service_benchmark_rows(
-    job_count: int = 200,
-    clients: int = 4,
-    workers: int = 2,
-    seed: int = 7,
-) -> Tuple[List[SweepRow], Dict[str, object]]:
-    """Measure the chase service daemon on the E15 mixed manifest.
-
-    Five measurements, each its own row:
-
-    1. **direct** — the same jobs through a serial ``BatchExecutor``,
-       the baseline the daemon's results must match byte for byte;
-    2. **service-cold** — the manifest over HTTP into a fresh daemon
-       (``POST /batches`` + streamed JSONL), summaries compared against
-       the direct baseline per job id;
-    3. **service-warm** — the identical manifest resubmitted: every
-       deterministic job must replay from the daemon's cache, and the
-       cacheable subset must be served ≥ 10× faster than its cold run
-       (``cache_hit_speedup``; non-deterministic timeout jobs are never
-       cached and re-run, so total wall clock is reported separately);
-    4. **latency** — ``clients`` threads doing single-job
-       submit/long-poll round trips against the warm daemon:
-       requests/sec plus p50/p95 latency;
-    5. **dedup** — a burst of identical, previously-unseen submissions:
-       real (non-cache-hit) executions must total exactly one.
-
-    Returns the rows plus a machine-readable summary.
-    """
-    import threading
-
-    from repro.generators.workloads import mixed_workload_jobs
-    from repro.runtime import BatchExecutor
-    from repro.runtime.jobs import ChaseJob, manifest_entry
-    from repro.service import ChaseService, ChaseServiceClient
-
-    jobs = mixed_workload_jobs(job_count=job_count, seed=seed)
-    manifest_text = "".join(
-        json.dumps(manifest_entry(job), sort_keys=True) + "\n" for job in jobs
-    )
-
-    start = time.perf_counter()
-    direct_results = BatchExecutor(workers=1).run_all(jobs)
-    direct_seconds = time.perf_counter() - start
-    # Byte-identity is only meaningful for deterministic outcomes: a
-    # timeout's summary records how far the run happened to get.
-    direct_by_id = {r.job_id: r.summary_json() for r in direct_results if r.status == "ok"}
-
-    # A production-shaped queue bound (64 < job_count): the manifest
-    # streams through it via ?admit_wait backpressure rather than the
-    # daemon being sized to the batch.  TTL is raised to keep the
-    # admission window (clamped to ttl/2) above the full batch wait.
-    with ChaseService(workers=workers, max_queue=64, ttl_seconds=3600.0) as service:
-        client = ChaseServiceClient(service.url, timeout=60.0)
-        client.wait_until_healthy()
-
-        def run_manifest() -> Tuple[float, List[Dict[str, object]]]:
-            start = time.perf_counter()
-            rows, trailer = client.run_batch(manifest_text, wait=600.0, admit_wait=600.0)
-            elapsed = time.perf_counter() - start
-            assert trailer["complete"], f"batch did not complete: {trailer}"
-            return elapsed, rows
-
-        cold_seconds, cold_rows = run_manifest()
-        warm_seconds, warm_rows = run_manifest()
-
-        cold_by_id = {str(r["id"]): r for r in cold_rows}
-        byte_identical = set(direct_by_id) <= set(cold_by_id) and all(
-            json.dumps(cold_by_id[job_id]["summary"], sort_keys=True) == expected
-            for job_id, expected in direct_by_id.items()
-        )
-        warm_hits = [r for r in warm_rows if r.get("cache") and r["cache"]["hit"]]
-        # The speedup numerator counts each cold *execution* once: rows
-        # marked deduped_of shared another row's run and inherit its
-        # wall clock, so including them would multiply-count it.
-        hit_speedup_rows = [
-            r
-            for r in warm_hits
-            if "deduped_of" not in cold_by_id.get(str(r["id"]), {"deduped_of": True})
-        ]
-        hit_cold_seconds = sum(
-            float(cold_by_id[str(r["id"])]["wall_seconds"]) for r in hit_speedup_rows
-        )
-        hit_warm_seconds = sum(float(r["wall_seconds"]) for r in hit_speedup_rows)
-        cache_hit_speedup = round(hit_cold_seconds / max(hit_warm_seconds, 1e-9), 1)
-        warm_identical = all(
-            json.dumps(r["summary"], sort_keys=True)
-            == json.dumps(cold_by_id[str(r["id"])]["summary"], sort_keys=True)
-            for r in warm_hits
-        )
-
-        # Latency phase: concurrent single-job round trips on the warm
-        # daemon — the steady-state serving path.
-        latencies: List[float] = []
-        latency_lock = threading.Lock()
-        thread_errors: List[BaseException] = []
-        shards = [jobs[i::clients] for i in range(clients)]
-
-        def round_trips(shard) -> None:
-            try:
-                shard_client = ChaseServiceClient(service.url, timeout=60.0)
-                for job in shard:
-                    start = time.perf_counter()
-                    record = shard_client.run_job(manifest_entry(job), timeout=120.0)
-                    elapsed = time.perf_counter() - start
-                    assert record["state"] == "done"
-                    with latency_lock:
-                        latencies.append(elapsed)
-            except BaseException as exc:  # noqa: BLE001 - re-raised after join:
-                # a silently-dead thread would bias the percentiles.
-                thread_errors.append(exc)
-
-        start = time.perf_counter()
-        threads = [threading.Thread(target=round_trips, args=(shard,)) for shard in shards]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if thread_errors:
-            raise thread_errors[0]
-        latency_seconds = time.perf_counter() - start
-        requests_per_second = round(len(latencies) / max(latency_seconds, 1e-9), 1)
-        p50 = _percentile(latencies, 0.50)
-        p95 = _percentile(latencies, 0.95)
-
-        # Dedup phase: a burst of identical, never-seen-before jobs.
-        from repro.generators.families import sl_lower_bound
-
-        database, tgds = sl_lower_bound(2, 3, 3)
-        fresh = manifest_entry(
-            ChaseJob(program=tgds, database=database, job_id="dedup-probe")
-        )
-        before = service.scheduler.stats()
-        burst = 8
-        submissions: List[Dict[str, object]] = []
-
-        def submit_one() -> None:
-            try:
-                submissions.append(
-                    ChaseServiceClient(service.url, timeout=60.0).submit_job(fresh)
-                )
-            except BaseException as exc:  # noqa: BLE001 - re-raised after join
-                thread_errors.append(exc)
-
-        burst_threads = [threading.Thread(target=submit_one) for _ in range(burst)]
-        for thread in burst_threads:
-            thread.start()
-        for thread in burst_threads:
-            thread.join()
-        if thread_errors:
-            raise thread_errors[0]
-        for submitted in submissions:
-            client.job(str(submitted["job_id"]), wait=60.0)
-        after = service.scheduler.stats()
-        real_executions = (int(after["executed"]) - int(after["cache_hits"])) - (
-            int(before["executed"]) - int(before["cache_hits"])
-        )
-        single_execution = real_executions == 1
-
-        stats = service.stats_document()
-
-    rows = [
-        SweepRow(
-            label="service-direct",
-            parameters={"jobs": len(jobs)},
-            measured={"seconds": round(direct_seconds, 3)},
-        ),
-        SweepRow(
-            label="service-cold",
-            parameters={"jobs": len(jobs), "workers": workers},
-            measured={
-                "seconds": round(cold_seconds, 3),
-                "http_overhead": round(cold_seconds / max(direct_seconds, 1e-9), 2),
-                "byte_identical_vs_direct": byte_identical,
-            },
-        ),
-        SweepRow(
-            label="service-warm",
-            parameters={"jobs": len(jobs)},
-            measured={
-                "seconds": round(warm_seconds, 3),
-                "hits": len(warm_hits),
-                "cache_hit_speedup": cache_hit_speedup,
-                "total_speedup": round(cold_seconds / max(warm_seconds, 1e-9), 1),
-                "byte_identical": warm_identical,
-            },
-        ),
-        SweepRow(
-            label="service-latency",
-            parameters={"requests": len(latencies), "clients": clients},
-            measured={
-                "requests_per_s": requests_per_second,
-                "p50_ms": round(p50 * 1000, 2) if p50 is not None else None,
-                "p95_ms": round(p95 * 1000, 2) if p95 is not None else None,
-            },
-        ),
-        SweepRow(
-            label="service-dedup",
-            parameters={"burst": burst},
-            measured={
-                "real_executions": real_executions,
-                "single_execution": single_execution,
-            },
-        ),
-    ]
-    summary = {
-        "job_count": len(jobs),
-        "clients": clients,
-        "workers": workers,
-        "direct_seconds": round(direct_seconds, 3),
-        "cold_seconds": round(cold_seconds, 3),
-        "warm_seconds": round(warm_seconds, 3),
-        "warm_total_speedup": round(cold_seconds / max(warm_seconds, 1e-9), 1),
-        "cache_hit_speedup": cache_hit_speedup,
-        "cache_speedup_target_met": cache_hit_speedup >= 10.0,
-        "warm_hits": len(warm_hits),
-        "byte_identical_vs_direct": byte_identical,
-        "warm_hits_byte_identical": warm_identical,
-        "requests_per_second": requests_per_second,
-        "latency_p50_ms": round(p50 * 1000, 2) if p50 is not None else None,
-        "latency_p95_ms": round(p95 * 1000, 2) if p95 is not None else None,
-        "dedup_real_executions": real_executions,
-        "dedup_single_execution": single_execution,
-        "cache_hit_rate": stats["cache_hit_rate"],
-    }
-    return rows, summary
-
-
-def write_service_report(
-    path: str = "BENCH_service.json",
-    rows: Optional[Sequence[SweepRow]] = None,
-    summary: Optional[Dict[str, object]] = None,
-    job_count: int = 200,
-    clients: int = 4,
-    workers: int = 2,
-    seed: int = 7,
-    history_path: Optional[str] = None,
-) -> Dict[str, object]:
-    """Run the service benchmark and write ``BENCH_service.json``.
-
-    The PR-facing artefact backing the daemon claims: HTTP results byte
-    identical to a direct ``BatchExecutor`` run, the cacheable subset of
-    a resubmitted manifest served ≥ 10× faster from cache, identical
-    concurrent submissions executing exactly once, and throughput plus
-    p50/p95 latency under concurrent clients.  See EXPERIMENTS.md (E16).
-    Pass precomputed ``rows``/``summary`` to write without re-running.
-    """
-    if rows is None or summary is None:
-        rows, summary = service_benchmark_rows(
-            job_count=job_count, clients=clients, workers=workers, seed=seed
-        )
-    report = {
-        "experiment": "E16-chase-service",
-        "description": (
-            "Chase service daemon (HTTP over the batch runtime) on the mixed "
-            "manifest: direct-vs-HTTP byte identity, cache replay speedup, "
-            "concurrent-client latency, in-flight dedup"
-        ),
-        "python": platform.python_version(),
-        "rows": [r.as_flat_dict() for r in rows],
-        "summary": summary,
-    }
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
-    _maybe_append_history(report, history_path)
-    return report
 
 
 # --------------------------------------------------------------------------

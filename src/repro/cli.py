@@ -39,13 +39,14 @@ individual rules (``repro profile FILE`` re-renders a saved payload,
 ``--conformance`` checks terminated runs against the paper's
 size/depth bounds for their TGD class.
 
-Three maintenance subcommands regenerate the benchmark reports, and
-each run appends a row set to ``benchmarks/history.jsonl``
-(``--history PATH`` / ``--no-history``) for regression tracking::
+``bench-engine`` regenerates the engine report and appends a row set
+to ``benchmarks/history.jsonl`` (``--history PATH`` / ``--no-history``)
+for regression tracking; ``bench history`` / ``bench compare`` read
+that log.  The batch runtime and the daemon are timed by the
+whole-stack benchmark (``perfbench/``, workloads ``batch-mixed`` and
+``service-mixed``)::
 
-    python -m repro bench-engine  [--output BENCH_engine.json]  [--repeats N]
-    python -m repro bench-runtime [--output BENCH_runtime.json] [--jobs N] [--workers N]
-    python -m repro bench-service [--output BENCH_service.json] [--jobs N] [--clients N]
+    python -m repro bench-engine  [--output BENCH_engine.json] [--repeats N] [--quick]
     python -m repro bench history [--path FILE] [--limit N] [--experiment E]
     python -m repro bench compare [--path FILE] [--baseline SHA] [--threshold F]
                                   [--experiment E] [--fail-on-regression]
@@ -70,7 +71,7 @@ from typing import Optional, Sequence
 from repro.chase import VARIANT_RUNNERS as _VARIANTS
 from repro.chase.engine import ENGINES as _ENGINES
 from repro.chase.engine import ChaseBudget
-from repro.core.bounds import depth_bound, magnitude, size_bound_factor
+from repro.core.bounds import depth_bound, magnitude, size_bound_magnitude
 from repro.core.classify import TGDClass, classify
 from repro.core.decision import decide_termination
 from repro.model.parser import parse_database, parse_program
@@ -93,7 +94,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     print(f"schema: {len(program.schema())} predicates, max arity {program.arity()}")
     if tgd_class is not TGDClass.ARBITRARY:
         print(f"depth bound d_C(Sigma): {magnitude(depth_bound(program))}")
-        print(f"size bound factor f_C(Sigma): {magnitude(size_bound_factor(program))}")
+        print(f"size bound factor f_C(Sigma): {size_bound_magnitude(1, program, tgd_class)}")
     return 0
 
 
@@ -108,7 +109,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         # The f_C(Σ) bound only exists for SL/L/G; an arbitrary set can
         # still be decided terminating (e.g. by the naive method).
         if verdict.tgd_class.has_paper_bounds:
-            print(f"size bound: {magnitude(len(database) * size_bound_factor(program))}")
+            print(f"size bound: {size_bound_magnitude(len(database), program)}")
         return 0
     return 1 if verdict.terminates is False else 2
 
@@ -712,36 +713,6 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_service(args: argparse.Namespace) -> int:
-    from repro.bench.drivers import format_table, service_benchmark_rows, write_service_report
-
-    rows, summary = service_benchmark_rows(
-        job_count=args.jobs, clients=args.clients, workers=args.workers, seed=args.seed
-    )
-    write_service_report(
-        path=args.output, rows=rows, summary=summary, history_path=_history_path(args)
-    )
-    print(format_table(rows))
-    print(
-        f"\n{summary['requests_per_second']} req/s with {summary['clients']} clients, "
-        f"p50 {summary['latency_p50_ms']}ms / p95 {summary['latency_p95_ms']}ms, "
-        f"cache-hit speedup {summary['cache_hit_speedup']}x, "
-        f"byte-identical vs direct: {summary['byte_identical_vs_direct']}, "
-        f"dedup single execution: {summary['dedup_single_execution']}",
-        file=sys.stderr,
-    )
-    print(f"wrote {args.output}", file=sys.stderr)
-    healthy = (
-        summary["byte_identical_vs_direct"]
-        and summary["warm_hits_byte_identical"]
-        and summary["dedup_single_execution"]
-        # The ≥10x cache-hit target is an acceptance gate at report
-        # scale; smoke runs (CI's --jobs 40) only gate correctness.
-        and (summary["cache_speedup_target_met"] or args.jobs < 100)
-    )
-    return 0 if healthy else 1
-
-
 def _cmd_bench_engine(args: argparse.Namespace) -> int:
     from repro.bench.drivers import (
         engine_benchmark_rows,
@@ -812,34 +783,6 @@ def _cmd_bench_engine(args: argparse.Namespace) -> int:
             return 1
         return 0
     return 0 if summary["incremental_target_met"] else 1
-
-
-def _cmd_bench_runtime(args: argparse.Namespace) -> int:
-    from repro.bench.drivers import format_table, runtime_benchmark_rows, write_runtime_report
-
-    rows, summary = runtime_benchmark_rows(
-        job_count=args.jobs, workers=args.workers, repeats=args.repeats, seed=args.seed
-    )
-    write_runtime_report(
-        path=args.output, rows=rows, summary=summary, history_path=_history_path(args)
-    )
-    print(format_table(rows))
-    print(
-        f"\npool speedup: {summary['pool_speedup']}x over serial "
-        f"({summary['workers']} workers, {summary['cpu_count']} cpus), "
-        f"cache replay byte-identical: {summary['cache_hits_byte_identical']}, "
-        f"auto-budgeted SL/L within budget: {summary['auto_budgeted_sl_l_within_budget']}",
-        file=sys.stderr,
-    )
-    print(f"wrote {args.output}", file=sys.stderr)
-    healthy = (
-        summary["cache_hits_byte_identical"]
-        # byte-identity is vacuous if nothing hit; require full replay
-        and summary["all_cacheable_jobs_hit"]
-        and summary["auto_budgeted_sl_l_within_budget"]
-        and summary["pool_deterministic"]
-    )
-    return 0 if healthy else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1265,33 +1208,6 @@ def build_parser() -> argparse.ArgumentParser:
     _fault_flag(bench_parser)
     _add_history_flags(bench_parser)
     bench_parser.set_defaults(handler=_cmd_bench_engine)
-
-    bench_runtime_parser = subparsers.add_parser(
-        "bench-runtime",
-        help="measure the batch runtime (pool vs serial, cache replay), write BENCH_runtime.json",
-    )
-    bench_runtime_parser.add_argument("--output", default="BENCH_runtime.json")
-    bench_runtime_parser.add_argument("--jobs", type=int, default=200)
-    bench_runtime_parser.add_argument("--workers", type=int, default=4)
-    bench_runtime_parser.add_argument("--repeats", type=int, default=1)
-    bench_runtime_parser.add_argument("--seed", type=int, default=7)
-    _fault_flag(bench_runtime_parser)
-    _add_history_flags(bench_runtime_parser)
-    bench_runtime_parser.set_defaults(handler=_cmd_bench_runtime)
-
-    bench_service_parser = subparsers.add_parser(
-        "bench-service",
-        help="measure the service daemon (throughput, latency, cache speedup), "
-        "write BENCH_service.json",
-    )
-    bench_service_parser.add_argument("--output", default="BENCH_service.json")
-    bench_service_parser.add_argument("--jobs", type=int, default=200)
-    bench_service_parser.add_argument("--clients", type=int, default=4)
-    bench_service_parser.add_argument("--workers", type=int, default=2)
-    bench_service_parser.add_argument("--seed", type=int, default=7)
-    _fault_flag(bench_service_parser)
-    _add_history_flags(bench_service_parser)
-    bench_service_parser.set_defaults(handler=_cmd_bench_service)
     return parser
 
 

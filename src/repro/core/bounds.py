@@ -20,6 +20,7 @@ naive decision procedure.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.model.tgd import TGDSet
@@ -136,11 +137,48 @@ def magnitude(value: int, threshold_digits: int = 30) -> str:
     integers beyond a few thousand digits, and the guarded bounds
     easily exceed that.)
     """
-    bits = value.bit_length()
-    digits_estimate = int(bits * 0.30103) + 1
+    digits_estimate = _digits_estimate(value.bit_length())
     if digits_estimate <= threshold_digits:
         return str(value)
     return f"~10^{digits_estimate - 1}"
+
+
+def _digits_estimate(bits: int) -> int:
+    """``⌊bits · 0.30103⌋ + 1``, in integers so that no bit count overflows."""
+    return bits * 30103 // 100_000 + 1
+
+
+#: Bounds whose bit length is provably at most this are built exactly by
+#: :func:`size_bound_magnitude`: up to 99 bits :func:`magnitude` prints
+#: every digit, and anything this short is cheap to build.
+_EXACT_BITS = 128
+
+
+def size_bound_magnitude(
+    database_size: int,
+    tgds: TGDSet,
+    tgd_class: TGDClass | None = None,
+) -> str:
+    """``magnitude(size_bound(database_size, tgds, tgd_class))``, without the bound.
+
+    For guarded sets ``|D| · f_G(Σ)`` runs to hundreds of millions of
+    bits; building it costs minutes, while :func:`magnitude` only reads
+    its bit length.  That is ``⌊log2|D| + log2(d_C+1) +
+    2·ar·(d_C+1)·log2‖Σ‖⌋ + 1``, summed exactly over the integer ratios
+    of the two float logarithms, so a huge ``d_C`` cannot overflow it.
+    When even the decimal exponent is too long to print, it is shown as
+    a magnitude in turn (``~10^~10^k``).
+    """
+    tgd_class = tgd_class or classify(tgds)
+    depth = depth_bound(tgds, tgd_class)
+    norm = max(tgds.norm(), 1)
+    exponent = 2 * max(tgds.arity(), 1) * (depth + 1)
+    coefficient = database_size * (depth + 1)
+    if coefficient == 0 or exponent * (norm.bit_length() - 1) <= _EXACT_BITS:
+        return magnitude(coefficient * norm**exponent)
+    (a, b), (c, d) = (math.log2(x).as_integer_ratio() for x in (coefficient, norm))
+    bits = (a * d + exponent * c * b) // (b * d) + 1
+    return f"~10^{magnitude(_digits_estimate(bits) - 1)}"
 
 
 def sl_lower_bound_value(database_size: int, predicates: int, arity: int) -> int:

@@ -64,7 +64,7 @@ def conformance_report(
         depth_bound,
         depth_bound_within,
         magnitude,
-        size_bound_factor,
+        size_bound_magnitude,
         size_bound_within,
     )
     from repro.core.classify import classify
@@ -92,9 +92,9 @@ def conformance_report(
         )
     else:
         # Astronomically above anything observable; report the
-        # magnitude of f_C alone (|D| · f_C may not be materialisable).
+        # magnitude of f_C alone, read off its bit length.
         report["size_bound"] = None
-        report["size_bound_magnitude"] = magnitude(size_bound_factor(tgds, tgd_class))
+        report["size_bound_magnitude"] = size_bound_magnitude(1, tgds, tgd_class)
         report["size_utilization"] = 0.0
     if observed_depth_bound is not None:
         report["depth_bound"] = observed_depth_bound

@@ -8,11 +8,9 @@ from repro.bench.drivers import (
     depth_sweep,
     format_table,
     lower_bound_rows,
-    pool_speedup_target_met,
     ucq_data_complexity_rows,
     variant_comparison_rows,
 )
-from repro.core.bounds import magnitude
 from repro.generators.families import example_7_1, sl_lower_bound
 from repro.generators.scenarios import data_exchange_scenario
 
@@ -30,22 +28,6 @@ class TestFormatting:
         lines = text.splitlines()
         assert len(lines) == 4  # header, separator, two rows
         assert "value" in lines[0] and "extra" in lines[0]
-
-    def test_magnitude_small_and_large(self):
-        assert magnitude(12345) == "12345"
-        assert magnitude(10 ** 100).startswith("~10^")
-
-
-class TestPoolSpeedupTarget:
-    def test_met(self):
-        assert pool_speedup_target_met(3.1, cpu_count=4, workers=4) is True
-
-    def test_not_met(self):
-        assert pool_speedup_target_met(1.01, cpu_count=8, workers=4) is False
-
-    def test_not_evaluable_on_fewer_cores_than_workers(self):
-        assert pool_speedup_target_met(1.01, cpu_count=1, workers=4) is None
-        assert pool_speedup_target_met(3.1, cpu_count=2, workers=4) is None
 
 
 class TestSweeps:

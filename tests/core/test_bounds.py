@@ -5,16 +5,50 @@ import pytest
 from repro.model.parser import parse_database, parse_program
 from repro.chase.semi_oblivious import semi_oblivious_chase
 from repro.core.bounds import (
+    _digits_estimate,
     depth_bound,
     generic_size_bound,
     guarded_lower_bound_value,
     linear_lower_bound_value,
+    magnitude,
     per_tree_depth_slice_bound,
+    size_bound,
     size_bound_factor,
+    size_bound_magnitude,
     sl_lower_bound_value,
 )
 from repro.core.classify import TGDClass
-from repro.generators.families import guarded_lower_bound, sl_lower_bound
+from repro.generators.families import (
+    example_7_1,
+    guarded_lower_bound,
+    linear_lower_bound,
+    sl_lower_bound,
+)
+
+SL_RULE = "R(x, y) -> exists z . S(y, z)"
+L_RULE = "R(x, x) -> exists z . R(z, x)"
+G_RULE = "R(x, y), P(x) -> exists z . R(y, z)"
+MENTORING = (
+    "Team(t), MemberOf(p, t) -> exists q . Mentors(q, p), MemberOf(q, t)\n"
+    "Mentors(q, p) -> Knows(q, p)"
+)
+
+#: The SL/L fixtures of this file and three paper families, plus the
+#: small guarded ones: each ``|D| · f_C`` is cheap enough to build.  A
+#: class of ``None`` is the classifier's; a forced G reads the rule as
+#: guarded, as the monotonicity test does.
+MAGNITUDE_FIXTURES = {
+    "sl-rule": (lambda: parse_program(SL_RULE), None),
+    "sl-rule-as-l": (lambda: parse_program(SL_RULE), TGDClass.LINEAR),
+    "sl-rule-as-g": (lambda: parse_program(SL_RULE), TGDClass.GUARDED),
+    "l-rule": (lambda: parse_program(L_RULE), None),
+    "l-rule-as-g": (lambda: parse_program(L_RULE), TGDClass.GUARDED),
+    "g-rule": (lambda: parse_program(G_RULE), None),
+    "sl-family-1-2": (lambda: sl_lower_bound(1, 2, 2)[1], None),
+    "sl-family-2-2": (lambda: sl_lower_bound(2, 2, 1)[1], None),
+    "l-family-1-2": (lambda: linear_lower_bound(1, 2)[1], None),
+    "example-7-1": (lambda: example_7_1()[1], None),
+}
 
 
 class TestDepthBound:
@@ -76,6 +110,35 @@ class TestSizeBounds:
         program = parse_program("R(x, y) -> exists z . S(y, z)")
         assert per_tree_depth_slice_bound(program, 0) < per_tree_depth_slice_bound(program, 1)
 
+    @pytest.mark.parametrize("name", sorted(MAGNITUDE_FIXTURES))
+    def test_size_bound_magnitude_matches_the_built_bound(self, name):
+        build, tgd_class = MAGNITUDE_FIXTURES[name]
+        tgds = build()
+        for database_size in (0, 1, 2, 3, 1000, 10**6):
+            assert size_bound_magnitude(database_size, tgds, tgd_class) == magnitude(
+                size_bound(database_size, tgds, tgd_class)
+            ), (name, database_size)
+
+    def test_size_bound_magnitude_never_builds_the_guarded_bound(self):
+        # ``|D| · f_G`` of the 2-rule mentoring ontology has ~1.9·10^8
+        # bits and takes ~100 s to build; the string is the one the
+        # built integer prints.
+        tgds = parse_program(MENTORING)
+        assert depth_bound(tgds) == 8_388_608
+        assert size_bound_magnitude(1, tgds) == "~10^56413109"
+        # d_G itself has 746,534 bits here, so even the decimal exponent
+        # of f_G has ~224,700 digits: it prints as a magnitude too.
+        _, family = guarded_lower_bound(1, 1, 1)
+        assert size_bound_magnitude(1, family).startswith("~10^~10^2247")
+
+    def test_digit_rule_is_the_float_rule(self):
+        # Printed magnitudes keep their strings only if the integer rule
+        # agrees with ``int(bits * 0.30103) + 1`` wherever a bound can
+        # be built (here: every bit count up to 4·10^8 that can differ).
+        edges = range(100_000, 400_000_001, 100_000)
+        for bits in [*range(1, 200_001), *edges, *(b - 1 for b in edges)]:
+            assert _digits_estimate(bits) == int(bits * 0.30103) + 1, bits
+
     def test_measured_chase_respects_characterisation_bound(self):
         database, tgds = sl_lower_bound(1, 2, 2)
         result = semi_oblivious_chase(database, tgds)
@@ -98,3 +161,9 @@ class TestLowerBoundFormulas:
         """The worst-case families stay below |D| · f_C(Σ) (consistency check)."""
         database, tgds = sl_lower_bound(2, 2, 1)
         assert sl_lower_bound_value(1, 2, 2) <= len(database) * size_bound_factor(tgds)
+
+
+class TestMagnitude:
+    def test_magnitude_small_and_large(self):
+        assert magnitude(12345) == "12345"
+        assert magnitude(10 ** 100).startswith("~10^")

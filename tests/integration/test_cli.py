@@ -196,21 +196,6 @@ class TestBatch:
         assert row["status"] == "error"
 
 
-class TestBenchRuntime:
-    @pytest.mark.slow
-    def test_bench_runtime_smoke(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_runtime.json"
-        args = [
-            "bench-runtime", "--output", str(out),
-            "--jobs", "12", "--workers", "2", "--repeats", "1",
-            "--no-history",  # keep test runs out of benchmarks/history.jsonl
-        ]
-        assert main(args) == 0
-        report = json.loads(out.read_text())
-        assert report["summary"]["cache_hits_byte_identical"] is True
-        assert report["summary"]["auto_budgeted_sl_l_within_budget"] is True
-
-
 class TestSnapshotCommand:
     def test_dump_inspect_restore_round_trip(self, files, tmp_path, capsys):
         facts = files("db.facts", FACTS)

@@ -7,6 +7,8 @@ depth exceeds the wrong class's bound must raise the structured
 violation counter — that is the signal the monitor exists for.
 """
 
+import time
+
 import pytest
 
 from repro.chase import VARIANT_RUNNERS
@@ -52,6 +54,37 @@ class TestConformingRuns:
             assert result.size <= report["size_bound"]
         if report["depth_bound"] is not None:
             assert result.max_depth <= report["depth_bound"]
+
+    def test_guarded_fallback_reads_f_g_off_its_bit_length(self):
+        # The 2-rule mentoring ontology: |D| · f_G has ~1.9·10^8 bits and
+        # building it took about 100 s.  The block is the one the built
+        # integer produced.
+        rules = (
+            "Team(t), MemberOf(p, t) -> exists q . Mentors(q, p), MemberOf(q, t)\n"
+            "Mentors(q, p) -> Knows(q, p)"
+        )
+        database = parse_database("Knows(ada, bob).")
+        summary = VARIANT_RUNNERS["semi-oblivious"](
+            database, parse_program(rules), record_derivation=False
+        ).summary()
+        seconds = []
+        for _ in range(3):
+            tgds = parse_program(rules)  # cold: nothing memoised on the program
+            start = time.perf_counter()
+            report = conformance_report(summary, tgds)
+            seconds.append(time.perf_counter() - start)
+            assert report == {
+                "class": "G",
+                "terminated": True,
+                "size_bound": None,
+                "size_bound_magnitude": "~10^56413109",
+                "size_utilization": 0.0,
+                "depth_bound": None,
+                "depth_bound_magnitude": "8388608",
+                "depth_utilization": 0.0,
+                "violations": [],
+            }
+        assert min(seconds) < 0.005, seconds
 
     def test_arbitrary_class_has_no_report(self):
         tgds = parse_program("R(x, y), S(y, z) -> exists w . R(z, w)\nR(x, y) -> S(x, y)")

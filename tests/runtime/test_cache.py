@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.chase.engine import ChaseBudget
+from repro.generators.workloads import mixed_workload_jobs
 from repro.model.parser import parse_database, parse_program
 from repro.runtime import (
     BatchExecutor,
@@ -230,6 +231,18 @@ class TestExecutorCacheIntegration:
         warm = executor.run_all([job])[0]
         assert not cold.cache_hit and warm.cache_hit
         assert warm.summary_json() == cold.summary_json()
+
+    def test_manifest_replay_hits_on_every_cacheable_job(self):
+        jobs = mixed_workload_jobs(30, seed=7)
+        cache = ResultCache()
+        cold = BatchExecutor(workers=1, cache=cache).run_all(jobs)
+        warm = {r.job_id: r for r in BatchExecutor(workers=1, cache=cache).run_all(jobs)}
+        cacheable = [r for r in cold if r.status == "ok"]
+        assert len(cacheable) >= 25  # a vacuous replay proves nothing
+        for result in cacheable:
+            replay = warm[result.job_id]
+            assert replay.cache_hit, result.job_id
+            assert replay.summary_json() == result.summary_json(), result.job_id
 
     def test_isomorphic_job_hits_cache(self):
         cache = ResultCache()

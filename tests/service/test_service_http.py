@@ -11,6 +11,7 @@ import urllib.error
 
 import pytest
 
+from repro.generators.families import sl_lower_bound
 from repro.generators.workloads import mixed_workload_jobs
 from repro.model.parser import parse_database, parse_program
 from repro.runtime import BatchExecutor, ChaseJob, ResultCache
@@ -102,6 +103,16 @@ class TestSingleJobs:
         assert json.dumps(warm["result"]["summary"], sort_keys=True) == json.dumps(
             cold["result"]["summary"], sort_keys=True
         )
+
+    def test_cache_hit_is_ten_times_faster_than_the_cold_run(self, client):
+        # Per-job execution time, not HTTP round trips: a ~0.3 s chase
+        # (24k-atom SL family) against a cache replay of its summary.
+        database, tgds = sl_lower_bound(2, 3, 32)
+        job = ChaseJob(program=tgds, database=database, job_id="slow")
+        cold = client.run_job(job, timeout=120.0)["result"]
+        warm = client.run_job(job, timeout=120.0)["result"]
+        assert cold["cache"]["hit"] is False and warm["cache"]["hit"] is True
+        assert warm["wall_seconds"] <= cold["wall_seconds"] / 10, (cold, warm)
 
     def test_bad_bodies_are_400(self, client):
         for body in (b"not json", b'{"program": "R(x) -> "}'):
