@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.instance import Database
+from repro.model.store import collector_paused
 from repro.model.tgd import TGDSet
 from repro.chase.engine import ENGINES, ChaseBudget, ChaseResult
 from repro.chase.oblivious import oblivious_chase
@@ -276,21 +277,17 @@ _ENGINE_ORDER = tuple(reversed(ENGINES))
 
 @contextmanager
 def _gc_paused():
-    """Collect, then disable the GC for the timed region.
+    """Collect, then hold :func:`collector_paused` over the timed region.
 
     Collector pauses land arbitrarily inside timed runs and were the
     dominant noise source when comparing engines (the two data planes
     allocate differently, so pauses bias the ratio, not just the
-    variance).
+    variance).  The store engine pauses the collector itself; holding
+    the pause here extends it to the legacy engine and the deciders.
     """
     gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _peak_rss_mb() -> Optional[float]:

@@ -37,7 +37,7 @@ from repro.model.homomorphism import (
     find_homomorphisms_with_forced_atom_reference,
 )
 from repro.model.instance import Instance
-from repro.model.store import Fact, FactStore
+from repro.model.store import Fact, FactStore, collector_paused
 from repro.model.terms import Null, Term
 from repro.model.tgd import TGDSet
 from repro.obs.observer import RunObserver
@@ -579,6 +579,7 @@ class BaseChaseEngine:
             profile=payloads.get("profile"),
         )
 
+    @collector_paused()
     def _run_columnar(
         self,
         database,
@@ -623,6 +624,11 @@ class BaseChaseEngine:
         old store fired (or were found inactive) in the base run and
         are never re-enumerated, which is what makes a 5% database
         delta cost ~5% of the chase instead of 100%.
+
+        The whole run holds :func:`~repro.model.store.collector_paused`:
+        everything it allocates (packed facts, trigger keys, pending
+        ``(rule, ids, key)`` tuples, observer totals) is acyclic, so the
+        cyclic collector would walk it and free nothing.
         """
         start = time.perf_counter()
         budget = self.budget

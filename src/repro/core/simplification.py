@@ -75,19 +75,27 @@ def specializations(variables: Sequence[Variable]) -> Iterator[Dict[Variable, Va
     if not distinct:
         yield {}
         return
+    yield from _extend_specialization(distinct, 1, {distinct[0]: distinct[0]})
 
-    def extend(index: int, mapping: Dict[Variable, Variable]) -> Iterator[Dict[Variable, Variable]]:
-        if index == len(distinct):
-            yield dict(mapping)
-            return
-        variable = distinct[index]
-        choices = list(dict.fromkeys(mapping.values())) + [variable]
-        for choice in choices:
-            mapping[variable] = choice
-            yield from extend(index + 1, mapping)
-        del mapping[variable]
 
-    yield from extend(1, {distinct[0]: distinct[0]})
+def _extend_specialization(
+    distinct: Sequence[Variable], index: int, mapping: Dict[Variable, Variable]
+) -> Iterator[Dict[Variable, Variable]]:
+    """Map ``distinct[index:]`` every allowed way, extending ``mapping``.
+
+    A module-level generator, not a closure: a self-recursive nested
+    function is a function↔cell reference cycle that would outlive the
+    call until the next full collection.
+    """
+    if index == len(distinct):
+        yield dict(mapping)
+        return
+    variable = distinct[index]
+    choices = list(dict.fromkeys(mapping.values())) + [variable]
+    for choice in choices:
+        mapping[variable] = choice
+        yield from _extend_specialization(distinct, index + 1, mapping)
+    del mapping[variable]
 
 
 def simplify_tgd(tgd: TGD) -> List[TGD]:

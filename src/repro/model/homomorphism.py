@@ -125,27 +125,34 @@ def find_homomorphisms_reference(
     and as the "before" path of the engine benchmark.  New code should
     call :func:`find_homomorphisms`.
     """
-    ordered = _order_atoms(atoms)
+    yield from _backtrack_reference(_order_atoms(atoms), target, 0, dict(seed or {}))
 
-    def backtrack(index: int, binding: Substitution) -> Iterator[Substitution]:
-        if index == len(ordered):
-            yield dict(binding)
-            return
-        pattern = ordered[index]
-        bound_positions = {
-            i: binding[arg]
-            for i, arg in enumerate(pattern.args)
-            if isinstance(arg, Variable) and arg in binding
-        }
-        # candidates_view matches the pre-refactor cost profile (the
-        # original code read the live index set); the reference engine,
-        # like the compiled one, never mutates during enumeration.
-        for candidate in target.candidates_view(pattern.predicate, bound_positions):
-            extended = _match_atom(pattern, candidate, binding)
-            if extended is not None:
-                yield from backtrack(index + 1, extended)
 
-    yield from backtrack(0, dict(seed or {}))
+def _backtrack_reference(
+    ordered: Sequence[Atom], target: Instance, index: int, binding: Substitution
+) -> Iterator[Substitution]:
+    """Extend ``binding`` over ``ordered[index:]``, depth first.
+
+    A module-level generator, not a closure: a self-recursive nested
+    function is a function↔cell reference cycle that would pin the
+    target instance until the next full collection.
+    """
+    if index == len(ordered):
+        yield dict(binding)
+        return
+    pattern = ordered[index]
+    bound_positions = {
+        i: binding[arg]
+        for i, arg in enumerate(pattern.args)
+        if isinstance(arg, Variable) and arg in binding
+    }
+    # candidates_view matches the pre-refactor cost profile (the
+    # original code read the live index set); the reference engine,
+    # like the compiled one, never mutates during enumeration.
+    for candidate in target.candidates_view(pattern.predicate, bound_positions):
+        extended = _match_atom(pattern, candidate, binding)
+        if extended is not None:
+            yield from _backtrack_reference(ordered, target, index + 1, extended)
 
 
 def find_homomorphisms_with_forced_atom_reference(

@@ -50,9 +50,12 @@ ints, derivation order is independent of string hash randomisation.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
+import threading
 from array import array
+from contextlib import contextmanager
 from time import perf_counter
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -66,6 +69,42 @@ Fact = Tuple[int, Tuple[int, ...]]
 
 #: Magic prefix of the snapshot wire format (bumped on format changes).
 SNAPSHOT_MAGIC = b"RSNP1\n"
+
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_pause_restores = False
+
+
+@contextmanager
+def collector_paused():
+    """Hold CPython's cyclic garbage collector off for the block.
+
+    The store's data is acyclic: packed int tuples, interner dicts and
+    lists, and decoded atoms and nulls that reference only terms.  The
+    store driver and the decode allocate millions of such objects, and
+    every young collection they trigger walks them and frees nothing;
+    reference counting alone reclaims all of it.  The pause is
+    process-wide and reentrant: a depth counter under a lock lets
+    nested pauses and overlapping chases on several threads share it.
+    The outermost entry disables the collector, and the outermost exit
+    re-enables it only if it was enabled at that entry, so a caller
+    that turned the collector off keeps it off.  Nothing is collected
+    on exit: cyclic garbage made elsewhere meanwhile waits for the
+    next ordinary collection.
+    """
+    global _pause_depth, _pause_restores
+    with _pause_lock:
+        if not _pause_depth:
+            _pause_restores = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if not _pause_depth and _pause_restores:
+                gc.enable()
 
 
 class FactStore:
@@ -355,13 +394,15 @@ class FactStore:
             terms[tid] = null
             id_of_term.setdefault(null, tid)
 
+    @collector_paused()
     def to_instance(self) -> Instance:
         """Decode every stored fact into a fresh :class:`Instance`.
 
         The nulls are materialised first, in one pass; after it every
         id a fact mentions has its term, so each fact decodes with one
         C-level lookup per argument.  The instance's lazy indexes stay
-        unbuilt.
+        unbuilt.  The decode allocates only acyclic atoms and nulls, so
+        it runs under :func:`collector_paused`.
         """
         self._materialise_nulls()
         term = self._term_of_id.__getitem__
