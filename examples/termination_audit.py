@@ -17,7 +17,6 @@ Run with::
 
 from repro import parse_database, parse_program
 from repro.core import certify, classify
-from repro.core.bounds import magnitude
 from repro.core.decision import naive_decision, syntactic_decision
 from repro.generators.families import example_7_1
 from repro.generators.turing import halting_machine, machine_database, sigma_star
@@ -37,8 +36,8 @@ def audit(name: str, database, tgds) -> None:
     report = verdict.details.get("report")
     if verdict.terminates:
         certificate = certify(database, tgds, run_chase=True)
-        print(f"size bound |D|*f_C: {magnitude(certificate.size_bound)}")
-        print(f"depth bound d_C   : {magnitude(certificate.depth_bound)}")
+        print(f"size bound |D|*f_C: {certificate.size_bound.magnitude()}")
+        print(f"depth bound d_C   : {certificate.depth_bound.magnitude()}")
         if certificate.chase_result is not None:
             print(
                 f"measured          : {certificate.chase_result.size} atoms, "

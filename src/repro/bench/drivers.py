@@ -199,7 +199,7 @@ def depth_bound_rows(
                 parameters={"workload": name},
                 measured={
                     "maxdepth": result.max_depth,
-                    "d_C": bound,
+                    "d_C": bound.to_json(),
                     "within_bound": (not result.terminated) or result.max_depth <= bound,
                     "terminated": result.terminated,
                 },

@@ -71,7 +71,7 @@ from typing import Optional, Sequence
 from repro.chase import VARIANT_RUNNERS as _VARIANTS
 from repro.chase.engine import ENGINES as _ENGINES
 from repro.chase.engine import ChaseBudget
-from repro.core.bounds import depth_bound, magnitude, size_bound_magnitude
+from repro.core.bounds import depth_bound, size_bound, size_bound_factor
 from repro.core.classify import TGDClass, classify
 from repro.core.decision import decide_termination
 from repro.model.parser import parse_database, parse_program
@@ -93,8 +93,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     print(f"rules: {len(program)}")
     print(f"schema: {len(program.schema())} predicates, max arity {program.arity()}")
     if tgd_class is not TGDClass.ARBITRARY:
-        print(f"depth bound d_C(Sigma): {magnitude(depth_bound(program))}")
-        print(f"size bound factor f_C(Sigma): {size_bound_magnitude(1, program, tgd_class)}")
+        print(f"depth bound d_C(Sigma): {depth_bound(program, tgd_class).magnitude()}")
+        print(f"size bound factor f_C(Sigma): {size_bound_factor(program, tgd_class).magnitude()}")
     return 0
 
 
@@ -109,7 +109,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         # The f_C(Σ) bound only exists for SL/L/G; an arbitrary set can
         # still be decided terminating (e.g. by the naive method).
         if verdict.tgd_class.has_paper_bounds:
-            print(f"size bound: {size_bound_magnitude(len(database), program)}")
+            print(f"size bound: {size_bound(len(database), program).magnitude()}")
         return 0
     return 1 if verdict.terminates is False else 2
 
@@ -126,11 +126,7 @@ def _cmd_chase(args: argparse.Namespace) -> int:
         print(
             f"analysis: {analysis.verdict}"
             + (f" via {analysis.method}" if analysis.method else "")
-            + (
-                f", depth bound {analysis.depth_bound}"
-                if analysis.depth_bound is not None and analysis.depth_bound.bit_length() <= 64
-                else ""
-            ),
+            + ("" if analysis.depth_bound is None else f", depth bound {analysis.depth_bound}"),
             file=sys.stderr,
         )
         if analysis.verdict == DIVERGING:

@@ -27,7 +27,7 @@ from repro.model.instance import Database
 from repro.model.tgd import TGDSet
 from repro.chase.engine import ChaseBudget, ChaseResult
 from repro.chase.semi_oblivious import semi_oblivious_chase
-from repro.core.bounds import size_bound_factor
+from repro.core.bounds import size_bound
 from repro.core.classify import TGDClass, classify
 from repro.core.linearization import linearize
 from repro.core.simplification import simplified_program, simplified_schema, simplify_program
@@ -133,16 +133,14 @@ def naive_decision(
     *unknown* (``None``).
     """
     tgd_class = classify(tgds)
-    try:
-        theoretical_bound = len(database) * size_bound_factor(tgds, tgd_class)
-    except ValueError:
-        theoretical_bound = None  # arbitrary TGDs: no bound exists (Prop. 4.2)
-    cap = practical_cap if theoretical_bound is None else min(theoretical_bound, practical_cap)
+    # Arbitrary TGDs have no bound (Proposition 4.2).
+    bound = size_bound(len(database), tgds, tgd_class) if tgd_class.has_paper_bounds else None
+    cap = int(bound) if bound is not None and bound < practical_cap else practical_cap
     budget = ChaseBudget(max_atoms=max(cap, len(database) + 1))
     result = semi_oblivious_chase(database, tgds, budget=budget, record_derivation=False)
     if result.terminated:
         terminates: Optional[bool] = True
-    elif theoretical_bound is not None and result.size > theoretical_bound:
+    elif bound is not None and result.size > bound:
         terminates = False
     else:
         terminates = None
@@ -152,7 +150,7 @@ def naive_decision(
         tgd_class=tgd_class,
         details={
             "chase_result": result,
-            "theoretical_bound": theoretical_bound,
+            "theoretical_bound": bound,
             "practical_cap": cap,
         },
     )

@@ -17,14 +17,14 @@ from repro.model.instance import Database
 from repro.model.tgd import TGDSet
 from repro.chase.engine import ChaseBudget, ChaseResult
 from repro.chase.semi_oblivious import semi_oblivious_chase
-from repro.core.bounds import depth_bound, size_bound_factor
+from repro.core.bounds import Bound, depth_bound, size_bound
 from repro.core.classify import TGDClass, classify
 from repro.core.decision import DecisionMethod, TerminationVerdict, syntactic_decision
 
 
-def chase_size_bound(database: Database, tgds: TGDSet) -> int:
+def chase_size_bound(database: Database, tgds: TGDSet) -> Bound:
     """The characterisation bound ``|D| · f_C(Σ)`` for the class of ``Σ``."""
-    return len(database) * size_bound_factor(tgds)
+    return size_bound(len(database), tgds)
 
 
 @dataclass
@@ -36,7 +36,7 @@ class TerminationCertificate:
     verdict:
         The syntactic decision (item 3).
     size_bound:
-        ``|D| · f_C(Σ)`` (item 2).
+        ``|D| · f_C(Σ)`` (item 2), a :class:`~repro.core.bounds.Bound`.
     depth_bound:
         ``d_C(Σ)``, the database-independent depth bound.
     chase_result:
@@ -52,8 +52,8 @@ class TerminationCertificate:
 
     verdict: TerminationVerdict
     tgd_class: TGDClass
-    size_bound: int
-    depth_bound: int
+    size_bound: Bound
+    depth_bound: Bound
     chase_result: Optional[ChaseResult] = None
     size_within_bound: Optional[bool] = None
     depth_within_bound: Optional[bool] = None
@@ -84,7 +84,7 @@ def certify(
     """
     verdict = syntactic_decision(database, tgds)
     tgd_class = classify(tgds)
-    bound = chase_size_bound(database, tgds)
+    bound = size_bound(len(database), tgds, tgd_class)
     d_bound = depth_bound(tgds, tgd_class)
     certificate = TerminationCertificate(
         verdict=verdict,
@@ -95,7 +95,7 @@ def certify(
     should_run = run_chase and (verdict.terminates or chase_budget is not None)
     if not should_run:
         return certificate
-    budget = chase_budget or ChaseBudget(max_atoms=min(bound, 500_000))
+    budget = chase_budget or ChaseBudget(max_atoms=int(bound) if bound <= 500_000 else 500_000)
     result = semi_oblivious_chase(database, tgds, budget=budget, record_derivation=False)
     certificate.chase_result = result
     if result.terminated:

@@ -41,7 +41,7 @@ from typing import Dict, Optional, Set, Tuple
 from repro.model.instance import Database
 from repro.model.tgd import TGDSet
 from repro.core.acyclicity import MFA_ACYCLIC, MFA_CYCLIC, mfa_check
-from repro.core.bounds import depth_bound, magnitude
+from repro.core.bounds import Bound, depth_bound
 from repro.core.classify import TGDClass, classify
 from repro.core.decision import syntactic_decision
 from repro.core.dependency_graph import DependencyGraph, PredicateGraph
@@ -80,20 +80,19 @@ class TerminationReport:
     variant: str
     method: Optional[str]
     tgd_class: str
-    depth_bound: Optional[int]
+    depth_bound: Optional[Bound]
     trace: Tuple[str, ...]
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly form (huge bounds rendered as magnitudes)."""
-        bound: Optional[object] = self.depth_bound
-        if isinstance(bound, int) and bound.bit_length() > 64:
-            bound = magnitude(bound)
+        """JSON-friendly form (the bound in its JSON form)."""
         return {
             "verdict": self.verdict,
             "variant": self.variant,
             "method": self.method,
             "class": self.tgd_class,
-            "depth_bound": bound,
+            "depth_bound": (
+                None if self.depth_bound is None else self.depth_bound.to_json()
+            ),
             "trace": list(self.trace),
         }
 
@@ -128,6 +127,18 @@ def analyze_termination(
     tgd_class = classify(tgds)
     oblivious = variant == "oblivious"
 
+    def report(
+        verdict: str, method: Optional[str], bound: Optional[Bound] = None
+    ) -> TerminationReport:
+        return TerminationReport(
+            verdict=verdict,
+            variant=variant,
+            method=method,
+            tgd_class=tgd_class.value,
+            depth_bound=bound,
+            trace=tuple(trace),
+        )
+
     # Layer 1: the paper's exact characterizations (database-aware).
     if database is not None and tgd_class.has_paper_bounds:
         guarded = tgd_class is TGDClass.GUARDED
@@ -149,13 +160,10 @@ def analyze_termination(
                     )
                 else:
                     trace.append(f"characterization: CT_D holds via {verdict.method.value}")
-                    return TerminationReport(
-                        verdict=TERMINATING,
-                        variant=variant,
-                        method=f"characterization({verdict.method.value})",
-                        tgd_class=tgd_class.value,
-                        depth_bound=depth_bound(tgds, tgd_class),
-                        trace=tuple(trace),
+                    return report(
+                        TERMINATING,
+                        f"characterization({verdict.method.value})",
+                        depth_bound(tgds, tgd_class),
                     )
             elif verdict is not None and verdict.terminates is False:
                 if variant == "restricted":
@@ -165,14 +173,7 @@ def analyze_termination(
                     )
                 else:
                     trace.append(f"characterization: CT_D fails via {verdict.method.value}")
-                    return TerminationReport(
-                        verdict=DIVERGING,
-                        variant=variant,
-                        method=f"characterization({verdict.method.value})",
-                        tgd_class=tgd_class.value,
-                        depth_bound=None,
-                        trace=tuple(trace),
-                    )
+                    return report(DIVERGING, f"characterization({verdict.method.value})")
 
     # Layer 2: weak acyclicity with the variant's labelling discipline.
     graph = (AugmentedDependencyGraph if oblivious else DependencyGraph).of(tgds)
@@ -180,28 +181,14 @@ def analyze_termination(
     bound = rank_depth_bound(graph)
     if bound is not None:
         trace.append(f"{graph_name}: acyclic, rank bound {bound}")
-        return TerminationReport(
-            verdict=TERMINATING,
-            variant=variant,
-            method=graph_name,
-            tgd_class=tgd_class.value,
-            depth_bound=bound,
-            trace=tuple(trace),
-        )
+        return report(TERMINATING, graph_name, Bound(bound))
     trace.append(f"{graph_name}: special cycle")
     if database is not None:
         reachable = _reachable_predicates(database, tgds)
         bound = rank_depth_bound(graph, within=positions_of_predicates(reachable))
         if bound is not None:
             trace.append(f"{graph_name}(D): acyclic on reachable predicates, rank bound {bound}")
-            return TerminationReport(
-                verdict=TERMINATING,
-                variant=variant,
-                method=f"{graph_name}(D)",
-                tgd_class=tgd_class.value,
-                depth_bound=bound,
-                trace=tuple(trace),
-            )
+            return report(TERMINATING, f"{graph_name}(D)", Bound(bound))
         trace.append(f"{graph_name}(D): special cycle over database-reachable predicates")
 
     # Layer 3: stratification with the matching per-stratum check.
@@ -211,13 +198,10 @@ def analyze_termination(
             f"stratification: {len(strat.strata)} strata, "
             f"{len(strat.cyclic_strata)} cyclic, bound {strat.depth_bound}"
         )
-        return TerminationReport(
-            verdict=TERMINATING,
-            variant=variant,
-            method="stratification" + ("(augmented)" if oblivious else ""),
-            tgd_class=tgd_class.value,
-            depth_bound=strat.depth_bound,
-            trace=tuple(trace),
+        return report(
+            TERMINATING,
+            "stratification" + ("(augmented)" if oblivious else ""),
+            Bound(strat.depth_bound),
         )
     trace.append(
         f"stratification: stratum {'+'.join(strat.failed_stratum or ())} "
@@ -236,27 +220,13 @@ def analyze_termination(
             f"mfa({mfa.mode}): acyclic, critical chase depth {mfa.depth_bound} "
             f"({mfa.facts} facts)"
         )
-        return TerminationReport(
-            verdict=TERMINATING,
-            variant=variant,
-            method=f"mfa({mfa.mode})",
-            tgd_class=tgd_class.value,
-            depth_bound=mfa.depth_bound,
-            trace=tuple(trace),
-        )
+        return report(TERMINATING, f"mfa({mfa.mode})", Bound(mfa.depth_bound))
     if mfa.status == MFA_CYCLIC:
         trace.append(f"mfa({mfa.mode}): cyclic term via rule {mfa.cyclic_rule_id}")
     else:
         trace.append(f"mfa({mfa.mode}): undetermined ({mfa.reason})")
 
-    return TerminationReport(
-        verdict=UNDETERMINED,
-        variant=variant,
-        method=None,
-        tgd_class=tgd_class.value,
-        depth_bound=None,
-        trace=tuple(trace),
-    )
+    return report(UNDETERMINED, None)
 
 
 class TerminationAnalyzer:

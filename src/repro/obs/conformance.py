@@ -14,13 +14,12 @@ with the observed-over-bound utilizations, and
 as ``repro_bound_utilization{kind=...}`` gauges plus a
 ``repro_bound_violations_total`` counter surfaced at ``/metrics``.
 
-Bounds are only *computed* when they are comparable to the observed
-run: the guarded bounds are astronomically large for most programs,
-and materialising them exactly would cost more than the chase.  The
-``*_within`` helpers in :mod:`repro.core.bounds` refuse over-cap
-powers, in which case the utilization reports as 0.0 (the run is
-unmeasurably far below its bound) and the bound itself as the
-printable :func:`~repro.core.bounds.magnitude` estimate.
+Each bound field is the :class:`~repro.core.bounds.Bound`'s JSON form
+(the int when it fits in 64 bits, else its magnitude) and depends only
+on Σ, the class and ``|D|``.  Comparing the run with a bound is exact
+and cheap even for the astronomical guarded bounds, which are never
+built; so is the utilization, ``round(observed / bound, 6)``, which is
+``0.0`` exactly when the bound exceeds ``observed · 2^21``.
 
 Conformance is computed *post-run* from the summary — nothing here
 touches engine hot paths, cache keys, or stored summaries unless a
@@ -32,15 +31,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.bounds import Bound
     from repro.core.classify import TGDClass
     from repro.model.tgd import TGDSet
 
 __all__ = ["conformance_report", "record_conformance"]
-
-#: Bounds are materialised exactly only while they are within this
-#: factor of the observed value; beyond it the utilization is an
-#: unmeasurable ~0 and only a magnitude estimate is reported.
-BOUND_CAP_FACTOR = 1_000_000
 
 
 def conformance_report(
@@ -60,62 +55,39 @@ def conformance_report(
     # Imported here, not at module top: repro.core reaches back into
     # repro.chase.engine, which imports repro.obs — a module-level
     # import would be circular.
-    from repro.core.bounds import (
-        depth_bound,
-        depth_bound_within,
-        magnitude,
-        size_bound_magnitude,
-        size_bound_within,
-    )
+    from repro.core.bounds import depth_bound, size_bound
     from repro.core.classify import classify
 
     tgd_class = tgd_class or classify(tgds)
     if not tgd_class.has_paper_bounds:
         return None
-    size = int(summary.get("size", 0))
-    database_size = int(summary.get("database_size", 0))
-    max_depth = int(summary.get("max_depth", 0))
     terminated = bool(summary.get("terminated", False))
-
-    size_bound = size_bound_within(
-        database_size, tgds, max(size, 1) * BOUND_CAP_FACTOR, tgd_class
-    )
-    observed_depth_bound = depth_bound_within(
-        tgds, max(max_depth, 1) * BOUND_CAP_FACTOR, tgd_class
-    )
-
+    database_size = int(summary.get("database_size", 0))
+    observed = {
+        "size": (int(summary.get("size", 0)), size_bound(database_size, tgds, tgd_class)),
+        "depth": (int(summary.get("max_depth", 0)), depth_bound(tgds, tgd_class)),
+    }
     report: Dict[str, object] = {"class": str(tgd_class), "terminated": terminated}
-    if size_bound is not None:
-        report["size_bound"] = size_bound
-        report["size_utilization"] = (
-            round(size / size_bound, 6) if size_bound > 0 else 0.0
-        )
-    else:
-        # Astronomically above anything observable; report the
-        # magnitude of f_C alone, read off its bit length.
-        report["size_bound"] = None
-        report["size_bound_magnitude"] = size_bound_magnitude(1, tgds, tgd_class)
-        report["size_utilization"] = 0.0
-    if observed_depth_bound is not None:
-        report["depth_bound"] = observed_depth_bound
-        report["depth_utilization"] = (
-            round(max_depth / observed_depth_bound, 6)
-            if observed_depth_bound > 0
-            else 0.0
-        )
-    else:
-        report["depth_bound"] = None
-        report["depth_bound_magnitude"] = magnitude(depth_bound(tgds, tgd_class))
-        report["depth_utilization"] = 0.0
-
-    violations = []
-    if terminated:
-        if size_bound is not None and size_bound > 0 and size > size_bound:
-            violations.append("size")
-        if observed_depth_bound is not None and max_depth > observed_depth_bound:
-            violations.append("depth")
-    report["violations"] = violations
+    for kind, (value, bound) in observed.items():
+        report[f"{kind}_bound"] = bound.to_json()
+        report[f"{kind}_utilization"] = _utilization(value, bound)
+    report["violations"] = [
+        kind
+        for kind, (value, bound) in observed.items()
+        if terminated and bound > 0 and value > bound
+    ]
     return report
+
+
+def _utilization(observed: int, bound: Bound) -> float:
+    """``round(observed / bound, 6)``, exactly, without building a huge bound.
+
+    Above ``observed · 2^21`` the ratio is below 5·10^-7, which rounds
+    to ``0.0``; at or below it the bound is small enough to build.
+    """
+    if bound == 0 or observed << 21 < bound:
+        return 0.0
+    return round(observed / int(bound), 6)
 
 
 def record_conformance(registry, report: Optional[Mapping[str, object]]) -> None:
@@ -129,20 +101,13 @@ def record_conformance(registry, report: Optional[Mapping[str, object]]) -> None
     """
     if report is None:
         return
-    registry.gauge(
-        "repro_bound_utilization",
-        "Observed value over the paper bound for the last conforming run",
-        labels={"kind": "size"},
-    ).set(float(report.get("size_utilization", 0.0)))
-    registry.gauge(
-        "repro_bound_utilization",
-        "Observed value over the paper bound for the last conforming run",
-        labels={"kind": "depth"},
-    ).set(float(report.get("depth_utilization", 0.0)))
-    violations = report.get("violations") or ()
-    counter = registry.counter(
+    for kind in ("size", "depth"):
+        registry.gauge(
+            "repro_bound_utilization",
+            "Observed value over the paper bound for the last conforming run",
+            labels={"kind": kind},
+        ).set(float(report.get(f"{kind}_utilization", 0.0)))
+    registry.counter(
         "repro_bound_violations_total",
         "Runs observed above their paper bound (classification/engine bug)",
-    )
-    if violations:
-        counter.inc(len(violations))
+    ).inc(len(report.get("violations") or ()))

@@ -22,11 +22,11 @@ sets fall back to the explicit or default budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.chase.engine import ChaseBudget
-from repro.core.bounds import depth_bound, magnitude, size_bound_within
+from repro.core.bounds import depth_bound, size_bound
 from repro.core.classify import TGDClass, classify
 from repro.core.termination_analysis import (
     DIVERGING,
@@ -48,6 +48,11 @@ DEFAULT_DEPTH_CAP = 1_000_000
 #: policy: enough atoms to produce a meaningful budget-stop row, a
 #: fraction of the default million-atom burn.
 DEFAULT_DIVERGING_CLAMP = ChaseBudget(max_atoms=50_000, max_rounds=5_000)
+
+
+def _depth_source(budget: ChaseBudget) -> str:
+    """Provenance of a ``max_depth`` taken from ``budget`` as it is."""
+    return "explicit" if budget.max_depth is not None else "unset"
 
 
 def _min_cap(current: Optional[int], cap: Optional[int]) -> Optional[int]:
@@ -137,27 +142,24 @@ class BudgetPolicy:
                 tgd_class=tgd_class,
                 source="default",
                 max_atoms_source="default",
-                max_depth_source="explicit" if self.default.max_depth is not None else "unset",
+                max_depth_source=_depth_source(self.default),
             )
         depth = depth_bound(program, tgd_class)
-        size = size_bound_within(database_size, program, self.atom_cap, tgd_class)
-        max_atoms = size if size is not None else self.default.max_atoms
+        size = size_bound(database_size, program, tgd_class)
+        use_size = size <= self.atom_cap
         use_depth = depth <= self.depth_cap
-        max_depth = depth if use_depth else self.default.max_depth
-        budget = self.default.replace(max_atoms=max_atoms, max_depth=max_depth)
-        paper_derived = size is not None or use_depth
+        budget = self.default.replace(
+            max_atoms=int(size) if use_size else self.default.max_atoms,
+            max_depth=int(depth) if use_depth else self.default.max_depth,
+        )
         return BudgetDecision(
             budget=budget,
             tgd_class=tgd_class,
-            source="paper-bound" if paper_derived else "default",
-            max_atoms_source="size-bound" if size is not None else "default",
-            max_depth_source=(
-                "depth-bound"
-                if use_depth
-                else ("explicit" if self.default.max_depth is not None else "unset")
-            ),
-            depth_bound_magnitude=magnitude(depth),
-            size_bound_magnitude=magnitude(size) if size is not None else "over-cap",
+            source="paper-bound" if use_size or use_depth else "default",
+            max_atoms_source="size-bound" if use_size else "default",
+            max_depth_source="depth-bound" if use_depth else _depth_source(self.default),
+            depth_bound_magnitude=depth.magnitude(),
+            size_bound_magnitude=size.magnitude() if use_size else "over-cap",
         )
 
     # -- analysis-aware derivation ----------------------------------------
@@ -194,54 +196,26 @@ class BudgetPolicy:
                 tgd_class=tgd_class,
                 source="analysis-clamp",
                 max_atoms_source="analysis-clamp",
-                max_depth_source=(
-                    "explicit" if self.default.max_depth is not None else "unset"
-                ),
+                max_depth_source=_depth_source(self.default),
                 verdict=report.verdict,
                 verdict_method=report.method,
             )
-        base = self._derive_paper(program, database_size, tgd_class)
+        # The seed derivation (paper bounds / default), analyzer-blind.
+        base = replace(self, analyzer=None).derive(program, database_size, tgd_class)
         if (
             report.verdict == TERMINATING
             and not tgd_class.has_paper_bounds
             and report.depth_bound is not None
             and report.depth_bound <= self.depth_cap
         ):
-            budget = base.budget.replace(max_depth=report.depth_bound)
-            return BudgetDecision(
-                budget=budget,
-                tgd_class=tgd_class,
+            base = replace(
+                base,
+                budget=base.budget.replace(max_depth=int(report.depth_bound)),
                 source="analysis",
-                max_atoms_source=base.max_atoms_source,
                 max_depth_source="analysis-depth-bound",
-                depth_bound_magnitude=magnitude(report.depth_bound),
-                size_bound_magnitude=base.size_bound_magnitude,
-                verdict=report.verdict,
-                verdict_method=report.method,
+                depth_bound_magnitude=report.depth_bound.magnitude(),
             )
-        return BudgetDecision(
-            budget=base.budget,
-            tgd_class=base.tgd_class,
-            source=base.source,
-            max_atoms_source=base.max_atoms_source,
-            max_depth_source=base.max_depth_source,
-            depth_bound_magnitude=base.depth_bound_magnitude,
-            size_bound_magnitude=base.size_bound_magnitude,
-            verdict=report.verdict,
-            verdict_method=report.method,
-        )
-
-    def _derive_paper(
-        self,
-        program: TGDSet,
-        database_size: int,
-        tgd_class: TGDClass,
-    ) -> BudgetDecision:
-        """The seed derivation (paper bounds / default), analyzer-blind."""
-        plain = BudgetPolicy(
-            default=self.default, atom_cap=self.atom_cap, depth_cap=self.depth_cap
-        )
-        return plain.derive(program, database_size, tgd_class)
+        return replace(base, verdict=report.verdict, verdict_method=report.method)
 
     def resolve(
         self,
@@ -261,7 +235,7 @@ class BudgetPolicy:
                 tgd_class=classify(program),
                 source="explicit",
                 max_atoms_source="explicit",
-                max_depth_source="explicit" if explicit.max_depth is not None else "unset",
+                max_depth_source=_depth_source(explicit),
             )
         if budget_mode == "default":
             return BudgetDecision(
@@ -269,7 +243,7 @@ class BudgetPolicy:
                 tgd_class=classify(program),
                 source="default",
                 max_atoms_source="default",
-                max_depth_source="explicit" if self.default.max_depth is not None else "unset",
+                max_depth_source=_depth_source(self.default),
             )
         if budget_mode == "auto":
             return self.derive(program, database_size, database=database, variant=variant)

@@ -5,6 +5,8 @@ import pytest
 from repro.model.parser import parse_database, parse_program
 from repro.chase.semi_oblivious import semi_oblivious_chase
 from repro.core.bounds import (
+    INT_BITS,
+    Bound,
     _digits_estimate,
     depth_bound,
     generic_size_bound,
@@ -14,10 +16,9 @@ from repro.core.bounds import (
     per_tree_depth_slice_bound,
     size_bound,
     size_bound_factor,
-    size_bound_magnitude,
     sl_lower_bound_value,
 )
-from repro.core.classify import TGDClass
+from repro.core.classify import TGDClass, classify
 from repro.generators.families import (
     example_7_1,
     guarded_lower_bound,
@@ -49,6 +50,21 @@ MAGNITUDE_FIXTURES = {
     "l-family-1-2": (lambda: linear_lower_bound(1, 2)[1], None),
     "example-7-1": (lambda: example_7_1()[1], None),
 }
+
+
+def _plain_size_bound(database_size, tgds, tgd_class):
+    """``|D| · f_C(Σ)`` as a plain int, straight from the formulas."""
+    tgd_class = tgd_class or classify(tgds)
+    schema_size, arity = len(tgds.schema()), max(tgds.arity(), 1)
+    depth = {
+        TGDClass.SIMPLE_LINEAR: schema_size * arity,
+        TGDClass.LINEAR: schema_size * arity ** (arity + 1),
+        TGDClass.GUARDED: schema_size
+        * arity ** (2 * arity + 1)
+        * 2 ** (schema_size * arity**arity),
+    }[tgd_class]
+    norm = max(tgds.norm(), 1)
+    return database_size * (depth + 1) * norm ** (2 * arity * (depth + 1))
 
 
 class TestDepthBound:
@@ -98,7 +114,7 @@ class TestDepthBound:
 class TestSizeBounds:
     def test_size_bound_factor_formula(self):
         program = parse_program("R(x, y) -> exists z . S(y, z)")
-        depth = depth_bound(program)
+        depth = int(depth_bound(program))
         norm = program.norm()
         assert size_bound_factor(program) == (depth + 1) * norm ** (2 * 2 * (depth + 1))
 
@@ -111,25 +127,49 @@ class TestSizeBounds:
         assert per_tree_depth_slice_bound(program, 0) < per_tree_depth_slice_bound(program, 1)
 
     @pytest.mark.parametrize("name", sorted(MAGNITUDE_FIXTURES))
-    def test_size_bound_magnitude_matches_the_built_bound(self, name):
+    def test_bound_is_exact(self, name):
         build, tgd_class = MAGNITUDE_FIXTURES[name]
         tgds = build()
         for database_size in (0, 1, 2, 3, 1000, 10**6):
-            assert size_bound_magnitude(database_size, tgds, tgd_class) == magnitude(
-                size_bound(database_size, tgds, tgd_class)
-            ), (name, database_size)
+            value = _plain_size_bound(database_size, tgds, tgd_class)
+            bound = size_bound(database_size, tgds, tgd_class)
+            assert bound.magnitude() == magnitude(value), (name, database_size)
+            for n in (value - 1, value, value + 1, 0, 2**64):
+                assert (n <= bound) == (n <= value), (name, database_size, n - value)
+            json_form = value if value.bit_length() <= 64 else magnitude(value)
+            assert bound.to_json() == json_form, (name, database_size)
 
-    def test_size_bound_magnitude_never_builds_the_guarded_bound(self):
+    def test_guarded_bounds_are_never_built(self):
         # ``|D| · f_G`` of the 2-rule mentoring ontology has ~1.9·10^8
-        # bits and takes ~100 s to build; the string is the one the
+        # bits and takes ~90 s to build; the string is the one the
         # built integer prints.
         tgds = parse_program(MENTORING)
         assert depth_bound(tgds) == 8_388_608
-        assert size_bound_magnitude(1, tgds) == "~10^56413109"
+        bound = size_bound(1, tgds)
+        assert bound.magnitude() == "~10^56413109"
+        assert bound.to_json() == "~10^56413109"
+        assert 10**10_000 <= bound and not bound <= 10**10_000
+        with pytest.raises(OverflowError):
+            int(bound)
         # d_G itself has 746,534 bits here, so even the decimal exponent
         # of f_G has ~224,700 digits: it prints as a magnitude too.
         _, family = guarded_lower_bound(1, 1, 1)
-        assert size_bound_magnitude(1, family).startswith("~10^~10^2247")
+        assert size_bound(1, family).magnitude().startswith("~10^~10^2247")
+
+    def test_comparisons_are_exact_at_power_edges(self):
+        # Symbolic bounds (over EXACT_BITS) compared with ints of about
+        # their own length, where the exponent alone almost settles it.
+        for coeff, base, exp in [(1, 2, 5000), (1, 2, 5001), (3, 3, 3000), (1, 4, 2600)]:
+            bound, value = Bound.power(coeff, base, exp), coeff * base**exp
+            for n in (value - 1, value, value + 1, 1 << value.bit_length()):
+                assert (n <= bound) == (n <= value), (base, exp, n - value)
+                assert (bound <= n) == (value <= n), (base, exp, n - value)
+                assert (bound == n) == (value == n), (base, exp, n - value)
+
+    def test_int_refuses_only_long_bounds(self):
+        assert int(Bound.power(3, 2, INT_BITS - 2)) == 3 << INT_BITS - 2
+        with pytest.raises(OverflowError):
+            int(Bound.power(1, 2, INT_BITS))
 
     def test_digit_rule_is_the_float_rule(self):
         # Printed magnitudes keep their strings only if the integer rule

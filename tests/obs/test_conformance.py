@@ -25,6 +25,12 @@ from repro.obs.metrics import MetricsRegistry
 
 BUDGET = ChaseBudget(max_atoms=200_000, max_rounds=100_000)
 
+#: A guarded ontology whose termination depends on the data: d_G = 8,388,608.
+MENTORING = (
+    "Team(t), MemberOf(p, t) -> exists q . Mentors(q, p), MemberOf(q, t)\n"
+    "Mentors(q, p) -> Knows(q, p)"
+)
+
 #: Terminating SL/L golden-table families (name -> case factory).
 TERMINATING_FAMILIES = {
     "example_7_1": example_7_1,
@@ -49,38 +55,32 @@ class TestConformingRuns:
         assert report["violations"] == []
         assert 0.0 <= report["size_utilization"] <= 1.0
         assert 0.0 <= report["depth_utilization"] <= 1.0
-        # A materialised bound must actually dominate the observation.
-        if report["size_bound"] is not None:
+        # A bound printed as an int must actually dominate the observation.
+        if isinstance(report["size_bound"], int):
             assert result.size <= report["size_bound"]
-        if report["depth_bound"] is not None:
+        if isinstance(report["depth_bound"], int):
             assert result.max_depth <= report["depth_bound"]
 
-    def test_guarded_fallback_reads_f_g_off_its_bit_length(self):
+    def test_guarded_block_reads_f_g_off_its_exponent(self):
         # The 2-rule mentoring ontology: |D| · f_G has ~1.9·10^8 bits and
-        # building it took about 100 s.  The block is the one the built
-        # integer produced.
-        rules = (
-            "Team(t), MemberOf(p, t) -> exists q . Mentors(q, p), MemberOf(q, t)\n"
-            "Mentors(q, p) -> Knows(q, p)"
-        )
+        # building it took about 100 s.  Its magnitude is the one the
+        # built integer printed; d_G = 8,388,608 fits a machine word.
         database = parse_database("Knows(ada, bob).")
         summary = VARIANT_RUNNERS["semi-oblivious"](
-            database, parse_program(rules), record_derivation=False
+            database, parse_program(MENTORING), record_derivation=False
         ).summary()
         seconds = []
         for _ in range(3):
-            tgds = parse_program(rules)  # cold: nothing memoised on the program
+            tgds = parse_program(MENTORING)  # cold: nothing memoised on the program
             start = time.perf_counter()
             report = conformance_report(summary, tgds)
             seconds.append(time.perf_counter() - start)
             assert report == {
                 "class": "G",
                 "terminated": True,
-                "size_bound": None,
-                "size_bound_magnitude": "~10^56413109",
+                "size_bound": "~10^56413109",
                 "size_utilization": 0.0,
-                "depth_bound": None,
-                "depth_bound_magnitude": "8388608",
+                "depth_bound": 8388608,
                 "depth_utilization": 0.0,
                 "violations": [],
             }
@@ -153,6 +153,43 @@ class TestMisclassification:
         rendered = registry.render()
         assert "repro_bound_violations_total 1" in rendered
         assert 'repro_bound_utilization{kind="depth"}' in rendered
+
+    def test_guarded_depth_bound_is_checked_at_its_boundary(self):
+        # A guarded run is checked against d_G itself: at d_G it
+        # conforms, one deeper it is a violation that fires the counter.
+        tgds = parse_program(MENTORING)
+        summary = {"size": 3, "database_size": 2, "terminated": True}
+        at_bound = conformance_report({**summary, "max_depth": 8_388_608}, tgds)
+        assert at_bound["violations"] == []
+        assert at_bound["depth_utilization"] == 1.0
+        over = conformance_report({**summary, "max_depth": 8_388_609}, tgds)
+        assert over["violations"] == ["depth"]
+        assert over["depth_bound"] == 8_388_608
+        registry = MetricsRegistry()
+        record_conformance(registry, over)
+        assert "repro_bound_violations_total 1" in registry.render()
+
+    def test_utilization_is_the_exactly_rounded_ratio(self):
+        # 0.0 is reported without building the bound once it exceeds
+        # observed · 2^21; around that edge (depth 4 of d_G = 2^23) the
+        # value must still be the plainly rounded ratio.
+        tgds = parse_program(MENTORING)
+        for depth in range(64):
+            report = conformance_report(
+                {"size": 1, "database_size": 1, "max_depth": depth, "terminated": True},
+                tgds,
+            )
+            assert report["depth_utilization"] == round(depth / 8_388_608, 6), depth
+            assert report["size_utilization"] == 0.0
+        sl = parse_program("P(x) -> Q(x)")  # d_SL = 2, |D| · f_SL = 12288 |D|
+        for size in (0, 1, 3, 6144, 12288):
+            report = conformance_report(
+                {"size": size, "database_size": 1, "max_depth": 1, "terminated": True},
+                sl,
+            )
+            assert report["size_bound"] == 12288
+            assert report["size_utilization"] == round(size / 12288, 6)
+            assert report["depth_utilization"] == 0.5
 
     def test_conforming_run_keeps_the_counter_at_zero(self):
         database, tgds = TERMINATING_FAMILIES["example_7_1"]()
