@@ -1,75 +1,42 @@
-"""E18 — columnar engine: speed, snapshots, incremental re-chase.
+"""E18 — the columnar store engine against the legacy rescan.
 
-The columnar fact-store engine must produce results equivalent to the
-legacy rescan while being measurably faster; snapshots must round-trip
-losslessly; and ``resume_from`` re-chase of a database delta must equal
-the cold run.  ``python -m repro bench-engine`` regenerates the full
-BENCH_engine.json report; this benchmark keeps a small always-on smoke
-version of it in the suite.
+The store engine must produce results equivalent to the legacy rescan
+while being measurably faster, and its instrumentation (per-round
+telemetry, per-rule profiling) must stay cheap.  ``python -m repro
+bench-engine`` regenerates the full BENCH_engine.json report; this
+benchmark gates the same columns on two small rows.
 """
 
 import pytest
 
-from repro.bench.drivers import (
-    engine_benchmark_rows,
-    incremental_rechase_row,
-    snapshot_roundtrip_row,
-)
-from repro.chase.engine import ChaseBudget
+from repro.bench.drivers import engine_benchmark_rows
 from repro.chase.semi_oblivious import semi_oblivious_chase
-from repro.generators.families import guarded_lower_bound, sl_lower_bound
+from repro.generators.families import sl_lower_bound
+from repro.generators.workloads import restricted_heavy
 
 
 @pytest.mark.benchmark(group="E18-columnar-engine")
 def test_engine_speed_report(benchmark, report):
     workloads = [
-        ("sl(n=2,m=2,ell=2)", *sl_lower_bound(2, 2, 2)),
-        ("guarded(n=1,m=1,ell=1)", *guarded_lower_bound(1, 1, 1)),
+        ("sl(n=2,m=3,ell=2)", *sl_lower_bound(2, 3, 2), ("semi_oblivious",), False),
+        ("restricted-heavy(n=60,m=20)", *restricted_heavy(60, 20), ("restricted",), False),
     ]
-    rows = engine_benchmark_rows(
-        workloads=workloads,
-        variants=("semi_oblivious",),
-        budget=ChaseBudget(max_atoms=100_000),
-        repeats=1,
-    )
+    # The overheads are measured over max(9, repeats) interleaved
+    # rounds (probe-on and profile-on between two plain runs); the gates
+    # read each row's floor, the min ratio over those rounds: a
+    # per-trigger cost shows in every round, a scheduler interrupt in
+    # one round does not move the min.
+    rows = engine_benchmark_rows(workloads=workloads, repeats=2)
     report("E18: columnar store engine vs legacy", rows)
-    # Equivalence is a hard requirement; speed is reported, not asserted,
-    # to keep the suite robust on loaded CI machines.
-    assert all(row.measured["equivalent"] for row in rows)
-    assert all("speedup_vs_legacy" in row.measured for row in rows)
-    # Profiled repeats ride along every row; the strict 1.10x overhead
-    # gate lives in 'bench-engine --quick' where repeats amortise noise
-    # — here we only guard against a per-trigger-clock-read regression,
-    # which shows up as a multiple, not a percentage.
-    assert all(row.measured["profile_overhead"] < 2.0 for row in rows)
+    for row in rows:
+        measured = row.measured
+        assert measured["equivalent"], row
+        assert measured["speedup_vs_legacy"] >= 1.5, row
+        assert measured["telemetry_overhead_floor"] <= 1.10, row
+        assert measured["profile_overhead_floor"] <= 1.10, row
     database, tgds = sl_lower_bound(2, 2, 2)
     benchmark.pedantic(
         lambda: semi_oblivious_chase(database, tgds, record_derivation=False),
         rounds=3,
         iterations=1,
     )
-
-
-@pytest.mark.benchmark(group="E18-columnar-engine")
-def test_snapshot_roundtrip_report(benchmark, report):
-    row = snapshot_roundtrip_row(
-        workload=("sl(n=2,m=2,ell=2)", *sl_lower_bound(2, 2, 2)),
-        budget=ChaseBudget(max_atoms=100_000),
-        repeats=1,
-    )
-    report("E18: snapshot encode/decode round trip", [row])
-    assert row.measured["equivalent"]
-    assert row.measured["snapshot_bytes"] > 0
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-@pytest.mark.benchmark(group="E18-columnar-engine")
-def test_incremental_rechase_report(benchmark, report):
-    row = incremental_rechase_row(
-        chain_length=20, payloads=40, delta_payloads=3, repeats=1
-    )
-    report("E18: incremental (resume_from) vs cold re-chase", [row])
-    # Correctness always; the ≥3x speed gate lives in the full report,
-    # not the smoke (CI machines are too noisy at this size).
-    assert row.measured["equivalent"]
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -39,17 +39,13 @@ individual rules (``repro profile FILE`` re-renders a saved payload,
 ``--conformance`` checks terminated runs against the paper's
 size/depth bounds for their TGD class.
 
-``bench-engine`` regenerates the engine report and appends a row set
-to ``benchmarks/history.jsonl`` (``--history PATH`` / ``--no-history``)
-for regression tracking; ``bench history`` / ``bench compare`` read
-that log.  The batch runtime and the daemon are timed by the
-whole-stack benchmark (``perfbench/``, workloads ``batch-mixed`` and
+``bench-engine`` regenerates the engine report, the store engine
+against the legacy rescan (exit status 1 when a row's results differ).
+The batch runtime and the daemon are timed by the whole-stack
+benchmark (``perfbench/``, workloads ``batch-mixed`` and
 ``service-mixed``)::
 
-    python -m repro bench-engine  [--output BENCH_engine.json] [--repeats N] [--quick]
-    python -m repro bench history [--path FILE] [--limit N] [--experiment E]
-    python -m repro bench compare [--path FILE] [--baseline SHA] [--threshold F]
-                                  [--experiment E] [--fail-on-regression]
+    python -m repro bench-engine  [--output BENCH_engine.json] [--repeats N]
 
 Rule files contain one TGD per line (``R(x, y) -> exists z . S(y, z)``),
 database files one fact per line (``R(a, b).``); ``%`` and ``#`` start
@@ -648,137 +644,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    from repro.obs.benchhist import format_history, load_history
-
-    entries = load_history(args.path)
-    if args.experiment:
-        entries = [e for e in entries if e.get("experiment") == args.experiment]
-    if not entries:
-        print(f"no history entries in {args.path}", file=sys.stderr)
-        return 2
-    print(format_history(entries, limit=args.limit))
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.obs.benchhist import compare_entries, format_comparison, load_history
-
-    entries = load_history(args.path)
-    if args.experiment:
-        entries = [e for e in entries if e.get("experiment") == args.experiment]
-    by_experiment: dict = {}
-    for entry in entries:
-        by_experiment.setdefault(entry.get("experiment"), []).append(entry)
-    if not by_experiment:
-        print(f"no history entries in {args.path}", file=sys.stderr)
-        return 2
-    regressed = False
-    compared = False
-    for experiment in sorted(by_experiment, key=str):
-        history = by_experiment[experiment]
-        current = history[-1]
-        if args.baseline:
-            candidates = [
-                e
-                for e in history[:-1]
-                if str(e.get("git_sha", "")).startswith(args.baseline)
-            ]
-            if not candidates:
-                print(
-                    f"{experiment}: no baseline entry matching "
-                    f"{args.baseline!r}; skipping",
-                    file=sys.stderr,
-                )
-                continue
-            baseline = candidates[-1]
-        elif len(history) >= 2:
-            baseline = history[-2]
-        else:
-            print(f"{experiment}: only one entry, nothing to compare", file=sys.stderr)
-            continue
-        comparison = compare_entries(baseline, current, threshold=args.threshold)
-        compared = True
-        print(format_comparison(comparison))
-        if comparison["regressions"]:
-            regressed = True
-    if not compared:
-        return 2
-    if regressed and args.fail_on_regression:
-        return 1
-    return 0
-
-
 def _cmd_bench_engine(args: argparse.Namespace) -> int:
-    from repro.bench.drivers import (
-        engine_benchmark_rows,
-        engine_memory_row,
-        format_table,
-        incremental_rechase_row,
-        snapshot_roundtrip_row,
-        write_engine_report,
-    )
+    from repro.bench.drivers import engine_benchmark_rows, format_table, write_engine_report
 
-    output = args.output or (
-        "BENCH_engine.quick.json" if args.quick else "BENCH_engine.json"
-    )
-    rows = engine_benchmark_rows(repeats=args.repeats, quick=args.quick)
-    if not args.quick:
-        rows.append(snapshot_roundtrip_row(repeats=args.repeats))
-        rows.append(incremental_rechase_row(repeats=args.repeats))
-        rows.append(engine_memory_row())
-    report = write_engine_report(
-        path=output, rows=rows, quick=args.quick, history_path=_history_path(args)
-    )
+    rows = engine_benchmark_rows(repeats=args.repeats)
+    summary = write_engine_report(path=args.output, rows=rows)["summary"]
     print(format_table(rows))
-    summary = report["summary"]
-    gates = ""
-    if not args.quick:
-        gates = (
-            f"incremental re-chase speedup: {summary['incremental_speedup']}x, "
-            f"snapshot {summary['snapshot_encode_mb_s']}/"
-            f"{summary['snapshot_decode_mb_s']} MB/s enc/dec, "
-        )
     print(
         f"\nmin speedup vs legacy: {summary['min_speedup_vs_legacy']}x, "
-        f"{gates}all runs equivalent: {summary['all_equivalent']}",
+        f"all runs equivalent: {summary['all_equivalent']}",
         file=sys.stderr,
     )
-    print(f"wrote {output}", file=sys.stderr)
-    if not summary["all_equivalent"]:
-        return 1
-    if args.quick:
-        # CI perf smoke: the store engine must stay ≥ 1.5× over the
-        # legacy rescan on the smoke workloads.
-        floor = summary["min_speedup_vs_legacy"]
-        if floor is None or floor < 1.5:
-            print(
-                f"perf smoke FAILED: store-vs-legacy speedup {floor}x < 1.5x",
-                file=sys.stderr,
-            )
-            return 1
-        # The overhead gates read the *floor* ratios (min across the
-        # interleaved rounds): a genuine per-trigger cost shows up in
-        # every round so it cannot hide from the min, while a noisy CI
-        # neighbour slowing any single round cannot flake the gate.
-        overhead = summary.get("max_telemetry_overhead_floor")
-        if overhead is not None and overhead > 1.10:
-            print(
-                f"perf smoke FAILED: per-round telemetry costs "
-                f"{overhead}x the uninstrumented store run (gate: 1.10x)",
-                file=sys.stderr,
-            )
-            return 1
-        profile_overhead = summary.get("max_profile_overhead_floor")
-        if profile_overhead is not None and profile_overhead > 1.10:
-            print(
-                f"perf smoke FAILED: per-rule profiling costs "
-                f"{profile_overhead}x the unprofiled store run (gate: 1.10x)",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    return 0 if summary["incremental_target_met"] else 1
+    print(f"wrote {args.output}", file=sys.stderr)
+    return 0 if summary["all_equivalent"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1132,97 +1010,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_parser.set_defaults(handler=_cmd_profile)
 
-    bench_history_root = subparsers.add_parser(
-        "bench",
-        help="inspect and compare the benchmarks/history.jsonl perf log",
-    )
-    bench_history_subparsers = bench_history_root.add_subparsers(
-        dest="action", required=True
-    )
-    bench_history_cmd = bench_history_subparsers.add_parser(
-        "history", help="list recorded bench runs (newest last)"
-    )
-    bench_history_cmd.add_argument(
-        "--path", default="benchmarks/history.jsonl", help="history JSONL file"
-    )
-    bench_history_cmd.add_argument(
-        "--limit", type=int, default=20, help="show at most N entries"
-    )
-    bench_history_cmd.add_argument(
-        "--experiment", help="only entries of this experiment (e.g. engine-speed)"
-    )
-    bench_history_cmd.set_defaults(handler=_cmd_bench_history)
-    bench_compare_cmd = bench_history_subparsers.add_parser(
-        "compare",
-        help="compare each experiment's latest entry against a baseline and "
-        "flag per-row regressions beyond the noise threshold",
-    )
-    bench_compare_cmd.add_argument(
-        "--path", default="benchmarks/history.jsonl", help="history JSONL file"
-    )
-    bench_compare_cmd.add_argument(
-        "--baseline",
-        help="git SHA (prefix) of the baseline entry; default: the "
-        "previous entry of the same experiment",
-    )
-    bench_compare_cmd.add_argument(
-        "--threshold",
-        type=float,
-        default=0.15,
-        help="relative slowdown tolerated before a row counts as a "
-        "regression (default 0.15 = 15%%)",
-    )
-    bench_compare_cmd.add_argument(
-        "--experiment", help="only compare this experiment (e.g. engine-speed)"
-    )
-    bench_compare_cmd.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="exit non-zero when any row regresses (CI gate; default is "
-        "report-only)",
-    )
-    bench_compare_cmd.set_defaults(handler=_cmd_bench_compare)
-
     bench_parser = subparsers.add_parser(
         "bench-engine",
         help="measure the fact-store engine vs the legacy rescan, "
         "write BENCH_engine.json",
     )
     bench_parser.add_argument(
-        "--output",
-        help="report path (default: BENCH_engine.json, or "
-        "BENCH_engine.quick.json with --quick)",
+        "--output", default="BENCH_engine.json", help="report path"
     )
     bench_parser.add_argument("--repeats", type=int, default=3)
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="two-row CI perf smoke; exits non-zero if the store engine is "
-        "not ≥1.5x over the legacy rescan, telemetry or profiling cost "
-        "more than 1.10x, or results diverge",
-    )
-    _fault_flag(bench_parser)
-    _add_history_flags(bench_parser)
     bench_parser.set_defaults(handler=_cmd_bench_engine)
     return parser
-
-
-def _add_history_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--history",
-        default="benchmarks/history.jsonl",
-        help="append this run's per-row metrics to the schema-versioned "
-        "perf log (compare runs with 'bench compare')",
-    )
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="do not record this run in the bench history",
-    )
-
-
-def _history_path(args: argparse.Namespace) -> Optional[str]:
-    return None if args.no_history else args.history
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -58,7 +58,7 @@ from array import array
 from contextlib import contextmanager
 from time import perf_counter
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.model.atoms import Atom, Predicate
 from repro.model.instance import Instance
@@ -179,7 +179,7 @@ class FactStore:
         # Projection existence indexes: per predicate, a position
         # signature (e.g. ``(0, 2)``) maps to a
         # ``[projection set, watermark, getter]`` triple used by
-        # multi-position existence probes (see has_candidate).
+        # multi-position existence probes (see has_projection).
         self._proj: List[Dict[Tuple[int, ...], list]] = []
         # Depth bookkeeping is deferred too: rows before this
         # per-predicate watermark have been folded into _max_depth.
@@ -446,11 +446,6 @@ class FactStore:
                 )
         return atoms
 
-    def iter_facts(self) -> Iterator[Fact]:
-        for pid in range(len(self._pred_of)):
-            for ids in self.facts_of(pid):
-                yield (pid, ids)
-
     # -- storage -----------------------------------------------------------
 
     def add(self, pid: int, ids: Tuple[int, ...]) -> bool:
@@ -633,28 +628,16 @@ class FactStore:
             return ()
         return tuple(bucket)
 
-    def posting_rows(self, pid: int, position: int, tid: int) -> memoryview:
-        """One posting column as a read-only ``memoryview`` of packed
-        row ids — ascending by construction.
-
-        This is the zero-copy-consumable face of the columnar index
-        (the ids are packed into a fresh ``array('q')``; the view into
-        it is read-only), used by tooling and tests that want the sorted
-        ids rather than decoded facts.
-        """
-        bucket = self.column(pid, position).get(tid)
-        row_of = self._row_of[pid]
-        ids = array("q", (row_of[ids_] for ids_ in bucket)) if bucket else array("q")
-        return memoryview(ids).toreadonly()
-
     def has_projection(
         self, pid: int, signature: Tuple[int, ...], value: Tuple[int, ...]
     ) -> bool:
-        """:meth:`has_candidate` with the probe pre-split by the caller.
+        """True iff some stored fact over ``pid`` has ``value`` at the
+        positions ``signature``.
 
-        ``signature`` is the tuple of bound positions and ``value`` the
-        term ids at them — the form compiled head plans can build with
-        one itemgetter.  A multi-position probe is one lookup in the
+        The existence-only twin of :meth:`candidates`, with the probe
+        pre-split into the tuple of bound positions and the term ids at
+        them — the form compiled head plans can build with one
+        itemgetter.  A multi-position probe is one lookup in the
         projection index.
         """
         if not signature:
@@ -681,27 +664,6 @@ class FactStore:
                 projections.update(map(getter, rows[watermark:]))
                 entry[1] = len(rows)
         return value in projections
-
-    def has_candidate(self, pid: int, bound: Sequence[Tuple[int, int]]) -> bool:
-        """True iff some stored fact over ``pid`` matches ``bound``.
-
-        The existence-only twin of :meth:`candidates` with the probe as
-        ``(position, tid)`` pairs; :meth:`has_projection` is the same
-        verdict for callers that pre-split signature and value.
-        """
-        if not bound:
-            return bool(self._rows[pid])
-        if len(bound) == 1:
-            position, tid = bound[0]
-            return tid in self.column(pid, position)
-        if len(bound) == 2:
-            (position_a, tid_a), (position_b, tid_b) = bound
-            return self.has_projection(pid, (position_a, position_b), (tid_a, tid_b))
-        return self.has_projection(
-            pid,
-            tuple(position for position, _ in bound),
-            tuple(tid for _, tid in bound),
-        )
 
     def candidates(self, pid: int, bound: Sequence[Tuple[int, int]]):
         """Facts over ``pid`` matching the bound ``(position, tid)`` pairs.

@@ -20,13 +20,6 @@ from .metrics import (
     histogram_consistency_errors,
     parse_prometheus_text,
 )
-from .benchhist import (
-    append_history,
-    compare_entries,
-    format_comparison,
-    format_history,
-    load_history,
-)
 from .conformance import conformance_report, record_conformance
 from .observer import RunObserver
 from .probe import ChaseProbe, RoundSample
@@ -54,9 +47,4 @@ __all__ = [
     "format_profile_table",
     "conformance_report",
     "record_conformance",
-    "append_history",
-    "load_history",
-    "compare_entries",
-    "format_history",
-    "format_comparison",
 ]

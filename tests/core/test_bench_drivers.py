@@ -1,5 +1,8 @@
 """Tests for the benchmark drivers (they back EXPERIMENTS.md and examples)."""
 
+import json
+
+from repro.bench import drivers
 from repro.bench.drivers import (
     SweepRow,
     chase_size_sweep,
@@ -10,6 +13,7 @@ from repro.bench.drivers import (
     lower_bound_rows,
     ucq_data_complexity_rows,
     variant_comparison_rows,
+    write_engine_report,
 )
 from repro.generators.families import example_7_1, sl_lower_bound
 from repro.generators.scenarios import data_exchange_scenario
@@ -66,3 +70,65 @@ class TestSweeps:
         measured = rows[0].measured
         assert measured["restricted_size"] <= measured["semi_oblivious_size"]
         assert measured["semi_oblivious_size"] <= measured["oblivious_size"]
+
+
+class TestEngineReport:
+    def test_default_workloads_keep_every_row(self):
+        # Four small workloads on all three variants, four big ones on
+        # one: the 16 rows of BENCH_engine.json.
+        workloads = drivers._engine_workloads()
+        assert sum(len(variants) for _, _, _, variants, _ in workloads) == 16
+        assert sum(big for *_, big in workloads) == 4
+
+    def test_legacy_runs_once_and_the_store_best_of_repeats(self, monkeypatch):
+        calls = {"legacy": 0, "store": 0}
+        chase = drivers.semi_oblivious_chase
+
+        def counting(database, tgds, **options):
+            calls[options["engine"]] += 1
+            return chase(database, tgds, **options)
+
+        monkeypatch.setattr(drivers, "semi_oblivious_chase", counting)
+        repeats = 2
+        rows = drivers.engine_benchmark_rows(
+            [("sl(n=1,m=2,ell=1)", *sl_lower_bound(1, 2, 1), ("semi_oblivious",), False)],
+            repeats=repeats,
+        )
+        # Summary and materialise runs best of `repeats`, then one plain
+        # run opening the overhead rounds and three runs (probe, profile,
+        # plain) in each of max(9, repeats) rounds.
+        assert calls == {"legacy": 1, "store": 2 * repeats + 1 + 3 * 9}
+        (row,) = rows
+        assert row.parameters == {
+            "workload": "sl(n=1,m=2,ell=1)", "variant": "semi_oblivious", "big": False,
+        }
+        assert row.measured["equivalent"]
+        assert "speedup" not in row.measured
+        assert row.measured["telemetry_overhead_floor"] <= row.measured["telemetry_overhead"]
+        assert row.measured["profile_overhead_floor"] <= row.measured["profile_overhead"]
+
+    def test_write_engine_report_summarises_the_rows(self, tmp_path):
+        def row(speedup, telemetry, telemetry_floor, profile, profile_floor):
+            return SweepRow("engine-speed", {"workload": "w"}, {
+                "speedup_vs_legacy": speedup,
+                "telemetry_overhead": telemetry,
+                "telemetry_overhead_floor": telemetry_floor,
+                "profile_overhead": profile,
+                "profile_overhead_floor": profile_floor,
+                "equivalent": True,
+            })
+
+        path = tmp_path / "BENCH.json"
+        report = write_engine_report(
+            str(path), [row(12.0, 1.05, 0.95, 1.3, 1.1), row(6.5, 1.2, 1.1, 1.1, 0.9)]
+        )
+        assert json.loads(path.read_text()) == report
+        assert len(report["rows"]) == 2
+        assert report["summary"] == {
+            "all_equivalent": True,
+            "min_speedup_vs_legacy": 6.5,
+            "max_telemetry_overhead": 1.2,
+            "max_profile_overhead": 1.3,
+            "max_telemetry_overhead_floor": 1.1,
+            "max_profile_overhead_floor": 1.1,
+        }

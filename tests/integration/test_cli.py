@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 RULES_TERMINATING = "Employee(x) -> exists d . WorksIn(x, d)\nWorksIn(x, d) -> Dept(d)\n"
 RULES_LOOPING = "R(x, y) -> exists z . R(y, z)\n"
@@ -130,6 +130,48 @@ class TestChase:
     def test_missing_subcommand_is_an_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestBenchEngine:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "history"],
+            ["bench", "compare"],
+            ["bench-engine", "--quick"],
+            ["bench-engine", "--history", "runs.jsonl"],
+            ["bench-engine", "--no-history"],
+            ["bench-engine", "--inject-faults", "{}"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_retired_commands_and_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("equivalent,status", [(True, 0), (False, 1)])
+    def test_exit_status_follows_equivalence(
+        self, equivalent, status, tmp_path, monkeypatch, capsys
+    ):
+        from repro.bench import drivers
+
+        def rows(repeats):
+            assert repeats == 1
+            measured = {
+                key: 1.0
+                for key in (
+                    "speedup_vs_legacy", "telemetry_overhead", "profile_overhead",
+                    "telemetry_overhead_floor", "profile_overhead_floor",
+                )
+            }
+            measured["equivalent"] = equivalent
+            return [drivers.SweepRow("engine-speed", {"workload": "w"}, measured)]
+
+        monkeypatch.setattr(drivers, "engine_benchmark_rows", rows)
+        out = tmp_path / "BENCH.json"
+        assert main(["bench-engine", "--output", str(out), "--repeats", "1"]) == status
+        assert json.loads(out.read_text())["summary"]["all_equivalent"] is equivalent
 
 
 class TestBatch:

@@ -13,6 +13,13 @@ def store() -> FactStore:
     return FactStore()
 
 
+def has_projection(store, pid, bound):
+    """``FactStore.has_projection`` for a probe given as (position, tid) pairs."""
+    return store.has_projection(
+        pid, tuple(position for position, _ in bound), tuple(tid for _, tid in bound)
+    )
+
+
 class TestInterning:
     def test_predicates_get_dense_ids(self, store):
         p = Predicate("P", 2)
@@ -131,20 +138,6 @@ class TestStorage:
         # Mutating the returned view must never corrupt the index.
         assert ids in store.posting(pid, 0, ta)
 
-    def test_posting_rows_memoryview(self, store):
-        a, b = Constant("a"), Constant("b")
-        pid, ids = store.intern_atom(atom("R", a, b))
-        store.add(pid, ids)
-        ta = store.intern_term(a)
-        rows = store.posting_rows(pid, 0, ta)
-        assert isinstance(rows, memoryview)
-        assert rows.readonly
-        assert list(rows) == [0]
-        with pytest.raises(TypeError):
-            rows[0] = 7
-        # A missing key yields an empty read-only view, not an error.
-        assert list(store.posting_rows(pid, 1, ta)) == []
-
     def test_candidates_intersection_and_short_circuit(self, store):
         a, b, c = Constant("a"), Constant("b"), Constant("c")
         r = Predicate("R", 2)
@@ -159,7 +152,7 @@ class TestStorage:
         missing = store.intern_term(Constant("zzz"))
         assert not store.candidates(pid, [(0, missing), (1, tb)])
 
-    def test_has_candidate_matches_candidates(self, store):
+    def test_has_projection_matches_candidates(self, store):
         a, b, c = Constant("a"), Constant("b"), Constant("c")
         facts = [atom("R", a, b), atom("R", a, c), atom("R", b, c)]
         for f in facts:
@@ -175,14 +168,14 @@ class TestStorage:
             [(0, tc)],
         ]
         for bound in probes:
-            assert store.has_candidate(pid, bound) == bool(
+            assert has_projection(store, pid, bound) == bool(
                 set(store.candidates(pid, bound))
             )
         # Repeated probes exercise the watermarked probe-set path after
         # new appends (the dirty-watermark catch-up).
-        assert store.has_candidate(pid, [(0, ta), (1, tc)])
+        assert store.has_projection(pid, (0, 1), (ta, tc))
         store.add_atom(atom("R", c, c))
-        assert store.has_candidate(pid, [(0, tc), (1, tc)])
+        assert store.has_projection(pid, (0, 1), (tc, tc))
 
     def test_galloping_intersection_matches_set_semantics(self, store):
         # Many facts sharing positions: the multi-bound probe (smallest
@@ -209,7 +202,7 @@ class TestStorage:
                 if all(ids[i] == tid for i, tid in bound)
             ]
             assert found == expected  # same facts, in row order
-            assert store.has_candidate(pid, bound) == bool(expected)
+            assert has_projection(store, pid, bound) == bool(expected)
 
     def test_to_instance_round_trips(self, store):
         facts = [
