@@ -93,22 +93,32 @@ def _homomorphisms(
     facts_by_predicate: Dict[Predicate, Tuple[Tuple[int, ...], ...]],
 ) -> Iterator[Dict[str, int]]:
     """All homomorphisms of ``body`` into the (frozen) fact lists."""
+    return _extend(body, facts_by_predicate, 0, {})
 
-    def recurse(index: int, binding: Dict[str, int]) -> Iterator[Dict[str, int]]:
-        if index == len(body):
-            yield dict(binding)
-            return
-        atom = body[index]
-        for fact_args in facts_by_predicate.get(atom.predicate, ()):
-            extension = _match_atom(atom, fact_args, binding)
-            if extension is None:
-                continue
-            binding.update(extension)
-            yield from recurse(index + 1, binding)
-            for name in extension:
-                del binding[name]
 
-    yield from recurse(0, {})
+def _extend(
+    body: Sequence[Atom],
+    facts_by_predicate: Dict[Predicate, Tuple[Tuple[int, ...], ...]],
+    index: int,
+    binding: Dict[str, int],
+) -> Iterator[Dict[str, int]]:
+    """The homomorphisms of ``body`` that extend ``binding`` on ``body[:index]``.
+
+    A module-level generator, not a self-recursive closure: the closure
+    would be a reference cycle (function → cell → function) per call.
+    """
+    if index == len(body):
+        yield dict(binding)
+        return
+    atom = body[index]
+    for fact_args in facts_by_predicate.get(atom.predicate, ()):
+        extension = _match_atom(atom, fact_args, binding)
+        if extension is None:
+            continue
+        binding.update(extension)
+        yield from _extend(body, facts_by_predicate, index + 1, binding)
+        for name in extension:
+            del binding[name]
 
 
 def mfa_check(

@@ -43,21 +43,23 @@ class DependencyGraph:
     """The dependency graph ``dg(Σ)`` of a set of TGDs."""
 
     def __init__(self, tgds: TGDSet) -> None:
-        self.tgds = tgds
+        # No reference back to ``tgds``: the graph is memoised on it
+        # (:meth:`of`), and a back-reference would make the pair a
+        # reference cycle.
         self.nodes: Set[Position] = set()
         for predicate in tgds.schema():
             self.nodes.update(predicate.positions())
         self.edges: List[Edge] = []
         self._outgoing: Dict[Position, List[Edge]] = defaultdict(list)
-        self._build()
+        self._build(tgds)
 
     @classmethod
     def of(cls, tgds: TGDSet) -> "DependencyGraph":
         """The graph of ``tgds``, built once per program (read-only)."""
         return tgds.memo(cls, lambda: cls(tgds))
 
-    def _build(self) -> None:
-        for tgd in self.tgds:
+    def _build(self, tgds: TGDSet) -> None:
+        for tgd in tgds:
             existentials = tgd.existential_variables()
             for variable in tgd.frontier():
                 body_positions = tgd.positions_of_variable_in_body(variable)
@@ -219,7 +221,7 @@ class PredicateGraph:
     """The predicate graph ``pg(Σ)`` and the reachability relation ``⇝_Σ``."""
 
     def __init__(self, tgds: TGDSet) -> None:
-        self.tgds = tgds
+        # No back-reference to ``tgds`` (see DependencyGraph).
         self.nodes: Set[Predicate] = tgds.schema()
         self._successors: Dict[Predicate, Set[Predicate]] = defaultdict(set)
         for tgd in tgds:

@@ -52,8 +52,8 @@ class AugmentedDependencyGraph(DependencyGraph):
     null's binding — and hence its depth — covers the whole body.
     """
 
-    def _build(self) -> None:
-        for tgd in self.tgds:
+    def _build(self, tgds: TGDSet) -> None:
+        for tgd in tgds:
             existentials = tgd.existential_variables()
             frontier = tgd.frontier()
             for variable in tgd.body_variables():

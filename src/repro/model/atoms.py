@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.model.terms import Constant, Null, Term, Variable
@@ -90,30 +92,27 @@ class Atom:
         ``Atom(predicate, args)`` (same fields, same cached hash).
         """
         atom = Atom.__new__(Atom)
-        object.__setattr__(atom, "predicate", predicate)
-        object.__setattr__(atom, "args", args)
-        object.__setattr__(atom, "_hash", hash((predicate, args)))
+        _SET_PREDICATE(atom, predicate)
+        _SET_ARGS(atom, args)
+        _SET_HASH(atom, hash((predicate, args)))
         return atom
 
     @staticmethod
     def many_from_trusted(
-        predicate: "Predicate", args_rows: Iterable[Tuple[Term, ...]]
+        predicate: "Predicate", args_rows: Sequence[Tuple[Term, ...]]
     ) -> List["Atom"]:
         """:meth:`from_trusted` over many argument tuples of one predicate.
 
-        The fact store decodes whole predicates at once; inlining the
-        per-atom construction here saves a call per atom.
+        The fact store decodes whole predicates at once.  Each field is
+        set for all atoms in one C-level ``map`` over its slot's member
+        descriptor, so no per-atom Python code runs here; the hash is
+        still ``hash((predicate, args))``.
         """
-        new = Atom.__new__
-        set_field = object.__setattr__
-        atoms: List[Atom] = []
-        append = atoms.append
-        for args in args_rows:
-            atom = new(Atom)
-            set_field(atom, "predicate", predicate)
-            set_field(atom, "args", args)
-            set_field(atom, "_hash", hash((predicate, args)))
-            append(atom)
+        atoms = list(map(Atom.__new__, repeat(Atom, len(args_rows))))
+        consume = deque(maxlen=0).extend
+        consume(map(_SET_PREDICATE, atoms, repeat(predicate)))
+        consume(map(_SET_ARGS, atoms, args_rows))
+        consume(map(_SET_HASH, atoms, map(hash, zip(repeat(predicate), args_rows))))
         return atoms
 
     def __str__(self) -> str:
@@ -165,6 +164,13 @@ class Atom:
     def substitute(self, mapping: Dict[Term, Term]) -> "Atom":
         """Apply a substitution to the atom's arguments."""
         return Atom(self.predicate, tuple(mapping.get(arg, arg) for arg in self.args))
+
+
+# The slots' member descriptors: setting a field through one skips the
+# frozen dataclass's ``__setattr__`` and the attribute-name lookup.
+_SET_PREDICATE = Atom.predicate.__set__
+_SET_ARGS = Atom.args.__set__
+_SET_HASH = Atom._hash.__set__
 
 
 def atom(name: str, *args: Term) -> Atom:

@@ -62,7 +62,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.model.atoms import Atom, Predicate
 from repro.model.instance import Instance
-from repro.model.terms import Constant, Null, Term, Variable
+from repro.model.terms import (
+    Constant,
+    Null,
+    Term,
+    Variable,
+    intern_null_labels,
+    term_label,
+)
 
 #: A fact as (predicate id, packed term-id tuple).
 Fact = Tuple[int, Tuple[int, ...]]
@@ -82,17 +89,31 @@ def collector_paused():
     The store's data is acyclic: packed int tuples, interner dicts and
     lists, and decoded atoms and nulls that reference only terms.  The
     store driver and the decode allocate millions of such objects, and
-    every young collection they trigger walks them and frees nothing;
-    reference counting alone reclaims all of it.  The pause is
-    process-wide and reentrant: a depth counter under a lock lets
-    nested pauses and overlapping chases on several threads share it.
-    The outermost entry disables the collector, and the outermost exit
-    re-enables it only if it was enabled at that entry, so a caller
-    that turned the collector off keeps it off.  Nothing is collected
-    on exit: cyclic garbage made elsewhere meanwhile waits for the
-    next ordinary collection.
+    every collection would walk them and free nothing; reference
+    counting alone reclaims all of it.  The pause is process-wide and
+    reentrant: a depth counter under a lock lets nested pauses and
+    overlapping chases on several threads share it.
+
+    When the collector is on at the outermost entry, one young and
+    middle collection (``gc.collect(1)``) runs first.  It walks only
+    what was allocated since the last collection, frees young cyclic
+    garbage on CPython's normal path, and leaves the region with empty
+    young generations.  It runs outside the lock, because a finalizer
+    it triggers may itself enter the pause.  The outermost entry then
+    disables the collector.  The outermost exit promotes everything
+    the region left alive to the oldest generation with
+    ``gc.freeze(); gc.unfreeze()`` (no walk), so no young collection
+    re-walks the run's output, and re-enables the collector only if
+    it was enabled at that entry: a caller that turned it off keeps
+    it off, and gets neither the collection nor the promotion.  The
+    promotion is skipped while the process holds frozen objects, which
+    must stay frozen.
     """
     global _pause_depth, _pause_restores
+    # An unlocked read: a stale answer costs one redundant or one
+    # skipped young collection, never a wrong collector state.
+    if not _pause_depth and gc.isenabled():
+        gc.collect(1)
     with _pause_lock:
         if not _pause_depth:
             _pause_restores = gc.isenabled()
@@ -104,6 +125,9 @@ def collector_paused():
         with _pause_lock:
             _pause_depth -= 1
             if not _pause_depth and _pause_restores:
+                if not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
                 gc.enable()
 
 
@@ -366,41 +390,63 @@ class FactStore:
     def _materialise_nulls(self) -> None:
         """Build every store-invented null a stored fact can mention.
 
-        One forward pass over the recipes in id order: :meth:`intern_null`
-        hands out an id only after the ids of the null's binding terms,
-        so each binding is already materialised when its null is
-        reached.  Entries that break that order — restored snapshots
-        with foreign nulls, whose binding terms were interned after
-        them — fall back to the stack-based :meth:`term_of_id`.  Nulls
-        deeper than every stored fact (invented, then truncated away)
-        are skipped: no fact mentions them.
+        Two forward passes over the recipes in id order.  The first
+        interns each null's label in bulk (:func:`intern_null_labels`),
+        keyed by a per-id label list, so no binding is walked term by
+        term.  :meth:`intern_null` hands out an id only after the ids of
+        the null's binding terms, so each binding is already labelled
+        when its null is reached.  Entries that break that order —
+        restored snapshots with foreign nulls, whose binding terms were
+        interned after them — fall back to the stack-based
+        :meth:`term_of_id` outside the intern lock, which keeps the
+        order in which new labels get their uids.  The second pass
+        builds the nulls.  Nulls deeper than every stored fact
+        (invented, then truncated away) are skipped: no fact mentions
+        them.
         """
         terms = self._term_of_id
         depths = self._depth_of_id
-        id_of_term = self._id_of_term
+        recipes = self._null_recipe
         limit = self.max_depth()
+        pending = [
+            (tid, recipe)
+            for tid, recipe in recipes.items()
+            if terms[tid] is None and depths[tid] <= limit
+        ]
+        labels = [None if t is None else term_label(t) for t in terms]
+        remaining = iter(pending)
+        while (tid := intern_null_labels(remaining, labels)) is not None:
+            self.term_of_id(tid)
+            # Label what the fallback built: the null and its unlabelled
+            # dependencies.
+            stack = [tid]
+            while stack:
+                current = stack.pop()
+                if labels[current] is None:
+                    labels[current] = term_label(terms[current])
+                    stack.extend(recipes[current][3])
+        term = terms.__getitem__
+        id_of_term = self._id_of_term
         from_trusted = Null.from_trusted
-        for tid, (rule_id, variable, names, ids) in self._null_recipe.items():
-            if terms[tid] is not None or depths[tid] > limit:
-                continue
-            binding_terms = [terms[i] for i in ids]
-            # Terms are never falsy, so this spots an unbuilt (None) one.
-            if not all(binding_terms):
-                self.term_of_id(tid)
-                continue
-            null = from_trusted(
-                rule_id, variable, tuple(zip(names, binding_terms)), depths[tid]
-            )
-            terms[tid] = null
-            id_of_term.setdefault(null, tid)
+        for tid, (rule_id, variable, names, ids) in pending:
+            if terms[tid] is None:
+                null = from_trusted(
+                    rule_id,
+                    variable,
+                    tuple(zip(names, map(term, ids))),
+                    depths[tid],
+                    labels[tid],
+                )
+                terms[tid] = null
+                id_of_term.setdefault(null, tid)
 
     @collector_paused()
     def to_instance(self) -> Instance:
         """Decode every stored fact into a fresh :class:`Instance`.
 
-        The nulls are materialised first, in one pass; after it every
-        id a fact mentions has its term, so each fact decodes with one
-        C-level lookup per argument.  The instance's lazy indexes stay
+        The nulls are materialised first (:meth:`_materialise_nulls`);
+        after that every id a fact mentions has its term, so each fact
+        decodes with one C-level lookup per argument.  The instance's lazy indexes stay
         unbuilt.  The decode allocates only acyclic atoms and nulls, so
         it runs under :func:`collector_paused`.
         """

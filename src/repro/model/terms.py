@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,12 +106,12 @@ class Variable:
 # chase sizes.
 _NULL_INTERN: dict = {}
 
-#: Guards the read-len-then-insert in ``Null.__post_init__``: the chase
-#: service scheduler runs chases from several threads of one process,
-#: and two racing inserts computing ``len(_NULL_INTERN)`` before either
-#: lands would assign the same uid to two distinct nulls (silent atom
-#: merging).  Single-threaded callers pay one uncontended acquire per
-#: *distinct* null, which is noise next to building the key tuple.
+#: Guards the read-len-then-insert in ``_intern_uid`` and
+#: ``intern_null_labels``: the chase service scheduler runs chases from
+#: several threads of one process, and two racing inserts computing
+#: ``len(_NULL_INTERN)`` before either lands would assign the same uid
+#: to two distinct nulls (silent atom merging).  A single null pays one
+#: uncontended acquire, a bulk decode one per run of nulls.
 _NULL_INTERN_LOCK = threading.Lock()
 
 
@@ -144,6 +144,7 @@ def _intern_uid(rule_id: str, variable: str, binding: tuple) -> int:
         variable,
         tuple(
             [
+                # term_label, inlined: this runs once per binding term.
                 (name, term.uid if isinstance(term, Null) else ("c", term.name))
                 for name, term in binding
             ]
@@ -151,6 +152,42 @@ def _intern_uid(rule_id: str, variable: str, binding: tuple) -> int:
     )
     with _NULL_INTERN_LOCK:
         return _NULL_INTERN.setdefault(key, len(_NULL_INTERN))
+
+
+def term_label(term: "GroundTerm") -> object:
+    """A ground term's entry in the intern key of a null built over it:
+    the null's uid, or ``("c", name)`` for a constant."""
+    return term.uid if isinstance(term, Null) else ("c", term.name)
+
+
+def intern_null_labels(recipes: Iterator, labels: List) -> Optional[int]:
+    """Intern a run of null labels in order, under one hold of the lock.
+
+    ``labels[i]`` is the :func:`term_label` of term ``i``, or ``None``
+    while unknown.  ``recipes`` yields ``(i, (rule_id, variable, names,
+    ids))``: the null ``i`` over the terms ``ids`` bound to the variable
+    ``names``.  Each null whose label is unknown gets the uid
+    ``Null(rule_id, variable, binding)`` would get, stored at
+    ``labels[i]``, so a later null of the run can be built over it.
+    Returns the index of the first null with a binding term of unknown
+    label, leaving ``recipes`` just past it (the caller labels that
+    null some other way, then calls again), or ``None`` once
+    ``recipes`` is exhausted.
+    """
+    label = labels.__getitem__
+    with _NULL_INTERN_LOCK:
+        table = _NULL_INTERN
+        setdefault = table.setdefault
+        for index, (rule_id, variable, names, ids) in recipes:
+            if labels[index] is not None:
+                continue
+            binding = tuple(map(label, ids))
+            if None in binding:
+                return index
+            labels[index] = setdefault(
+                (rule_id, variable, tuple(zip(names, binding))), len(table)
+            )
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +237,7 @@ class Null:
         variable: str,
         binding: Tuple[Tuple[str, "GroundTerm"], ...],
         depth: int,
+        uid: Optional[int] = None,
     ) -> "Null":
         """Construct with a known depth, skipping the dataclass ``__init__``.
 
@@ -208,7 +246,9 @@ class Null:
         :meth:`Atom.from_trusted <repro.model.atoms.Atom.from_trusted>`
         and yields a null indistinguishable from
         ``Null(rule_id, variable, binding)`` (same fields, same uid)
-        provided ``depth`` is the Definition 4.3 depth of ``binding``.
+        provided ``depth`` is the Definition 4.3 depth of ``binding``
+        and ``uid``, if given, is the label's interned uid (see
+        :func:`intern_null_labels`).
         """
         null = object.__new__(Null)
         null.__dict__.update(
@@ -216,7 +256,7 @@ class Null:
             variable=variable,
             binding=binding,
             depth=depth,
-            uid=_intern_uid(rule_id, variable, binding),
+            uid=_intern_uid(rule_id, variable, binding) if uid is None else uid,
         )
         return null
 

@@ -11,6 +11,11 @@ terms it is given, materialising no null outside them.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
+import uuid
+
 import pytest
 
 from repro.chase import oblivious_chase, restricted_chase, semi_oblivious_chase
@@ -26,7 +31,8 @@ from repro.model.atoms import Atom, Predicate
 from repro.model.instance import Instance
 from repro.model.parser import parse_program
 from repro.model.store import FactStore
-from repro.model.terms import Constant, Null, make_null
+from repro.model.terms import _NULL_INTERN, Constant, Null, make_null, term_label
+from repro.model.tgd import TGDSet
 
 
 def _university():
@@ -155,6 +161,68 @@ def test_resume_over_deep_foreign_nulls():
     _assert_trusted_depths(nulls)
     # Decoding the restored base store on its own hits the fallback.
     assert restored.to_instance() == base.instance
+
+
+def _label_key(null: Null):
+    return (
+        null.rule_id,
+        null.variable,
+        tuple((name, term_label(term)) for name, term in null.binding),
+    )
+
+
+def test_bulk_intern_under_thread_contention():
+    # Stores whose labels no earlier decode interned (fresh rule ids).
+    # Two threads decode every one of them, in opposite orders so that
+    # they intern different new labels at once, switching as often as
+    # the interpreter allows: a uid handed out from a stale table size
+    # would give two labels one uid.
+    database, tgds = sl_lower_bound(2, 2, 1)
+    tag = uuid.uuid4().hex
+    stores = 100
+    blobs = []
+    for i in range(stores):
+        fresh = TGDSet(
+            [dataclasses.replace(t, rule_id=f"{t.rule_id}-{tag}-{i}") for t in tgds]
+        )
+        blobs.append(
+            semi_oblivious_chase(database, fresh, record_derivation=False).store_snapshot()
+        )
+    decoded = {}
+    errors = []
+
+    def decode(order) -> None:
+        try:
+            for i in order:
+                decoded.setdefault(i, []).append(FactStore.restore(blobs[i]).to_instance())
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    forward = list(range(len(blobs)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=decode, args=(order,))
+            for order in (forward, forward[::-1])
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    uid_of_label = {}
+    for first, second in decoded.values():
+        assert first == second
+        for null in first.nulls():
+            assert uid_of_label.setdefault(_label_key(null), null.uid) == null.uid
+    assert len(uid_of_label) == stores * len(decoded[0][0].nulls())
+    # Every label has exactly one uid, and no uid names two labels.
+    assert len(set(uid_of_label.values())) == len(uid_of_label)
+    assert all(_NULL_INTERN[label] == uid for label, uid in uid_of_label.items())
 
 
 # ---------------------------------------------------------------------------
