@@ -11,7 +11,7 @@ provably non-terminating runs fail fast instead of exhausting memory:
     feature runs here: summary and derivation-recording runs, depth
     truncation, checkpoints and incremental ``resume_from`` re-chase.
 ``engine="legacy"``
-    The original per-round rescan over the reference homomorphism
+    The original per-round rescan over the term-level homomorphism
     search (:meth:`BaseChaseEngine._run_legacy`): the executable
     specification the equivalence suites compare the store driver to,
     and the "before" engine of the benchmarks.
@@ -33,8 +33,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.model.atoms import Atom
 from repro.model.homomorphism import (
-    find_homomorphisms_reference,
-    find_homomorphisms_with_forced_atom_reference,
+    find_homomorphisms,
+    find_homomorphisms_with_forced_atom,
 )
 from repro.model.instance import Instance
 from repro.model.store import Fact, FactStore, collector_paused
@@ -296,7 +296,7 @@ class BaseChaseEngine:
     to dense ids, joins walk columnar posting lists of packed int
     tuples, and atoms are only materialised at API boundaries.
     ``engine="legacy"`` selects the original per-round rescan over the
-    reference homomorphism search — kept as the executable
+    term-level homomorphism search — kept as the executable
     specification and the "before" engine for benchmarks and
     equivalence tests.
 
@@ -940,7 +940,7 @@ class BaseChaseEngine:
 
         This is the legacy (``engine="legacy"``) path: it rescans every
         (rule, body-atom) pair against the round's delta with the
-        reference homomorphism search.  In the first round every body
+        term-level homomorphism search.  In the first round every body
         homomorphism is considered.  In later rounds only triggers whose
         body image uses at least one atom from ``delta`` (the atoms
         derived in the previous round) can be new, so each body atom is
@@ -948,7 +948,7 @@ class BaseChaseEngine:
         """
         if first_round:
             for tgd in self.tgds:
-                for substitution in find_homomorphisms_reference(tgd.body, instance):
+                for substitution in find_homomorphisms(tgd.body, instance):
                     yield Trigger.from_substitution(tgd, substitution)
             return
         delta_by_predicate: Dict = {}
@@ -958,7 +958,7 @@ class BaseChaseEngine:
         for tgd in self.tgds:
             for index, body_atom in enumerate(tgd.body):
                 for forced in delta_by_predicate.get(body_atom.predicate, ()):
-                    for substitution in find_homomorphisms_with_forced_atom_reference(
+                    for substitution in find_homomorphisms_with_forced_atom(
                         tgd.body, instance, index, forced
                     ):
                         trigger = Trigger.from_substitution(tgd, substitution)

@@ -36,8 +36,7 @@ def head_extension_exists(
 
     The single term-level implementation of the restricted chase's
     head-satisfaction test (the negation of activeness), used by the
-    trigger API.  Runs on a compiled head plan cached per (head,
-    frontier), so repeated checks of the same rule reuse one plan.
+    trigger API.
     """
     return extend_homomorphism(head_atoms, instance, frontier_binding) is not None
 

@@ -98,15 +98,16 @@ _Template = Tuple[Tuple[int, int], ...]
 _StoreStep = Tuple[int, _Template, _Template, _Template]
 
 
-class StoreBodyPlan:
+class StoreJoinPlan:
     """A compiled join over id tuples: the kernels' template.
 
-    The id-space twin of :class:`~repro.model.homomorphism.BodyPlan`:
-    fixed atom order, integer slots per variable, per-atom templates of
-    lookup/bind/check positions, predicates as the ids ``intern``
-    assigns.  ``bound_first`` variables (in the order the caller binds
-    them) keep a slot even when they do not occur in the atoms (delta
-    plans seed them from the forced fact and read them back out).
+    The id-space counterpart of :mod:`repro.model.homomorphism`'s
+    term-level join, compiled: fixed atom order, integer slots per
+    variable, per-atom templates of lookup/bind/check positions,
+    predicates as the ids ``intern`` assigns.  ``bound_first``
+    variables (in the order the caller binds them) keep a slot even
+    when they do not occur in the atoms (delta plans seed them from the
+    forced fact and read them back out).
     """
 
     __slots__ = ("ordered", "slot_of", "steps")
@@ -120,7 +121,7 @@ class StoreBodyPlan:
         bound = frozenset(bound_first)
         # The order is static (shape only, no fact counts), so the plan
         # stays valid for every store that shares the ids.
-        self.ordered: Tuple[Atom, ...] = tuple(_plan_order(tuple(atoms), bound, None))
+        self.ordered: Tuple[Atom, ...] = tuple(_plan_order(tuple(atoms), bound))
         # Slots are numbered in binding order: ``bound_first`` as given,
         # then each fresh variable where the join first binds it.
         slot_of: Dict[Variable, int] = {}
@@ -197,7 +198,7 @@ def _kernel_shape(
     head).  ``leaf`` is ``(frontier indices, dedup, frontier key)`` for
     a pending-list kernel and ``None`` for a head-witness kernel.
 
-    :class:`StoreBodyPlan` numbers slots in binding order, so plans
+    :class:`StoreJoinPlan` numbers slots in binding order, so plans
     differing only in variable names already agree on their templates;
     predicate ids are dropped (the kernel takes them as ``pids``) and a
     frontier key over the whole canonical tuple is the full key.
@@ -411,7 +412,7 @@ def _delta_template(
     pid = intern(pattern.predicate)
     # The pattern's variables in position order: the order the kernel
     # binds them from the forced fact.
-    plan = StoreBodyPlan(rest, intern, bound_first=tuple(dict.fromkeys(pattern.args)))
+    plan = StoreJoinPlan(rest, intern, bound_first=tuple(dict.fromkeys(pattern.args)))
     perm = tuple(plan.slot_of[v] for v in sorted_variables)
     _, consts, _, binds, checks = classify_atom_positions(pattern, set(), plan.slot_of)
     assert not consts, "TGD atoms are constant-free"
@@ -420,12 +421,12 @@ def _delta_template(
 
 def head_join_plan(
     tgd: TGD, intern: Callable[[Predicate], int]
-) -> Tuple[StoreBodyPlan, _Template]:
+) -> Tuple[StoreJoinPlan, _Template]:
     """The restricted chase's head join: the head planned with the
     frontier bound, and the seed ``(canonical index, slot)`` pairs that
     fill the frontier slots from a canonical tuple."""
     frontier = tgd.frontier()
-    plan = StoreBodyPlan(
+    plan = StoreJoinPlan(
         tgd.head, intern, bound_first=tuple(sorted(frontier, key=lambda v: v.name))
     )
     sorted_variables = sorted(tgd.body_variables(), key=lambda v: v.name)
@@ -492,7 +493,7 @@ class RuleTemplate:
         )
         self.frontier_get = _tuple_getter(self.frontier_index)
 
-        body_plan = StoreBodyPlan(body, intern)
+        body_plan = StoreJoinPlan(body, intern)
         self.body_steps = shared(body_plan.steps)
         self.body_slots = len(body_plan.slot_of)
         #: The body plan's slots in sorted-variable order.

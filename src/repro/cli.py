@@ -8,7 +8,6 @@ Four subcommands mirror the library's main entry points::
                                                             [--max-atoms N] [--max-rounds N]
                                                             [--max-depth N] [--max-seconds S]
                                                             [--format text|json] [--output FILE]
-                                                            [--engine store|legacy]
                                                             [--resume-from SNAP] [--save-snapshot FILE]
                                                             [--trace FILE] [--profile [--top K]]
                                                             [--conformance]
@@ -65,7 +64,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.chase import VARIANT_RUNNERS as _VARIANTS
-from repro.chase.engine import ENGINES as _ENGINES
 from repro.chase.engine import ChaseBudget
 from repro.core.bounds import depth_bound, size_bound, size_bound_factor
 from repro.core.classify import TGDClass, classify
@@ -147,13 +145,6 @@ def _cmd_chase(args: argparse.Namespace) -> int:
         max_depth=args.max_depth,
         max_seconds=args.max_seconds,
     )
-    engine = args.engine
-    if args.resume_from and engine != "store":
-        print(
-            "--resume-from requires the store engine (use --engine store)",
-            file=sys.stderr,
-        )
-        return 2
     resume_from = None
     if args.resume_from:
         from repro.model.store import inspect_snapshot
@@ -182,7 +173,6 @@ def _cmd_chase(args: argparse.Namespace) -> int:
         program,
         budget=budget,
         record_derivation=False,
-        engine=engine,
         resume_from=resume_from,
         observers=observers,
     )
@@ -222,12 +212,7 @@ def _cmd_chase(args: argparse.Namespace) -> int:
         print(f"trace: {events} events -> {args.trace}", file=sys.stderr)
     if args.save_snapshot:
         blob = result.store_snapshot()
-        if blob is None:
-            print(
-                "--save-snapshot requires the store engine (use --engine store)",
-                file=sys.stderr,
-            )
-            return 2
+        assert blob is not None  # the instance is not decoded yet
         if not result.terminated:
             print(
                 f"not saving a snapshot of a budget-stopped run "
@@ -417,7 +402,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         cache=cache,
         materialize=args.materialize,
         per_job_timeout=args.timeout,
-        engine=args.engine,
         incremental=args.incremental,
         tracer=tracer,
         profile=args.profile,
@@ -697,21 +681,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chase_parser.add_argument("--output", help="write the materialised instance to a file")
     chase_parser.add_argument(
-        "--engine",
-        choices=list(_ENGINES),
-        default="store",
-        help="engine implementation: interned fact store (default) or the "
-        "legacy rescan",
-    )
-    chase_parser.add_argument(
         "--resume-from",
         help="resume incrementally from a store snapshot of a previous "
-        "terminated run over a sub-database (store engine only); pass the "
-        "full grown database as the facts file",
+        "terminated run over a sub-database; pass the full grown database "
+        "as the facts file",
     )
     chase_parser.add_argument(
         "--save-snapshot",
-        help="write the result's store snapshot here (store engine only)",
+        help="write the result's store snapshot here",
     )
     chase_parser.add_argument(
         "--trace",
@@ -797,12 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="include the materialised instance text in each result",
     )
     batch_parser.add_argument(
-        "--engine",
-        choices=list(_ENGINES),
-        default=None,
-        help="chase engine implementation for all jobs (default: store)",
-    )
-    batch_parser.add_argument(
         "--incremental",
         action="store_true",
         help="resume cache-missed jobs from cached snapshots of the same "
@@ -848,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="write a resumable checkpoint every N chase rounds so a "
         "retried job resumes from its last checkpoint instead of round 0 "
-        "(semi-oblivious/oblivious jobs on the store engine)",
+        "(every variant; --profile and depth-truncating jobs retry cold)",
     )
     batch_parser.add_argument(
         "--checkpoint-dir",

@@ -12,9 +12,7 @@ from repro.model.instance import Database, Instance
 from repro.model.store import FactStore
 from repro.model.tgd import TGD, TGDSet
 from repro.model.homomorphism import (
-    BodyPlan,
     Substitution,
-    compile_plan,
     extend_homomorphism,
     find_homomorphisms,
     find_homomorphisms_with_forced_atom,
@@ -42,8 +40,6 @@ __all__ = [
     "TGD",
     "TGDSet",
     "Substitution",
-    "BodyPlan",
-    "compile_plan",
     "find_homomorphisms",
     "find_homomorphisms_with_forced_atom",
     "extend_homomorphism",

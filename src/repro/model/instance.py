@@ -197,11 +197,7 @@ class Instance:
         return set(self._by_predicate.get(predicate, _EMPTY_ATOMS))
 
     def count(self, predicate: Predicate) -> int:
-        """Number of atoms over ``predicate`` (O(1)).
-
-        Used by the join planner as a selectivity hint when ordering
-        body atoms.
-        """
+        """Number of atoms over ``predicate`` (O(1))."""
         bucket = self._by_predicate.get(predicate)
         return len(bucket) if bucket else 0
 

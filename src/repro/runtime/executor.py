@@ -51,11 +51,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.chase import VARIANT_RUNNERS
 from repro.chase.engine import ChaseBudget, ChaseOutcome, EngineCheckpoint
 from repro.model.parser import parse_database, parse_program
-from repro.model.serialization import (
-    database_to_text,
-    instance_to_text,
-    program_to_text,
-)
+from repro.model.serialization import instance_to_text, program_to_text
 from repro.model.store import FactStore
 from repro.obs.conformance import conformance_report
 from repro.obs.observer import RunObserver
@@ -143,23 +139,21 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
 
     The payload and the returned record are plain data: texts, numbers,
     bytes and dicts — nothing with interpreter-local state (interned
-    null uids) crosses a process boundary.  Three database shapes:
+    null uids) crosses a process boundary.  Two database shapes:
 
     * ``database_snapshot`` — packed store bytes; the worker restores
-      the store and chases it directly, skipping parse + intern (the
-      default for store-engine jobs);
-    * ``database_text`` alone — the legacy text form, re-parsed here
-      (the legacy engine, and the ``ship_snapshots=False`` knob);
+      the store and chases it directly, skipping parse + intern (every
+      cold payload);
     * ``resume_snapshot`` + ``database_text`` — incremental re-chase:
       the snapshot is a previously terminated run, the text carries
       only the *delta* facts, and ``database_size`` is the full grown
       database's size for summary bookkeeping.
 
-    On the store engine a summary-only job never materialises atom
-    objects at all; the instance is decoded to text solely when
-    ``materialize`` asks for it, and ``want_snapshot`` returns the
-    terminated run's snapshot bytes (taken before any materialisation)
-    for the cache's lineage index.
+    A summary-only job never materialises atom objects at all; the
+    instance is decoded to text solely when ``materialize`` asks for
+    it, and ``want_snapshot`` returns the terminated run's snapshot
+    bytes (taken before any materialisation) for the cache's lineage
+    index.
     """
     try:
         injector = get_injector()
@@ -173,7 +167,6 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
             database = parse_database(str(payload["database_text"]))
         budget = ChaseBudget(**payload["budget"])  # type: ignore[arg-type]
         runner = VARIANT_RUNNERS[str(payload["variant"])]
-        engine = payload.get("engine")
         resume_snapshot = payload.get("resume_snapshot")
         database_size = payload.get("database_size")
         observers: List[RunObserver] = []
@@ -224,7 +217,6 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
             program,
             budget=budget,
             record_derivation=False,
-            engine=str(engine) if engine else None,
             resume_from=resume_snapshot,
             database_size=int(database_size) if database_size is not None else None,
             observers=observers,
@@ -279,16 +271,6 @@ class BatchExecutor:
     cache: Optional[ResultCache] = None
     materialize: bool = False
     per_job_timeout: Optional[float] = None
-    #: Chase engine implementation ("store" or "legacy"); None
-    #: selects the library default.  Deliberately *not* part of the
-    #: result cache key: the engines are equivalence-tested, so a
-    #: summary replayed across engines is still correct.
-    engine: Optional[str] = None
-    #: Ship databases to workers as packed fact-store snapshots instead
-    #: of text (store-engine jobs only) so workers skip parse + intern.
-    #: Snapshots are encoded once per job and shared across retries and
-    #: dedup re-runs (``ChaseJob.database_snapshot``).
-    ship_snapshots: bool = True
     #: Opt-in incremental re-chase: on a cache miss, resume from a
     #: cached snapshot of "the same job over a smaller database" with
     #: only the delta facts, and store terminated runs' snapshots for
@@ -327,10 +309,9 @@ class BatchExecutor:
     retry_backoff_base: float = 0.05
     #: Persist a mid-run checkpoint every N round boundaries (requires
     #: ``checkpoint_dir``); a retried job then resumes from its last
-    #: checkpoint instead of cold.  Only the store engine's summary
-    #: driver checkpoints, and only for the variants whose null
-    #: labelling is restart-invariant (semi-oblivious, oblivious) —
-    #: other jobs simply retry cold.  ``None`` disables checkpointing.
+    #: checkpoint instead of cold.  Jobs of every variant checkpoint;
+    #: probed, profiled and depth-truncating jobs retry cold (see
+    #: :meth:`_checkpoint_capable`).  ``None`` disables checkpointing.
     checkpoint_every_rounds: Optional[int] = None
     #: Directory for checkpoint files (one per cache key, deleted when
     #: the job reaches a verdict).
@@ -394,10 +375,6 @@ class BatchExecutor:
         )
         return decision, effective, key
 
-    def _snapshot_capable(self) -> bool:
-        """Snapshots require the store engine (the default)."""
-        return self.engine in (None, "store")
-
     def _payload(
         self,
         job: ChaseJob,
@@ -412,14 +389,12 @@ class BatchExecutor:
             "variant": job.variant,
             "budget": budget.as_dict(),
             "materialize": self.materialize,
-            "engine": self.engine,
         }
         if include_database:
-            if self.ship_snapshots and self._snapshot_capable():
-                payload["database_snapshot"] = job.database_snapshot
-            else:
-                payload["database_text"] = database_to_text(job.database)
-        if self.incremental and self.cache is not None and self._snapshot_capable():
+            # Encoded once per job and shared across retries and dedup
+            # re-runs (``ChaseJob.database_snapshot``).
+            payload["database_snapshot"] = job.database_snapshot
+        if self.incremental and self.cache is not None:
             payload["want_snapshot"] = True
         if self.telemetry:
             payload["telemetry"] = True
@@ -436,9 +411,9 @@ class BatchExecutor:
     def _checkpoint_capable(self, job: ChaseJob) -> bool:
         """Whether this job's runs persist (and resume from) checkpoints.
 
-        Checkpoints freeze the columnar summary driver's loop state, so
-        they need the store engine; every variant's null labels are
-        functions of the trigger key and survive a restart.
+        Checkpoints freeze the columnar driver's loop state; every
+        variant's null labels are functions of the trigger key and
+        survive a restart.
         Probed/profiled runs are excluded: their payloads
         sample per-round, and a resume would observe only the tail.
         Depth-truncating runs are excluded too: a checkpoint does not
@@ -447,7 +422,6 @@ class BatchExecutor:
         return (
             self.checkpoint_every_rounds is not None
             and self.checkpoint_dir is not None
-            and self._snapshot_capable()
             and not (job.budget is not None and job.budget.truncate_at_depth)
             and not self.telemetry
             and not self.profile
@@ -461,7 +435,7 @@ class BatchExecutor:
         subset of the job's — the "previous job + delta" shape — and
         ``None`` otherwise.
         """
-        if not self.incremental or self.cache is None or not self._snapshot_capable():
+        if not self.incremental or self.cache is None:
             return None
         entry = self.cache.snapshot_for(lineage_cache_key(job))
         if entry is None or entry.snapshot is None or entry.database_lines is None:

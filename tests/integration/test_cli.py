@@ -132,6 +132,21 @@ class TestChase:
             main([])
 
 
+class TestEngineFlagRetired:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chase", "r.rules", "db.facts", "--engine", "legacy"],
+            ["batch", "m.jsonl", "--engine", "store"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_engine_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+
 class TestBenchEngine:
     @pytest.mark.parametrize(
         "argv",
@@ -302,17 +317,6 @@ class TestChaseResume:
         assert sorted(resumed["instance"].splitlines()) == sorted(
             cold["instance"].splitlines()
         )
-
-    def test_save_snapshot_requires_store_engine(self, files, tmp_path, capsys):
-        rules = files("r.rules", RULES_TERMINATING)
-        facts = files("db.facts", FACTS)
-        snap = tmp_path / "x.snap"
-        assert (
-            main(["chase", rules, facts, "--engine", "legacy",
-                  "--save-snapshot", str(snap)])
-            == 2
-        )
-        assert not snap.exists()
 
 
 class TestBatchIncremental:

@@ -1,8 +1,11 @@
 """Batch executor: serial/pool equivalence, streaming, errors, timeouts."""
 
+import json
+
 import pytest
 
-from repro.chase.engine import ChaseBudget
+from repro.chase import VARIANT_RUNNERS
+from repro.chase.engine import BaseChaseEngine, ChaseBudget
 from repro.model.parser import parse_database, parse_program
 from repro.runtime import (
     BatchExecutor,
@@ -147,19 +150,22 @@ class TestMixedWorkload:
                 assert result.summary["outcome"] == "terminated", result.job_id
 
 
-class TestSnapshotPayloads:
-    def test_ship_snapshots_matches_text_payloads_byte_for_byte(self):
-        jobs = small_batch()
-        with_snapshots = BatchExecutor(workers=1, ship_snapshots=True).run_all(jobs)
-        with_text = BatchExecutor(workers=1, ship_snapshots=False).run_all(jobs)
-        assert [r.summary_json() for r in with_snapshots] == [
-            r.summary_json() for r in with_text
-        ]
+def _direct_summary(job, budget):
+    """The summary of an in-process run on the job's own objects."""
+    result = VARIANT_RUNNERS[job.variant](
+        job.database, job.program, budget=budget, record_derivation=False
+    )
+    return result.summary()
 
-    def test_non_store_engine_falls_back_to_text(self):
-        executor = BatchExecutor(workers=1, engine="legacy")
-        payload = executor._payload(*_resolved(executor, small_batch()[0]))
-        assert "database_text" in payload and "database_snapshot" not in payload
+
+class TestSnapshotPayloads:
+    def test_executor_summaries_match_direct_runs(self):
+        jobs = small_batch()
+        executor = BatchExecutor(workers=1)
+        results = executor.run_all(jobs)
+        for job, result in zip(jobs, results):
+            _, budget, _ = executor._resolve(job)
+            assert result.summary == _direct_summary(job, budget), job.job_id
 
     def test_depth_truncating_jobs_are_not_checkpointed(self, tmp_path):
         # A checkpoint does not carry depth_truncated, and the engine
@@ -192,15 +198,13 @@ class TestSnapshotPayloads:
         ] is payload["database_snapshot"]
 
     def test_snapshot_payload_executes_identically(self):
-        job = small_batch()[0]
         executor = BatchExecutor(workers=1)
-        decision, budget, key = executor._resolve(job)
-        from repro.runtime.executor import execute_payload
-
-        snap_record = execute_payload(executor._payload(job, budget))
-        text_executor = BatchExecutor(workers=1, ship_snapshots=False)
-        text_record = execute_payload(text_executor._payload(job, budget))
-        assert snap_record["summary"] == text_record["summary"]
+        for job in small_batch():
+            _, budget, _ = executor._resolve(job)
+            payload = executor._payload(job, budget)
+            assert "database_text" not in payload
+            record = execute_payload(payload)
+            assert record["summary"] == _direct_summary(job, budget), job.job_id
 
 
 def _resolved(executor, job):
@@ -396,3 +400,70 @@ def test_killed_job_resumes_from_its_checkpoint(variant, tmp_path, monkeypatch):
     assert provenance["resumed_rounds"] < cold_rounds
     assert resumed.status == cold.status == "ok"
     assert resumed.summary_json() == cold.summary_json()
+
+
+class TestProductionPathAvoidsTheLegacyRescan:
+    """The runtime and the CLI reach only the store driver: the legacy
+    rescan is the library's ``engine="legacy"`` specification."""
+
+    @pytest.fixture(autouse=True)
+    def _no_legacy(self, monkeypatch):
+        def refuse(self, database):
+            raise AssertionError("the legacy rescan ran on a production path")
+
+        monkeypatch.setattr(BaseChaseEngine, "_run_legacy", refuse)
+
+    def test_serial_batch(self):
+        results = BatchExecutor(workers=1).run_all(small_batch())
+        assert [r.status for r in results] == ["ok", "ok", "ok"]
+
+    def test_incremental_resume(self):
+        from repro.generators.workloads import restricted_heavy
+
+        full_db, tgds = restricted_heavy(30, 8)
+        base_db, _ = restricted_heavy(30, 6)
+        executor = BatchExecutor(workers=1, cache=ResultCache(), incremental=True)
+        base = executor.run_all([ChaseJob(program=tgds, database=base_db)])[0]
+        grown = executor.run_all([ChaseJob(program=tgds, database=full_db)])[0]
+        assert base.status == grown.status == "ok"
+        assert grown.resumed_from == base.cache_key
+
+    def test_checkpointed_job(self, tmp_path, monkeypatch):
+        plan = FaultPlan(
+            faults=(FaultSpec(point="worker.round", action="kill", at_round=6),),
+            seed=13,
+            state_dir=str(tmp_path / "faults"),
+        )
+        monkeypatch.setenv(ENV_VAR, plan.to_env())
+        job = ChaseJob(
+            program=parse_program("E(x, y) -> exists z . E(y, z)"),
+            database=parse_database("E(a, b)."),
+            budget_mode="explicit",
+            budget=ChaseBudget(max_rounds=10, max_atoms=10**6),
+        )
+        executor = BatchExecutor(
+            workers=1,
+            max_retries=1,
+            checkpoint_every_rounds=2,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        result = executor.run_all([job])[0]
+        assert result.status == "ok"
+        assert result.as_dict()["checkpoint"]["base_rounds"] > 0
+
+    def test_cli_chase_and_batch(self, tmp_path, capsys):
+        from repro.cli import main
+
+        rules = tmp_path / "r.rules"
+        rules.write_text("R(x, y) -> exists z . S(y, z)\nS(x, y) -> T(x)\n")
+        facts = tmp_path / "db.facts"
+        facts.write_text("R(a, b).\nR(b, c).\n")
+        assert main(["chase", str(rules), str(facts), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["terminated"] is True
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(
+            json.dumps({"id": "j", "rules": "r.rules", "facts": "db.facts"}) + "\n"
+        )
+        assert main(["batch", str(manifest)]) == 0
+        row = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert row["status"] == "ok" and row["summary"]["terminated"] is True
