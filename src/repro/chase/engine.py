@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.model.atoms import Atom
 from repro.model.homomorphism import (
@@ -38,7 +38,7 @@ from repro.model.homomorphism import (
 )
 from repro.model.instance import Instance
 from repro.model.store import Fact, FactStore, collector_paused
-from repro.model.terms import Null, Term
+from repro.model.terms import Null
 from repro.model.tgd import TGDSet
 from repro.obs.observer import RunObserver
 from repro.chase.store_plan import StoreCompiledRule, compiled_pipeline
@@ -194,19 +194,6 @@ class ChaseResult:
             self._materialized = self._store.to_instance()
             self._store = None
         return self._materialized
-
-    def atoms_over(self, terms: Iterable[Term]) -> List[Atom]:
-        """The result's atoms whose arguments all lie in ``terms``.
-
-        On the store engine this filters by term id and decodes only
-        the kept facts (:meth:`FactStore.atoms_over`), so the nulls the
-        run invented outside ``terms`` are never materialised.
-        """
-        if self._materialized is None:
-            assert self._store is not None
-            return self._store.atoms_over(terms)
-        within = frozenset(terms).issuperset
-        return [a for a in self._materialized if within(a.args)]
 
     def store_snapshot(self) -> Optional[bytes]:
         """Encode the result's fact store as transferable plain bytes.

@@ -11,12 +11,17 @@ represented by a single ``[τ]``-atom, and every guarded TGD by a family
 of linear TGDs over ``[τ]``-predicates, one per type/homomorphism pair.
 
 Computing a type requires the *completion* of a finite instance: the
-chase atoms that mention only terms of the instance's domain.  The
-completion is obtained here by an iterated, depth-bounded chase (see
-:func:`completion`); this is exact whenever the relevant chase
-fragments stay within the configured depth budget — which holds for
-every workload shipped with the repository — and is a documented
-approximation otherwise (see DESIGN.md, "Substitutions").
+chase atoms that mention only terms of the instance's domain.  It is
+computed exactly, as one least fixpoint over the bags of the guarded
+chase forest (see :class:`_Closures`).  What a trigger's subtree gives
+back to its parent depends only on the trigger's canonical *child
+node*: the rule, the equality pattern of its frontier images and the
+atoms over them.  A node's closure is its atoms closed under full-rule
+heads and under the frontier projections of its children's closures;
+a node that recurs below itself is handled by a worklist that
+re-evaluates a node's readers when its closure grows.  The closures
+are kept per ``Σ``, so every Σ-type's expansions read their head types
+from the same table.
 
 We materialise only the types *reachable* from the given database
 rather than all (double-exponentially many) Σ-types; this is precisely
@@ -27,16 +32,26 @@ non-uniform weak-acyclicity check relative to ``lin(D)`` can ever see.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.model.atoms import Atom, Predicate
 from repro.model.homomorphism import apply_substitution, find_homomorphisms
 from repro.model.instance import Database, Instance
 from repro.model.terms import Constant, Term, Variable
 from repro.model.tgd import TGD, TGDSet
-from repro.chase.engine import ChaseBudget
-from repro.chase.semi_oblivious import semi_oblivious_chase
 
 
 # --------------------------------------------------------------------------
@@ -114,40 +129,301 @@ def canonicalize_type(guard: Atom, others: Iterable[Atom]) -> SigmaType:
 # Completion
 # --------------------------------------------------------------------------
 
+#: A fact of the closure table: a predicate id and its argument ids.
+_Fact = Tuple[int, Tuple[int, ...]]
+#: A child node's key: the rule's index, the equality pattern of its
+#: frontier images and the parent's facts over them (as child ids).
+_Key = Tuple[int, Tuple[int, ...], FrozenSet[_Fact]]
 
-def completion(
-    instance: Instance,
-    tgds: TGDSet,
-    depth_budget: Optional[int] = None,
-    max_atoms: int = 200_000,
-    max_iterations: int = 16,
-) -> Instance:
-    """``complete(I, Σ)``: chase atoms that mention only terms of ``dom(I)``.
 
-    The completion is computed by repeatedly chasing the instance with a
-    depth budget, harvesting the atoms over ``dom(I)`` and feeding them
-    back until no new such atom appears.  The default depth budget is
-    ``|sch(Σ)| · ar(Σ) + 2``, which is exact for every curated workload
-    in this repository; callers can raise it when in doubt.
-    """
-    if depth_budget is None:
-        depth_budget = len(tgds.schema()) * max(tgds.arity(), 1) + 2
-    domain = instance.active_domain()
-    # Every atom of ``current`` is over dom(I), from the start (it is a
-    # copy of I) and after each harvest, so it is the completion as is.
-    current = instance.as_instance()
-    for _ in range(max_iterations):
-        budget = ChaseBudget(
-            max_atoms=max_atoms, max_depth=depth_budget, truncate_at_depth=True
+class _Rule:
+    """A guarded TGD over variable slots: the guard's variables (all of
+    the body's) first, then the existentials in head order.  ``frontier``
+    holds the frontier slots in order of first occurrence in the head."""
+
+    def __init__(self, index: int, tgd: TGD, pred_id: Callable[[Predicate], int]) -> None:
+        guard = tgd.guard()
+        if guard is None:
+            raise ValueError(f"the guarded completion requires guarded TGDs, got {tgd}")
+        slot = {v: i for i, v in enumerate(dict.fromkeys(guard.args))}
+        head_variables = dict.fromkeys(v for a in tgd.head for v in a.args)
+        self.frontier_variables = [v for v in head_variables if v in slot]
+        self.frontier = [slot[v] for v in self.frontier_variables]
+        self.width = len(slot)
+        for variable in head_variables:
+            slot.setdefault(variable, len(slot))
+        self.existentials = len(slot) - self.width
+
+        def compiled(a: Atom) -> _Fact:
+            return pred_id(a.predicate), tuple(slot[v] for v in a.args)
+
+        self.index, self.guard = index, compiled(guard)
+        self.side = [compiled(a) for a in tgd.body if a is not guard]
+        self.head = [compiled(a) for a in tgd.head]
+
+    def bind(self, args: Tuple[int, ...]) -> Optional[List[int]]:
+        """The slot values of the trigger whose guard image has ``args``."""
+        values: List[int] = [-1] * self.width
+        for s, term in zip(self.guard[1], args):
+            if values[s] < 0:
+                values[s] = term
+            elif values[s] != term:
+                return None
+        return values
+
+    def child(self, pattern: Tuple[int, ...]) -> Tuple[int, List[_Fact]]:
+        """The frontier width and the head facts of a child node."""
+        width = len(set(pattern))
+        value = dict(zip(self.frontier, pattern))
+        value.update((self.width + e, width + e) for e in range(self.existentials))
+        return width, [(pid, tuple(value[s] for s in slots)) for pid, slots in self.head]
+
+
+class _Node:
+    """A bag of the guarded chase forest: the root, or a child node whose
+    frontier terms are the ids ``0 .. width-1``.  ``facts`` is its closure
+    so far; the rest is one run's working state, dropped by
+    :meth:`release` (``readers is None`` marks a final closure)."""
+
+    def __init__(self, width: int, facts: Iterable[_Fact]) -> None:
+        self.width, self.facts, self.queued = width, set(), False
+        self.by_term: Dict[Optional[int], List[_Fact]] = {}
+        self.pending: List[_Fact] = []
+        self.links: Dict[Tuple[int, Tuple[int, ...]], _Link] = {}
+        self.links_by_term: Dict[int, List[_Link]] = {}
+        self.dirty: Dict[_Link, None] = {}
+        self.readers: Optional[Dict[_Link, None]] = {}
+        for fact in facts:
+            self.add(fact)
+
+    def add(self, fact: _Fact) -> bool:
+        if fact in self.facts:
+            return False
+        self.facts.add(fact)
+        for term in set(fact[1]) or (None,):
+            self.by_term.setdefault(term, []).append(fact)
+        self.pending.append(fact)
+        return True
+
+    def over(self, terms: Tuple[int, ...]) -> List[_Fact]:
+        """The facts whose arguments all lie in ``terms``."""
+        within = set(terms).issuperset
+        found = list(self.by_term.get(None, ()))
+        for term in terms:
+            found += [f for f in self.by_term.get(term, ()) if f[1][0] == term and within(f[1])]
+        return found
+
+    def frontier(self) -> List[_Fact]:
+        return [f for f in self.facts if all(i < self.width for i in f[1])]
+
+    def release(self) -> None:
+        self.by_term = self.pending = self.links = self.links_by_term = None
+        self.dirty = self.readers = None
+
+
+class _Link:
+    """An existential trigger of ``parent``: its frontier terms and child."""
+
+    def __init__(self, parent: _Node, rule: _Rule, image: Tuple[int, ...]) -> None:
+        self.parent, self.rule, self.child = parent, rule, None
+        self.terms = tuple(dict.fromkeys(image))
+        self.back = {t: i for i, t in enumerate(self.terms)}
+        self.pattern = tuple(self.back[t] for t in image)
+
+    def key(self) -> _Key:
+        """The child's key under the parent's current closure."""
+        back = self.back
+        return self.rule.index, self.pattern, frozenset(
+            (pid, tuple(back[t] for t in args)) for pid, args in self.parent.over(self.terms)
         )
-        result = semi_oblivious_chase(current, tgds, budget=budget, record_derivation=False)
-        # Invented nulls are never in dom(I): the harvest neither keeps
-        # nor decodes them.
-        harvested = [a for a in result.atoms_over(domain) if a not in current]
-        if not harvested:
-            break
-        current.extend_unique_ground(harvested)
-    return current
+
+
+class _Closures:
+    """The closures of canonical child nodes for one guarded ``Σ``.
+
+    What a trigger's subtree of the chase forest gives back to its
+    parent (the atoms over the frontier terms) depends only on the
+    trigger's child node: the rule, the equality pattern of its frontier
+    images and the parent's atoms over them (Calì, Gottlob and Kifer,
+    *Taming the Infinite Chase*).  A node's closure is the least set
+    that holds its atoms and is closed under full-rule heads and the
+    frontier projections of its triggers' child closures.
+    """
+
+    def __init__(self, tgds: TGDSet) -> None:
+        self._lock = threading.Lock()
+        self._pred_ids: Dict[Predicate, int] = {}
+        self.predicates: List[Predicate] = []
+        self.rules = [_Rule(i, tgd, self.pred_id) for i, tgd in enumerate(tgds)]
+        self.rule_of = dict(zip(tgds, self.rules))
+        #: predicate id -> (rule, None) for its guard, (rule, slots) for a side atom.
+        self.uses: Dict[int, List[Tuple[_Rule, Optional[Tuple[int, ...]]]]] = {}
+        for rule in self.rules:
+            for pid, slots in [(rule.guard[0], None), *rule.side]:
+                self.uses.setdefault(pid, []).append((rule, slots))
+        #: Converged child nodes only (see :class:`_Run`).
+        self.table: Dict[_Key, _Node] = {}
+
+    def pred_id(self, predicate: Predicate) -> int:
+        """The id of ``predicate``; a database's predicates outside
+        ``sch(Σ)`` get theirs on first sight, under the lock, since
+        concurrent runs share the ids."""
+        pid = self._pred_ids.get(predicate)
+        if pid is None:
+            with self._lock:
+                pid = self._pred_ids.get(predicate)
+                if pid is None:
+                    self.predicates.append(predicate)
+                    pid = self._pred_ids[predicate] = len(self.predicates) - 1
+        return pid
+
+    def node(self, key: _Key) -> _Node:
+        """The converged child node under ``key``."""
+        return self.table.get(key) or _Run(self).solve(key)
+
+    def seed(self, key: _Key) -> _Node:
+        width, head = self.rules[key[0]].child(key[1])
+        return _Node(width, itertools.chain(key[2], head))
+
+    def triggers(self, node: _Node, fact: _Fact) -> Iterator[Tuple[_Rule, List[int]]]:
+        """The triggers in ``node`` that use ``fact``, found through the guard."""
+        pid, args = fact
+        facts = node.facts
+        for rule, slots in self.uses.get(pid, ()):
+            if slots is None:
+                images: Iterable[Tuple[int, ...]] = (args,)
+            else:
+                candidates = node.by_term[args[0]] if args else facts
+                images = [g[1] for g in candidates if g[0] == rule.guard[0]]
+            for image in images:
+                values = rule.bind(image)
+                if values is None or (
+                    slots is not None and any(values[s] != t for s, t in zip(slots, args))
+                ):
+                    continue
+                if all((q, tuple(values[s] for s in side)) in facts for q, side in rule.side):
+                    yield rule, values
+
+
+def _closures(tgds: TGDSet) -> _Closures:
+    return tgds.memo("guarded-closures", lambda: _Closures(tgds))
+
+
+class _Run:
+    """One worklist run to the least fixpoint over a private set of nodes.
+
+    Table nodes are final and only read.  New nodes are published all at
+    once when the worklist is empty, so the shared table never holds a
+    closure that could still grow; concurrent runs on one ``Σ`` may build
+    a node twice, and either equal copy is kept.  A node's readers are
+    the links that read it; they are re-evaluated when it grows.
+    """
+
+    def __init__(self, closures: _Closures) -> None:
+        self.closures = closures
+        self.work: Dict[_Key, _Node] = {}
+        self.stack: List[_Node] = []
+
+    def solve(self, key: Optional[_Key], facts: Iterable[_Fact] = ()) -> _Node:
+        """Run from the child node ``key``, or from a root over ``facts``."""
+        start = _Node(0, facts) if key is None else self.closures.seed(key)
+        if key is not None:
+            self.work[key] = start
+        self.queue(start)
+        try:
+            while self.stack:
+                node = self.stack.pop()
+                self.drain(node)
+                node.queued = False
+        finally:
+            for node in (start, *self.work.values()):
+                node.release()
+        self.closures.table.update(self.work)
+        return start
+
+    def queue(self, node: _Node, fact: Optional[_Fact] = None) -> None:
+        if (fact is None or node.add(fact)) and not node.queued:
+            node.queued = True
+            self.stack.append(node)
+
+    def drain(self, node: _Node) -> None:
+        """Work ``node``'s pending facts off.  Child keys are read only
+        once they run out, so from a locally saturated closure."""
+        fresh: Dict[Tuple[int, Tuple[int, ...]], _Rule] = {}
+        while node.pending or node.dirty:
+            while node.pending:
+                fact = node.pending.pop()
+                self.propagate(node, fact)
+                for rule, values in self.closures.triggers(node, fact):
+                    if not rule.existentials:
+                        for pid, slots in rule.head:
+                            node.add((pid, tuple(values[s] for s in slots)))
+                    else:
+                        tid = (rule.index, tuple(values[s] for s in rule.frontier))
+                        if tid not in node.links:
+                            fresh[tid] = rule
+            for (_, image), rule in fresh.items():
+                link = node.links[(rule.index, image)] = _Link(node, rule, image)
+                for term in link.terms:
+                    node.links_by_term.setdefault(term, []).append(link)
+                self.attach(link, link.key())
+            fresh.clear()
+            dirty, node.dirty = node.dirty, {}
+            for link in dirty:
+                key = link.key()
+                # Parent facts the child derived itself leave its closure as is.
+                if not key[2] <= link.child.facts:
+                    self.attach(link, key)
+
+    def propagate(self, node: _Node, fact: _Fact) -> None:
+        """Hand a new fact to the readers; flag the links it may make stale."""
+        pid, args = fact
+        if node.readers and all(i < node.width for i in args):
+            for link in node.readers:
+                self.queue(link.parent, (pid, tuple(link.terms[i] for i in args)))
+        links = node.links_by_term.get(args[0], ()) if args else node.links.values()
+        for link in links:
+            back = link.back
+            if all(t in back for t in args) and (
+                (pid, tuple(back[t] for t in args)) not in link.child.facts
+            ):
+                node.dirty[link] = None
+
+    def attach(self, link: _Link, key: _Key) -> None:
+        """Point ``link`` at the node under ``key`` and read its frontier."""
+        child = self.closures.table.get(key) or self.work.get(key)
+        if child is None:
+            child = self.work[key] = self.closures.seed(key)
+            self.queue(child)
+        if link.child is not None and link.child.readers is not None:
+            del link.child.readers[link]
+        link.child = child
+        if child.readers is not None:
+            child.readers[link] = None
+        for pid, args in child.frontier():
+            self.queue(link.parent, (pid, tuple(link.terms[i] for i in args)))
+
+
+def completion(instance: Instance, tgds: TGDSet) -> Instance:
+    """``complete(I, Σ)``: the chase atoms that mention only terms of ``dom(I)``.
+
+    Exact for every guarded ``Σ``, whether or not the chase terminates:
+    the root closure over ``I``'s facts, with its terms (nulls included)
+    kept fixed (see :class:`_Closures`).
+    """
+    closures = _closures(tgds)
+    ids: Dict[Term, int] = {}
+    facts = {
+        (closures.pred_id(a.predicate), tuple(ids.setdefault(t, len(ids)) for t in a.args))
+        for a in instance
+    }
+    term, predicate = list(ids).__getitem__, closures.predicates.__getitem__
+    completed = instance.as_instance()
+    completed.extend_unique_ground(
+        Atom.from_trusted(predicate(pid), tuple(map(term, args)))
+        for pid, args in _Run(closures).solve(None, facts).facts - facts
+    )
+    return completed
 
 
 def type_of(atom: Atom, completed: Instance) -> Set[Atom]:
@@ -244,48 +520,57 @@ def linearize_database(
 # --------------------------------------------------------------------------
 
 
-def _existential_assignment(tgd: TGD, arity: int) -> Dict[Variable, Term]:
-    """Map each existential variable of ``tgd`` to a fresh type integer."""
-    ordered = sorted(tgd.existential_variables(), key=lambda v: v.name)
-    return {
-        variable: _integer_constant(arity + offset + 1)
-        for offset, variable in enumerate(ordered)
-    }
-
-
 #: One linearization of a TGD for a type: the body and head of the
 #: linear rule (its id is assigned per call) and the head atoms' types.
 _Expansion = Tuple[Tuple[Atom, ...], Tuple[Atom, ...], Tuple[SigmaType, ...]]
 
 
-def _type_expansions(
-    tgd: TGD,
-    sigma_type: SigmaType,
-    tgds: TGDSet,
-    completion_depth: Optional[int],
-) -> Tuple[_Expansion, ...]:
+def _type_expansions(tgd: TGD, sigma_type: SigmaType, tgds: TGDSet) -> Tuple[_Expansion, ...]:
     """All linearizations of ``tgd`` induced by ``sigma_type`` (Appendix E).
 
-    A function of Σ, ``tgd``, the Σ-type and the completion depth
-    alone, so :func:`_linearize_rule_for_type` keeps it in Σ's memo.
+    ``sigma_type`` is closed under the chase (its atoms are a
+    completion's), so a full rule's head atom reads its type from
+    ``sigma_type`` itself, and an existential rule's head atoms read
+    theirs from the child node the trigger creates.  A function of Σ,
+    ``tgd`` and the Σ-type alone, so :func:`_linearize_rule_for_type`
+    keeps it in Σ's memo.
     """
     guard_atom = tgd.guard()
     if guard_atom is None:
         raise ValueError(f"linearization requires guarded TGDs, got {tgd}")
-    type_instance = Instance(sigma_type.atoms())
+    if guard_atom.predicate != sigma_type.guard.predicate:
+        return ()
+    closures = _closures(tgds)
+    rule = closures.rule_of[tgd]
+    type_atoms = sigma_type.atoms()
+    ids = {t: i for i, t in enumerate(dict.fromkeys(sigma_type.guard.args))}
+    type_node = _Node(
+        0, [(closures.pred_id(a.predicate), tuple(ids[t] for t in a.args)) for a in type_atoms]
+    )
     expansions: List[_Expansion] = []
-    for substitution in find_homomorphisms(tgd.body, type_instance):
+    for substitution in find_homomorphisms(tgd.body, Instance(type_atoms)):
         if apply_substitution(guard_atom, substitution) != sigma_type.guard:
             continue
-        mapping: Dict[Variable, Term] = dict(substitution)
-        mapping.update(_existential_assignment(tgd, tgds.arity()))
-        head_images = [apply_substitution(a, mapping) for a in tgd.head]
-        local_instance = Instance(set(head_images) | sigma_type.atoms())
-        completed = completion(local_instance, tgds, depth_budget=completion_depth)
-        head_types = tuple(
-            canonicalize_type(image, type_of(image, completed) - {image})
-            for image in head_images
-        )
+        if rule.existentials:
+            image = tuple(ids[substitution[v]] for v in rule.frontier_variables)
+            link = _Link(type_node, rule, image)
+            child = closures.node(link.key())
+            names = [_integer_constant(i + 1) for i in range(len(link.terms) + rule.existentials)]
+
+            def decode(fact: _Fact) -> Atom:
+                return Atom(closures.predicates[fact[0]], tuple(names[i] for i in fact[1]))
+
+            head_types = tuple(
+                canonicalize_type(
+                    decode(head), [decode(f) for f in child.facts if set(head[1]) >= set(f[1])]
+                )
+                for head in rule.child(link.pattern)[1]
+            )
+        else:
+            head_types = tuple(
+                canonicalize_type(image, type_of(image, type_atoms))
+                for image in (apply_substitution(a, substitution) for a in tgd.head)
+            )
         expansions.append(
             (
                 (Atom(sigma_type.predicate(), guard_atom.args),),
@@ -303,7 +588,6 @@ def _linearize_rule_for_type(
     tgd: TGD,
     sigma_type: SigmaType,
     tgds: TGDSet,
-    completion_depth: Optional[int],
     rule_counter: itertools.count,
 ) -> List[Tuple[TGD, Tuple[SigmaType, ...]]]:
     """The linear rules ``tgd`` yields for ``sigma_type``, with their head types.
@@ -313,8 +597,7 @@ def _linearize_rule_for_type(
     caller's counter, so ``lin(Σ)`` reads the same on a warm memo.
     """
     expansions = tgds.memo(
-        ("lin", tgd, sigma_type, completion_depth),
-        lambda: _type_expansions(tgd, sigma_type, tgds, completion_depth),
+        ("lin", tgd, sigma_type), lambda: _type_expansions(tgd, sigma_type, tgds)
     )
     return [
         (
@@ -328,7 +611,6 @@ def _linearize_rule_for_type(
 def linearize_program(
     tgds: TGDSet,
     seed_types: Iterable[SigmaType],
-    completion_depth: Optional[int] = None,
     max_types: int = 10_000,
 ) -> Tuple[TGDSet, Tuple[SigmaType, ...]]:
     """``lin(Σ)`` restricted to types reachable from ``seed_types``.
@@ -357,7 +639,7 @@ def linearize_program(
         current = worklist.pop()
         for tgd in tgds:
             for linearized, head_types in _linearize_rule_for_type(
-                tgd, current, tgds, completion_depth, rule_counter
+                tgd, current, tgds, rule_counter
             ):
                 produced.append(linearized)
                 for head_type in head_types:
@@ -386,16 +668,13 @@ def linearize_program(
 def linearize(
     database: Database,
     tgds: TGDSet,
-    completion_depth: Optional[int] = None,
     max_types: int = 10_000,
 ) -> LinearizationResult:
     """Compute ``lin(D)`` and the reachable fragment of ``lin(Σ)``."""
-    completed = completion(database.as_instance(), tgds, depth_budget=completion_depth)
+    completed = completion(database.as_instance(), tgds)
     linear_database, assignment = linearize_database(database, tgds, completed=completed)
     seed_types = list(dict.fromkeys(assignment.values()))
-    program, types = linearize_program(
-        tgds, seed_types, completion_depth=completion_depth, max_types=max_types
-    )
+    program, types = linearize_program(tgds, seed_types, max_types=max_types)
     return LinearizationResult(
         database=linear_database,
         program=program,

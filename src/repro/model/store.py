@@ -58,7 +58,7 @@ from array import array
 from contextlib import contextmanager
 from time import perf_counter
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.model.atoms import Atom, Predicate
 from repro.model.instance import Instance
@@ -460,37 +460,6 @@ class FactStore:
                 )
             )
         return instance
-
-    def atoms_over(self, terms: Iterable[Term]) -> List[Atom]:
-        """Decode only the stored facts whose arguments all lie in ``terms``.
-
-        Facts are filtered by term id before anything is decoded, and
-        each kept argument decodes to the given term object itself, so
-        no null outside ``terms`` is ever materialised — when ``terms``
-        is the domain of the chase input, none of the invented ones
-        are.  A given null the store holds only as a recipe is matched
-        structurally, as :meth:`intern_term` does (memoising the match);
-        terms the store has never seen are ignored.  No fact, id or
-        decoded term of the store changes.
-        """
-        id_of_term = self._id_of_term
-        term_of: Dict[int, Term] = {}
-        for term in terms:
-            tid = id_of_term.get(term)
-            if tid is None and isinstance(term, Null):
-                tid = self._match_null_recipe(term)
-            if tid is not None:
-                term_of[tid] = term
-        within = frozenset(term_of).issuperset
-        decode = term_of.__getitem__
-        atoms: List[Atom] = []
-        for pid, predicate in enumerate(self._pred_of):
-            kept = list(filter(within, self._rows[pid]))
-            if kept:
-                atoms.extend(
-                    Atom.many_from_trusted(predicate, [tuple(map(decode, ids)) for ids in kept])
-                )
-        return atoms
 
     # -- storage -----------------------------------------------------------
 

@@ -8,6 +8,7 @@ from repro.model.terms import Constant, Variable
 from repro.chase.engine import ChaseBudget
 from repro.chase.semi_oblivious import semi_oblivious_chase
 from repro.core.classify import TGDClass, classify
+from repro.core.decision import syntactic_decision
 from repro.core.linearization import (
     SigmaType,
     TypeIndex,
@@ -18,7 +19,16 @@ from repro.core.linearization import (
     linearize_program,
     type_of,
 )
-from repro.generators.random_programs import random_database, random_guarded_program
+from repro.core.simplification import simplified_schema, simplify_program
+from repro.core.weak_acyclicity import weak_acyclicity_report
+from repro.generators.families import guarded_lower_bound
+from repro.generators.random_programs import (
+    random_database,
+    random_guarded_program,
+    random_linear_program,
+    random_simple_linear_program,
+)
+from repro.model.tgd import TGDSet
 
 A, B, C = Constant("a"), Constant("b"), Constant("c")
 
@@ -218,3 +228,44 @@ class TestProposition81:
             # number of atoms may differ: several [τ]-atoms can encode
             # the same original atom.)
             assert linearized.max_depth == original.max_depth
+
+
+class TestGuardedFamily:
+    """The paper's guarded family through the G decider (Theorem 8.5)."""
+
+    @pytest.mark.parametrize(
+        "shape,counts",
+        [((1, 1, 1), (104, 142, 6_320)), ((2, 1, 1), (243, 397, 15_561))],
+    )
+    def test_syntactic_decision_pins_types_and_rules(self, shape, counts):
+        database, tgds = guarded_lower_bound(*shape)
+        verdict = syntactic_decision(database, TGDSet(list(tgds), name=tgds.name))
+        assert verdict.terminates is True
+        details = verdict.details
+        assert (
+            details["type_count"],
+            details["linearized_rule_count"],
+            details["gsimple_rule_count"],
+        ) == counts
+
+
+class TestDeciderRoutesAgree:
+    """On SL and L programs, the G route (linearize, simplify, then the
+    weak-acyclicity report on ``sch(gsimple(D))``) gives the verdict of
+    the SL / L characterizations."""
+
+    @pytest.mark.parametrize("kind", ["sl", "l"])
+    def test_the_guarded_route_agrees(self, kind):
+        generate = {"sl": random_simple_linear_program, "l": random_linear_program}[kind]
+        verdicts = set()
+        for seed in range(12):
+            tgds = generate(seed)
+            database = random_database(tgds, seed, fact_count=64, constant_count=16)
+            linearized = linearize(database, tgds)
+            report = weak_acyclicity_report(
+                simplify_program(linearized.program), simplified_schema(linearized.database)
+            )
+            expected = syntactic_decision(database, tgds).terminates
+            assert report.weakly_acyclic_wrt_database is expected, seed
+            verdicts.add(expected)
+        assert verdicts == {True, False}

@@ -4,9 +4,7 @@
 forward pass in id order, passing the depth the store tracked for the
 id instead of recomputing it, and hands back an instance whose lazy
 indexes are still unbuilt.  :meth:`FactStore.term_of_id` decodes one
-term at a time the same way.  These tests pin all three properties,
-and that :meth:`FactStore.atoms_over` decodes only the facts over the
-terms it is given, materialising no null outside them.
+term at a time the same way.  These tests pin all three properties.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import uuid
 import pytest
 
 from repro.chase import oblivious_chase, restricted_chase, semi_oblivious_chase
-from repro.chase.engine import ChaseBudget
 from repro.generators.families import (
     guarded_lower_bound,
     linear_lower_bound,
@@ -223,59 +220,3 @@ def test_bulk_intern_under_thread_contention():
     # Every label has exactly one uid, and no uid names two labels.
     assert len(set(uid_of_label.values())) == len(uid_of_label)
     assert all(_NULL_INTERN[label] == uid for label, uid in uid_of_label.items())
-
-
-# ---------------------------------------------------------------------------
-# Filtered decode: only the facts over a given set of terms
-# ---------------------------------------------------------------------------
-
-
-def _over(atoms, terms):
-    return {a for a in atoms if set(a.args) <= terms}
-
-
-@pytest.mark.parametrize("name", sorted(INPUTS))
-def test_atoms_over_the_input_domain_decodes_no_invented_null(name):
-    runner, make = INPUTS[name]
-    database, tgds = make()
-    domain = database.active_domain()
-    result = runner(database, tgds, record_derivation=False)
-    store = FactStore.restore(result.store_snapshot())
-    undecoded = store._term_of_id.count(None)
-    assert undecoded, "every input invents nulls"
-    kept = result.atoms_over(domain)
-    assert len(kept) == len(set(kept))
-    assert set(kept) == _over(result.instance, domain)
-    assert set(store.atoms_over(domain)) == set(kept)
-    assert store._term_of_id.count(None) == undecoded
-
-
-@pytest.mark.parametrize("name", sorted(INPUTS))
-def test_atoms_over_terms_with_invented_nulls_matches_the_full_decode(name):
-    runner, make = INPUTS[name]
-    database, tgds = make()
-    result = runner(database, tgds, record_derivation=False)
-    store = FactStore.restore(result.store_snapshot())
-    instance = result.instance
-    # Half of the invented nulls, plus a term the store never saw.
-    nulls = sorted(instance.nulls(), key=lambda n: n.uid)[::2]
-    terms = database.active_domain() | set(nulls) | {Constant("never-seen")}
-    expected = _over(instance, terms)
-    assert set(store.atoms_over(terms)) == expected
-    # On a materialised result the method filters the decoded instance.
-    assert set(result.atoms_over(terms)) == expected
-    legacy = runner(database, tgds, record_derivation=False, engine="legacy")
-    assert set(legacy.atoms_over(terms)) == _over(legacy.instance, terms)
-
-
-def test_atoms_over_keeps_zero_arity_facts_and_foreign_nulls():
-    E, Flag = Predicate("E", 2), Predicate("Flag", 0)
-    chain = _foreign_chain(2)
-    tgds = parse_program("E(x, y) -> exists w . E(y, w)\nE(x, y) -> Flag()")
-    start = Instance([Atom(E, (chain[1], chain[0]))])
-    result = semi_oblivious_chase(
-        start, tgds, budget=ChaseBudget(max_rounds=3), record_derivation=False
-    )
-    kept = set(result.atoms_over(start.active_domain()))
-    assert kept == {Atom(E, (chain[1], chain[0])), Atom(Flag, ())}
-    assert set(result.atoms_over(())) == {Atom(Flag, ())}

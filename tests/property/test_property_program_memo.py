@@ -8,7 +8,7 @@ shuffled order, on one shared (warm) program object and on a fresh
 copy per call, and require identical verdicts, details, reports,
 analyses, UCQ verdicts and ``lin(Σ)`` / ``lin(D)`` — rule ids
 included.  They also pin the store-vs-legacy chase equivalence on a
-warm memo, that one ``linearize`` call compiles its pipeline once,
+warm memo, that ``linearize`` compiles no chase pipeline at all,
 that no memo key carries a database term, and that ``Q_Σ``'s
 schema-level criterion agrees with the per-fact one it replaced.
 """
@@ -198,7 +198,8 @@ def test_restricted_heavy_matches_legacy_on_warm_memo():
     assert store.statistics.triggers_considered == legacy.statistics.triggers_considered
 
 
-def test_one_linearize_call_compiles_its_pipeline_once(monkeypatch):
+def test_linearize_compiles_no_chase_pipeline(monkeypatch):
+    """The guarded completion is a fixpoint over child nodes, not a chase."""
     compiled = []
 
     class CountingPipeline(store_plan.StoreTriggerPipeline):
@@ -210,7 +211,7 @@ def test_one_linearize_call_compiles_its_pipeline_once(monkeypatch):
     tgds = GENERATORS["g"](2)
     database = databases_for(tgds, 2)[2]
     linearize(database, tgds)
-    assert compiled == [tgds]
+    assert compiled == []
 
 
 def test_threads_sharing_a_cold_program_agree():
