@@ -2,11 +2,10 @@
 
 An *instance* is a (possibly large) set of ground atoms over constants
 and nulls; a *database* is a finite set of facts (atoms over constants
-only).  The :class:`Instance` class keeps secondary indexes so the
-chase engine and the homomorphism search can enumerate candidate atoms
-without scanning the whole instance.
-
-The atom set and the per-predicate index are maintained eagerly.  The
+only).  An :class:`Instance` stores each atom once, in its predicate's
+bucket: an insertion-ordered dict used as an ordered set.  It iterates
+predicate-major in insertion order, never in hash order, so no
+traversal (and no chase count) depends on the hash seed.  The
 per-position index and the active-domain occurrence counts (with the
 maximum term depth) are built lazily, on the first query that needs
 them, and maintained incrementally on add/discard from then on.  An
@@ -19,13 +18,16 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from itertools import chain, groupby
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
 
 from repro.model.atoms import Atom, Predicate
 from repro.model.terms import Constant, Null, Term
 
-#: Shared empty result for index misses; never mutated.
-_EMPTY_ATOMS: Set[Atom] = frozenset()  # type: ignore[assignment]
+#: An ordered set of atoms: the keys of an insertion-ordered dict.
+_Bucket = Dict[Atom, None]
+
+#: Shared empty bucket for index misses; never mutated.
+_EMPTY: _Bucket = {}
 
 _predicate_of = attrgetter("predicate")
 
@@ -38,13 +40,13 @@ class Instance:
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
-        self._atoms: Set[Atom] = set()
-        self._by_predicate: Dict[Predicate, Set[Atom]] = defaultdict(set)
+        # The only store of the atoms; emptied buckets are dropped.
+        self._by_predicate: Dict[Predicate, _Bucket] = defaultdict(dict)
         # Lazy indexes, ``None`` until first needed.  Each is built into
         # a local and published with one assignment, so a reader on
         # another thread never sees a half-filled index.
         # (predicate, 0-based position, term) -> atoms having `term` there
-        self._by_position: Optional[Dict[Tuple[Predicate, int, Term], Set[Atom]]] = None
+        self._by_position: Optional[Dict[Tuple[Predicate, int, Term], _Bucket]] = None
         # term -> number of argument occurrences across stored atoms;
         # active_domain()/max_depth() are O(domain)/O(1) once it exists.
         self._domain: Optional[Dict[Term, int]] = None
@@ -59,39 +61,39 @@ class Instance:
     # -- basic protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return sum(map(len, self._by_predicate.values()))
 
     def __iter__(self) -> Iterator[Atom]:
-        return iter(self._atoms)
+        return chain.from_iterable(self._by_predicate.values())
 
     def __contains__(self, a: Atom) -> bool:
-        return a in self._atoms
+        return a in self._by_predicate.get(a.predicate, _EMPTY)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
-        return self._atoms == other._atoms
+        return self._by_predicate == other._by_predicate
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Instance({len(self._atoms)} atoms)"
+        return f"Instance({len(self)} atoms)"
 
     # -- lazy indexes ----------------------------------------------------
 
-    def _position_index(self) -> Dict[Tuple[Predicate, int, Term], Set[Atom]]:
+    def _position_index(self) -> Dict[Tuple[Predicate, int, Term], _Bucket]:
         by_position = self._by_position
         if by_position is None:
-            by_position = defaultdict(set)
+            by_position = defaultdict(dict)
             for predicate, bucket in self._by_predicate.items():
                 for a in bucket:
                     for i, term in enumerate(a.args):
-                        by_position[(predicate, i, term)].add(a)
+                        by_position[(predicate, i, term)][a] = None
             self._by_position = by_position
         return by_position
 
     def _domain_index(self) -> Dict[Term, int]:
         domain = self._domain
         if domain is None:
-            domain = Counter(chain.from_iterable(a.args for a in self._atoms))
+            domain = Counter(chain.from_iterable(a.args for a in self))
             self._max_depth = max((t.depth for t in domain), default=0)
             self._max_depth_dirty = False
             self._domain = domain
@@ -103,20 +105,19 @@ class Instance:
         """Add an atom; return True if it was not already present."""
         if not a.is_ground:
             raise ValueError(f"instances may only contain ground atoms, got {a}")
-        if a in self._atoms:
+        if a in self:
             return False
         self._index_new(a)
         return True
 
     def _index_new(self, a: Atom) -> None:
         """Index an atom known to be ground and not yet present."""
-        self._atoms.add(a)
-        self._by_predicate[a.predicate].add(a)
+        self._by_predicate[a.predicate][a] = None
         by_position = self._by_position
         if by_position is not None:
             predicate = a.predicate
             for i, term in enumerate(a.args):
-                by_position[(predicate, i, term)].add(a)
+                by_position[(predicate, i, term)][a] = None
         domain = self._domain
         if domain is not None:
             for term in a.args:
@@ -136,21 +137,20 @@ class Instance:
         The fact store's decode boundary produces exactly such a
         stream; skipping the per-atom groundness and membership checks
         keeps materialisation cheap.  While no lazy index is built this
-        is a plain bulk insert, one set update per run of same-predicate
-        atoms.  Feeding a duplicate or non-ground atom through this
-        method corrupts the indexes — use :meth:`add` unless the
-        guarantee holds by construction.
+        is a plain bulk insert that hashes each atom once: one
+        ``dict.fromkeys`` per run of same-predicate atoms.  Feeding a
+        duplicate or non-ground atom through this method corrupts the
+        indexes — use :meth:`add` unless the guarantee holds by
+        construction.
         """
         if self._by_position is not None or self._domain is not None:
             for a in atoms:
                 self._index_new(a)
             return
         by_predicate = self._by_predicate
-        update_atoms = self._atoms.update
         for predicate, run in groupby(atoms, _predicate_of):
-            run = list(run)
-            update_atoms(run)
-            by_predicate[predicate].update(run)
+            # Merging a dict reuses its stored hashes.
+            by_predicate[predicate].update(dict.fromkeys(run))
 
     def add_all(self, atoms: Iterable[Atom]) -> List[Atom]:
         """Add several atoms; return the ones that were actually new."""
@@ -158,14 +158,17 @@ class Instance:
 
     def discard(self, a: Atom) -> bool:
         """Remove an atom if present; return True if it was removed."""
-        if a not in self._atoms:
+        predicate = a.predicate
+        bucket = self._by_predicate.get(predicate, _EMPTY)
+        if a not in bucket:
             return False
-        self._atoms.discard(a)
-        self._by_predicate[a.predicate].discard(a)
+        del bucket[a]
+        if not bucket:
+            del self._by_predicate[predicate]
         by_position = self._by_position
         if by_position is not None:
             for i, term in enumerate(a.args):
-                by_position[(a.predicate, i, term)].discard(a)
+                del by_position[(predicate, i, term)][a]
         domain = self._domain
         if domain is not None:
             for term in a.args:
@@ -183,8 +186,8 @@ class Instance:
     # -- queries ---------------------------------------------------------
 
     def atoms(self) -> Set[Atom]:
-        """A copy of the underlying atom set."""
-        return set(self._atoms)
+        """A copy of the atoms, as a set."""
+        return set(self)
 
     def atoms_with_predicate(self, predicate: Predicate) -> Set[Atom]:
         """All atoms over the given predicate (empty set if none).
@@ -194,16 +197,15 @@ class Instance:
         instance is not mutated during iteration should use
         :meth:`candidates_view` instead.
         """
-        return set(self._by_predicate.get(predicate, _EMPTY_ATOMS))
+        return set(self._by_predicate.get(predicate, _EMPTY))
 
     def count(self, predicate: Predicate) -> int:
         """Number of atoms over ``predicate`` (O(1))."""
-        bucket = self._by_predicate.get(predicate)
-        return len(bucket) if bucket else 0
+        return len(self._by_predicate.get(predicate, _EMPTY))
 
     def predicates(self) -> Set[Predicate]:
         """Predicates that occur in at least one atom."""
-        return {pred for pred, atoms in self._by_predicate.items() if atoms}
+        return set(self._by_predicate)
 
     def candidates(self, predicate: Predicate, bound: Dict[int, Term]) -> Set[Atom]:
         """Atoms over ``predicate`` matching the partially bound arguments.
@@ -213,32 +215,31 @@ class Instance:
         """
         return set(self.candidates_view(predicate, bound))
 
-    def candidates_view(self, predicate: Predicate, bound: Dict[int, Term]) -> Set[Atom]:
-        """Like :meth:`candidates`, but may alias internal index sets.
+    def candidates_view(self, predicate: Predicate, bound: Dict[int, Term]) -> AbstractSet[Atom]:
+        """Like :meth:`candidates`, in insertion order, but may alias an index.
 
         When ``bound`` pins zero or one positions the result is a *live
-        view* of an index bucket: it must not be mutated, and the
-        instance must not be mutated while the view is being iterated.
-        The chase engine materialises each round's triggers before
-        applying any of them, which is exactly what makes this view safe
-        on its hot path.  The most selective index entry drives the
-        intersection to keep the cost close to the result size.
+        view* of an index bucket: the instance must not be mutated while
+        it is being iterated.  The chase engine materialises each round's
+        triggers before applying any of them, which is exactly what makes
+        this view safe on its hot path.  The most selective index entry
+        drives the intersection to keep the cost close to the result size.
         """
         if not bound:
-            return self._by_predicate.get(predicate, _EMPTY_ATOMS)
+            return self._by_predicate.get(predicate, _EMPTY).keys()
         by_position = self._position_index()
         if len(bound) == 1:
             ((i, term),) = bound.items()
-            return by_position.get((predicate, i, term), _EMPTY_ATOMS)
+            return by_position.get((predicate, i, term), _EMPTY).keys()
         # Multi-bound probe: keep only the smallest bucket aside while
         # scanning (no materialised-and-sorted bucket list), and bail
         # out on the first empty bucket before fetching the rest.
-        smallest: Optional[Set[Atom]] = None
-        rest: List[Set[Atom]] = []
+        smallest: Optional[_Bucket] = None
+        rest: List[_Bucket] = []
         for i, term in bound.items():
             bucket = by_position.get((predicate, i, term))
             if not bucket:
-                return _EMPTY_ATOMS
+                return _EMPTY.keys()
             if smallest is None or len(bucket) < len(smallest):
                 if smallest is not None:
                     rest.append(smallest)
@@ -246,7 +247,10 @@ class Instance:
             else:
                 rest.append(bucket)
         assert smallest is not None
-        return smallest.intersection(*rest)
+        matches: Iterable[Atom] = smallest  # filtered in its order
+        for bucket in rest:
+            matches = filter(bucket.__contains__, matches)
+        return dict.fromkeys(matches).keys()
 
     def active_domain(self) -> Set[Term]:
         """``dom(I)``: all constants and nulls occurring in the instance.
@@ -283,16 +287,14 @@ class Instance:
         """A ``cls`` holding this instance's atoms (over ``predicates``).
 
         The atoms were validated when they entered this instance, so
-        the copy skips the per-atom checks: one set copy per predicate
-        bucket.  The lazy indexes are left unbuilt in the copy.
+        the copy skips the per-atom checks: one ordered dict copy per
+        predicate bucket.  The lazy indexes are left unbuilt in the copy.
         """
         clone = cls()
-        atoms = clone._atoms
         by_predicate = clone._by_predicate
         for predicate, bucket in self._by_predicate.items():
-            if bucket and (predicates is None or predicate in predicates):
-                by_predicate[predicate] = set(bucket)
-                atoms.update(bucket)
+            if predicates is None or predicate in predicates:
+                by_predicate[predicate] = dict(bucket)
         return clone
 
     def copy(self) -> "Instance":
@@ -316,7 +318,7 @@ class Database(Instance):
         # instance's groundness check.
         if not a.is_fact:
             raise ValueError(f"databases may only contain facts, got {a}")
-        if a in self._atoms:
+        if a in self:
             return False
         self._index_new(a)
         return True

@@ -239,9 +239,3 @@ def canonical_instance_text(instance: Instance) -> str:
         nulls |= a.nulls()
     labels = _canonical_labels([("I", a) for a in atoms], nulls)
     return "\n".join(sorted(_render_canonical_atom(a, labels, "_:n") for a in atoms))
-
-
-def canonical_database_text(database: Database) -> str:
-    """Canonical form of a database (sorted facts; see
-    :func:`canonical_instance_text`)."""
-    return canonical_instance_text(database)

@@ -64,10 +64,10 @@ def encode_database_snapshot(database: Instance) -> bytes:
 
     This is what the batch executor ships to worker processes instead
     of database text: the worker restores the store and starts chasing
-    without parsing or re-interning anything.  Facts are interned in
-    sorted text order — the same order :func:`parse_database` yields —
-    so a snapshot-seeded run assigns the same dense ids (and hence
-    considers triggers in the same order) as a text-shipped one.
+    without parsing or re-interning anything.  Facts are interned in the
+    sorted order of :func:`database_to_text`, which :func:`parse_database`
+    yields back in file order, so a snapshot-seeded run assigns the same
+    dense ids (and considers triggers in the same order) as a text one.
     """
     store = FactStore()
     for atom in sorted(database, key=atom_to_text):

@@ -546,6 +546,8 @@ class _ChaseRequestHandler(BaseHTTPRequestHandler):
     #: after this many seconds instead of pinning it forever.  Server-
     #: side long-poll waits are unaffected — they do not read.
     timeout = 60.0
+    #: TCP_NODELAY: a keep-alive response must not wait on a delayed ACK.
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------
 

@@ -1,11 +1,14 @@
-"""Cross-process determinism of the decision pipeline.
+"""Cross-process determinism of the decision pipeline and the chase.
 
 Terms and predicates cache a hash salted with a string tag.  A class
 object as salt hashes by its memory address, which differs between
 interpreters even under one fixed ``PYTHONHASHSEED``; set iteration
 orders then differ, and with them the numbering of ``lin(Σ)`` rules and
-the witness cycle a report picks.  Two fresh processes with the same
-seed must print the same text.
+the witness cycle a report picks.  Instances iterate predicate-major in
+insertion order, so no output may depend on the hash seed either:
+processes under ``PYTHONHASHSEED`` 1 and 3 must print the same
+``lin(Σ)`` and report text as one under 0, and processes under 0, 1
+and 2 the same chase summaries, trigger counts included.
 """
 
 from __future__ import annotations
@@ -52,6 +55,35 @@ for seed in range(12):
 """
 
 
+#: Chase the six ``materialize`` inputs of the whole-stack benchmark at
+#: full size, then a serial 200-job mixed batch, and print each
+#: summary.  Summaries carry no wall times; the trigger counts in them
+#: follow the order in which triggers are met.
+CHASE_SCRIPT = """
+import json
+from repro.chase import VARIANT_RUNNERS
+from repro.generators.families import guarded_lower_bound, linear_lower_bound, sl_lower_bound
+from repro.generators.scenarios import university_ontology_scenario
+from repro.generators.workloads import mixed_workload_jobs, restricted_heavy
+from repro.runtime import BatchExecutor
+
+university = university_ontology_scenario(students=3000, courses=300, professors=75, seed=3)
+inputs = {
+    "so-sl": ("semi-oblivious", sl_lower_bound(2, 3, 16)),
+    "so-linear": ("semi-oblivious", linear_lower_bound(2, 2, 64)),
+    "so-guarded": ("semi-oblivious", guarded_lower_bound(1, 1, 4)),
+    "so-university": ("semi-oblivious", (university.database, university.tgds)),
+    "ob-sl": ("oblivious", sl_lower_bound(2, 3, 16)),
+    "re-heavy": ("restricted", restricted_heavy(100, 40)),
+}
+for name, (variant, (database, tgds)) in inputs.items():
+    result = VARIANT_RUNNERS[variant](database, tgds, record_derivation=False)
+    print(name, json.dumps(result.summary(), sort_keys=True))
+for result in BatchExecutor(workers=1).run(mixed_workload_jobs(200, 11)):
+    print(result.job_id, result.status, json.dumps(result.summary, sort_keys=True))
+"""
+
+
 def _run(seed: str, script: str = SCRIPT) -> str:
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     return subprocess.run(
@@ -65,10 +97,25 @@ def _run(seed: str, script: str = SCRIPT) -> str:
 
 
 def test_linearize_and_report_print_identically_in_two_processes():
-    first, second = _run("0"), _run("0")
+    first = _run("0")
     # The input is non-trivial: a non-uniform violation with a witness.
     assert "|lin" in first and "False False" in first and "=*=>" in first
-    assert first == second
+    assert first == _run("0")
+    assert first == _run("1")
+    assert first == _run("3")
+
+
+def test_chase_summaries_do_not_depend_on_the_hash_seed():
+    # The semi-oblivious university scenario's applied-trigger count
+    # depends on the order in which triggers are met; a hash-ordered
+    # instance makes it differ between these seeds.
+    first = _run("0", CHASE_SCRIPT)
+    lines = first.splitlines()
+    assert len(lines) == 206 and lines[3].startswith("so-university ")
+    assert all(" ok " in line for line in lines[6:])
+    assert "telemetry" not in first and "profile" not in first
+    assert first == _run("1", CHASE_SCRIPT)
+    assert first == _run("2", CHASE_SCRIPT)
 
 
 def test_random_full_programs_do_not_depend_on_the_hash_seed():

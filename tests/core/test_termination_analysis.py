@@ -13,6 +13,7 @@ import pytest
 
 from repro.chase import VARIANT_RUNNERS
 from repro.chase.engine import ChaseBudget, ChaseOutcome
+from repro.core import decision, termination_analysis
 from repro.core.acyclicity import (
     MFA_ACYCLIC,
     MFA_CYCLIC,
@@ -32,6 +33,7 @@ from repro.core.stratification import (
 from repro.core.termination_analysis import (
     ANALYSIS_VARIANTS,
     DIVERGING,
+    GUARDED_NORM_CAP,
     TERMINATING,
     UNDETERMINED,
     TerminationAnalyzer,
@@ -59,6 +61,7 @@ from repro.generators.turing import (
 )
 from repro.generators.workloads import restricted_heavy
 from repro.model.parser import parse_database, parse_program
+from repro.runtime.budget_policy import BudgetPolicy
 
 # The canonical gap between the labelling disciplines: weakly acyclic
 # (the semi-oblivious chase reuses the per-x null), yet the oblivious
@@ -246,6 +249,43 @@ class TestAnalyzeTermination:
         report = analyze_termination(database, tgds, "semi-oblivious")
         document = json.dumps(report.as_dict(), sort_keys=True)
         assert '"verdict": "terminating"' in document
+
+
+class TestGuardedSizeCap:
+    """Past ``GUARDED_NORM_CAP`` the characterization is never tried.
+
+    On ``guarded_lower_bound(2, 2, 1)`` it would build ``simplify_program``
+    of a 3,094-rule ``lin(Σ)``: 1,641,271 rules.
+    """
+
+    @pytest.fixture()
+    def characterization_calls(self, monkeypatch):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("characterization reached past the guarded size cap")
+
+        monkeypatch.setattr(termination_analysis, "syntactic_decision", refuse)
+        monkeypatch.setattr(decision, "simplify_program", refuse)
+        return calls
+
+    def test_analysis_skips_the_characterization(self, characterization_calls):
+        database, tgds = guarded_lower_bound(2, 2, 1)
+        assert tgds.norm() > GUARDED_NORM_CAP
+        report = analyze_termination(database, tgds)
+        assert report.trace[0] == (
+            f"characterization: skipped (guarded set over size cap, norm={tgds.norm()})"
+        )
+        assert report.verdict == UNDETERMINED
+        assert characterization_calls == []
+
+    def test_an_analysing_budget_policy_skips_it_too(self, characterization_calls):
+        database, tgds = guarded_lower_bound(2, 2, 1)
+        policy = BudgetPolicy(analyzer=TerminationAnalyzer())
+        derived = policy.derive(tgds, len(database), database=database)
+        assert derived.verdict == UNDETERMINED
+        assert characterization_calls == []
 
 
 class TestAnalyzerMemo:

@@ -46,6 +46,34 @@ class TestHealthAndStats:
         assert health["status"] == "ok"
         assert health["workers"] == 2 and health["max_queue"] == 64
 
+    def test_accepted_sockets_disable_nagle(self, service, monkeypatch):
+        # Nagle's algorithm holds a keep-alive response's second segment
+        # until the client's delayed ACK (~40 ms per request); pin the
+        # socket option rather than a timing.
+        import http.client
+        import socket
+
+        from repro.service import server
+
+        flags = []
+        setup = server._ChaseRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            flags.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(server._ChaseRequestHandler, "setup", recording_setup)
+        connection = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10.0)
+        try:
+            for _ in range(2):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+        finally:
+            connection.close()
+        assert len(flags) == 1 and flags[0] != 0
+
     def test_stats_shape(self, client):
         client.run_job(make_job("stats"), timeout=60.0)
         stats = client.stats()
