@@ -755,34 +755,19 @@ class FactStore:
         fingerprints are preserved.
 
         Foreign nulls (interned from an input instance rather than
-        invented here) are recipe-encoded at snapshot time: their
-        binding terms are interned on the fly, so the snapshot may
-        intern a few extra terms into this store as a side effect —
-        harmless, since interning never changes the stored facts.
+        invented here) are recipe-encoded first
+        (:meth:`register_foreign_nulls`).
         """
+        self.register_foreign_nulls()
         terms: List[object] = []
-        index = 0
-        while index < len(self._term_of_id):
+        for index, term in enumerate(self._term_of_id):
             recipe = self._null_recipe.get(index)
             if recipe is not None:
                 rule_id, variable, names, ids = recipe
                 terms.append([rule_id, variable, list(names), list(ids)])
             else:
-                term = self._term_of_id[index]
-                assert term is not None, "id without a term or a recipe"
-                if isinstance(term, Constant):
-                    terms.append(term.name)
-                else:
-                    # A foreign null: synthesise the recipe its inventor
-                    # would have used.  intern_term may append binding
-                    # terms (the while loop picks them up).
-                    ids = tuple(self.intern_term(t) for _, t in term.binding)
-                    names = tuple(n for n, _ in term.binding)
-                    key = (term.rule_id, term.variable, names, ids)
-                    self._null_recipe[index] = key
-                    self._null_ids.setdefault(key, index)
-                    terms.append([term.rule_id, term.variable, list(names), list(ids)])
-            index += 1
+                assert isinstance(term, Constant), "id without a term or a recipe"
+                terms.append(term.name)
         header = {
             "version": 1,
             "byteorder": sys.byteorder,
@@ -811,6 +796,36 @@ class FactStore:
                 flat.extend(ids)
             chunks.append(flat.tobytes())
         return b"".join(chunks)
+
+    def register_foreign_nulls(self) -> None:
+        """Give every foreign null the recipe its inventor would have used.
+
+        A null interned from an input instance (rather than invented
+        here) gets its ``(rule, variable, names, ids)`` key registered
+        as if :meth:`intern_null` had made it, which is how
+        :meth:`snapshot` encodes it and how :meth:`restore` brings it
+        back.  A store seeded from an instance with nulls therefore
+        reads exactly like its restored snapshot: a re-invented input
+        null is found on the fast path, and :meth:`null_count` counts
+        input nulls from the start.  The binding terms are interned on
+        the fly (the walk picks up any it appends), which may add a few
+        terms to this store — harmless, since interning never changes
+        the stored facts.
+        """
+        if not self._has_foreign_nulls:
+            return
+        terms = self._term_of_id
+        recipes = self._null_recipe
+        index = 0
+        while index < len(terms):
+            term = terms[index]
+            if index not in recipes and isinstance(term, Null):
+                ids = tuple(self.intern_term(t) for _, t in term.binding)
+                names = tuple(n for n, _ in term.binding)
+                key = (term.rule_id, term.variable, names, ids)
+                recipes[index] = key
+                self._null_ids.setdefault(key, index)
+            index += 1
 
     @classmethod
     def restore(cls, data: bytes) -> "FactStore":

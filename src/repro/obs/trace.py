@@ -15,8 +15,7 @@ The span vocabulary used across the repo:
 ``job.admission``      termination analysis + budget-policy decision
 ``job.queue_wait``     accepted → picked up by a scheduler worker
 ``job.execute``        whole executor run for one job
-``snapshot.encode``    database/resume snapshot encode before dispatch
-``snapshot.decode``    worker-side snapshot decode (serial path only)
+``store.seed``         serial path: plan the run and seed its fact store
 ``chase.run``          the chase itself inside the executor
 ``cache.lookup``       cache get (hit or miss)
 ``cache.write``        cache put (append + index update)

@@ -23,7 +23,7 @@ from repro.runtime.cache import (
     lineage_cache_key,
     result_cache_key,
 )
-from repro.runtime.executor import BatchExecutor, JobResult, execute_payload
+from repro.runtime.executor import BatchExecutor, JobResult, execute_job, execute_payload
 from repro.runtime.jobs import (
     BUDGET_MODES,
     VARIANTS,
@@ -37,6 +37,7 @@ from repro.runtime.jobs import (
     program_fingerprint,
     read_manifest,
     read_manifest_lenient,
+    seed_database_store,
     write_manifest,
 )
 
@@ -53,6 +54,7 @@ __all__ = [
     "parse_manifest_text",
     "read_manifest",
     "read_manifest_lenient",
+    "seed_database_store",
     "write_manifest",
     "BudgetDecision",
     "BudgetPolicy",
@@ -64,5 +66,6 @@ __all__ = [
     "result_cache_key",
     "BatchExecutor",
     "JobResult",
+    "execute_job",
     "execute_payload",
 ]

@@ -7,12 +7,16 @@ The executor is the runtime's scheduler.  For each job it
    :mod:`repro.runtime.budget_policy`),
 2. consults the :class:`ResultCache` and replays hits without running
    anything,
-3. otherwise ships a plain-data payload to a worker — the program as
-   text, the database as a packed fact-store *snapshot*
-   (:func:`~repro.runtime.jobs.encode_database_snapshot`; workers
-   restore it and skip parse + intern entirely, and nothing with
-   interpreter-local state such as interned null uids crosses a
-   process boundary), and
+3. otherwise runs the chase: in-process jobs (the serial mode, and a
+   pool's duplicate fallback) call :func:`execute_job` on the job's
+   own program and a fact store seeded from its database, with no
+   text or bytes in between; pool jobs ship a plain-data payload to a
+   worker — the program as text, the database as a packed fact-store
+   *snapshot* (:func:`~repro.runtime.jobs.encode_database_snapshot`;
+   workers restore it and skip parse + intern entirely, and nothing
+   with interpreter-local state such as interned null uids crosses a
+   process boundary) — which :func:`execute_payload` decodes before
+   calling the same :func:`execute_job`, and
 4. streams :class:`JobResult` records back as jobs finish, storing
    deterministic outcomes in the cache.
 
@@ -44,15 +48,16 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.chase import VARIANT_RUNNERS
 from repro.chase.engine import ChaseBudget, ChaseOutcome, EngineCheckpoint
 from repro.model.parser import parse_database, parse_program
-from repro.model.serialization import instance_to_text, program_to_text
+from repro.model.serialization import atom_to_text, instance_to_text, program_to_text
 from repro.model.store import FactStore
+from repro.model.tgd import TGDSet
 from repro.obs.conformance import conformance_report
 from repro.obs.observer import RunObserver
 from repro.obs.probe import ChaseProbe
@@ -68,7 +73,7 @@ from repro.runtime.faults import (
     get_injector,
     mark_worker_process,
 )
-from repro.runtime.jobs import ChaseJob
+from repro.runtime.jobs import ChaseJob, seed_database_store
 
 
 @dataclass
@@ -134,45 +139,36 @@ class JobResult:
         return json.dumps(self.summary, sort_keys=True)
 
 
-def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
-    """Run one job payload; module-level so it pickles into workers.
+def execute_job(program: TGDSet, database, spec: Dict[str, object]) -> Dict[str, object]:
+    """Run one job on live objects: the in-process execution layer.
 
-    The payload and the returned record are plain data: texts, numbers,
-    bytes and dicts — nothing with interpreter-local state (interned
-    null uids) crosses a process boundary.  Two database shapes:
-
-    * ``database_snapshot`` — packed store bytes; the worker restores
-      the store and chases it directly, skipping parse + intern (every
-      cold payload);
-    * ``resume_snapshot`` + ``database_text`` — incremental re-chase:
-      the snapshot is a previously terminated run, the text carries
-      only the *delta* facts, and ``database_size`` is the full grown
-      database's size for summary bookkeeping.
+    ``database`` is what the chase starts from: a seeded
+    :class:`~repro.model.store.FactStore` (owned by this run, which
+    chases it in place), or, with ``spec["resume_snapshot"]``, the
+    *delta* facts of an incremental re-chase.  ``spec`` carries the
+    job's plain-data knobs (``job_id``, ``variant``, ``budget`` and the
+    optional ``materialize`` / ``want_snapshot`` / ``telemetry`` /
+    ``profile`` / checkpoint / resume fields); a pool payload is such a
+    spec plus the wire encoding of the program and database (see
+    :func:`execute_payload`), so both paths share every knob.
 
     A summary-only job never materialises atom objects at all; the
     instance is decoded to text solely when ``materialize`` asks for
     it, and ``want_snapshot`` returns the terminated run's snapshot
     bytes (taken before any materialisation) for the cache's lineage
-    index.
+    index.  Failures become ``status="error"`` records carrying their
+    :func:`~repro.runtime.faults.classify_failure` kind.
     """
     try:
         injector = get_injector()
-        program = parse_program(
-            str(payload["program_text"]), name=str(payload.get("program_name", "Sigma"))
-        )
-        snapshot_bytes = payload.get("database_snapshot")
-        if snapshot_bytes is not None:
-            database = FactStore.restore(snapshot_bytes)  # type: ignore[arg-type]
-        else:
-            database = parse_database(str(payload["database_text"]))
-        budget = ChaseBudget(**payload["budget"])  # type: ignore[arg-type]
-        runner = VARIANT_RUNNERS[str(payload["variant"])]
-        resume_snapshot = payload.get("resume_snapshot")
-        database_size = payload.get("database_size")
+        budget = ChaseBudget(**spec["budget"])  # type: ignore[arg-type]
+        runner = VARIANT_RUNNERS[str(spec["variant"])]
+        resume_snapshot = spec.get("resume_snapshot")
+        database_size = spec.get("database_size")
         observers: List[RunObserver] = []
-        if payload.get("telemetry"):
+        if spec.get("telemetry"):
             observers.append(ChaseProbe())
-        if payload.get("profile"):
+        if spec.get("profile"):
             observers.append(RuleProfiler())
         # Crash-safe execution: a checkpoint path makes the run persist
         # its loop state every N round boundaries, and — on a retry — a
@@ -180,8 +176,8 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
         # into a same-run resume instead of a cold start.  A corrupt or
         # truncated checkpoint silently falls back to cold (costs time,
         # never correctness).
-        checkpoint_path = payload.get("checkpoint_path")
-        checkpoint_every = payload.get("checkpoint_every_rounds")
+        checkpoint_path = spec.get("checkpoint_path")
+        checkpoint_every = spec.get("checkpoint_every_rounds")
         engine_checkpoint: Optional[EngineCheckpoint] = None
         checkpointer: Optional[RoundCheckpointer] = None
         if checkpoint_path and checkpoint_every:
@@ -209,7 +205,7 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
         if injector.enabled:
             # After the checkpointer: a kill at round N must find the
             # round-N state already durable.
-            observers.append(RoundFaultPoint(injector, str(payload["job_id"])))
+            observers.append(RoundFaultPoint(injector, str(spec["job_id"])))
 
         start = time.perf_counter()
         result = runner(
@@ -226,16 +222,16 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
             "timeout" if result.outcome is ChaseOutcome.TIME_BUDGET_EXCEEDED else "ok"
         )
         snapshot_out: Optional[bytes] = None
-        if payload.get("want_snapshot") and status == "ok" and result.terminated:
+        if spec.get("want_snapshot") and status == "ok" and result.terminated:
             # Before reading .instance: materialisation releases the store.
             snapshot_out = result.store_snapshot()
         record: Dict[str, object] = {
-            "job_id": payload["job_id"],
+            "job_id": spec["job_id"],
             "status": status,
             "summary": result.summary(),
             "worker_seconds": round(time.perf_counter() - start, 6),
             "instance_text": (
-                instance_to_text(result.instance) if payload.get("materialize") else None
+                instance_to_text(result.instance) if spec.get("materialize") else None
             ),
             "error": None,
             "snapshot": snapshot_out,
@@ -249,17 +245,61 @@ def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
             # The run reached a verdict; there is nothing left to resume.
             checkpointer.discard()
         return record
-    except Exception as exc:  # noqa: BLE001 - worker faults become job errors
-        return {
-            "job_id": payload.get("job_id", "?"),
-            "status": "error",
-            "summary": None,
-            "worker_seconds": None,
-            "instance_text": None,
-            "error": f"{type(exc).__name__}: {exc}",
-            "snapshot": None,
-            "failure_kind": classify_failure(exc),
-        }
+    except Exception as exc:  # noqa: BLE001 - run faults become job errors
+        return _error_record(spec, exc)
+
+
+def execute_payload(payload: Dict[str, object]) -> Dict[str, object]:
+    """Decode one pool payload and run it; module-level so it pickles
+    into workers.
+
+    The payload and the returned record are plain data: texts, numbers,
+    bytes and dicts — nothing with interpreter-local state (interned
+    null uids) crosses a process boundary.  The payload is the job's
+    :func:`execute_job` spec plus the program as ``program_text`` /
+    ``program_name`` / ``rule_ids`` and one of two database shapes:
+
+    * ``database_snapshot`` — packed store bytes; the worker restores
+      the store and chases it directly, skipping parse + intern (every
+      cold payload);
+    * ``database_text`` — with ``resume_snapshot``, an incremental
+      re-chase: the snapshot is a previously terminated run, the text
+      carries only the *delta* facts, and ``database_size`` is the full
+      grown database's size for summary bookkeeping.
+    """
+    try:
+        program = parse_program(
+            str(payload["program_text"]), name=str(payload.get("program_name", "Sigma"))
+        )
+        rule_ids = payload.get("rule_ids")
+        if rule_ids is not None:
+            # The job's own rule ids, so labelled nulls, per-rule
+            # profiles and checkpoints read exactly as an in-process run.
+            program = TGDSet(
+                [replace(tgd, rule_id=str(rid)) for tgd, rid in zip(program, rule_ids)],  # type: ignore[call-overload]
+                name=program.name,
+            )
+        snapshot_bytes = payload.get("database_snapshot")
+        if snapshot_bytes is not None:
+            database = FactStore.restore(snapshot_bytes)  # type: ignore[arg-type]
+        else:
+            database = parse_database(str(payload["database_text"]))
+    except Exception as exc:  # noqa: BLE001 - undecodable payloads become job errors
+        return _error_record(payload, exc)
+    return execute_job(program, database, payload)
+
+
+def _error_record(spec: Dict[str, object], exc: BaseException) -> Dict[str, object]:
+    return {
+        "job_id": spec.get("job_id", "?"),
+        "status": "error",
+        "summary": None,
+        "worker_seconds": None,
+        "instance_text": None,
+        "error": f"{type(exc).__name__}: {exc}",
+        "snapshot": None,
+        "failure_kind": classify_failure(exc),
+    }
 
 
 @dataclass
@@ -295,7 +335,7 @@ class BatchExecutor:
     conformance: bool = False
     #: Optional :class:`~repro.obs.trace.TraceRecorder`: when set, each
     #: executed job emits ``job.admission`` / ``cache.lookup`` /
-    #: ``snapshot.encode`` / ``job.execute`` spans.  ``None`` (the
+    #: ``store.seed`` (serial) / ``job.execute`` spans.  ``None`` (the
     #: default) keeps the run loops span-free.
     tracer: Optional[TraceRecorder] = None
     #: Bounded per-job retries for *transient* failures (dead workers,
@@ -375,37 +415,45 @@ class BatchExecutor:
         )
         return decision, effective, key
 
-    def _payload(
-        self,
-        job: ChaseJob,
-        budget: ChaseBudget,
-        include_database: bool = True,
-        key: Optional[str] = None,
+    def _spec(
+        self, job: ChaseJob, budget: ChaseBudget, key: Optional[str] = None
     ) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        """The job's plain-data run knobs: :func:`execute_job`'s ``spec``."""
+        spec: Dict[str, object] = {
             "job_id": job.job_id,
-            "program_text": program_to_text(job.program),
-            "program_name": job.program.name,
             "variant": job.variant,
             "budget": budget.as_dict(),
             "materialize": self.materialize,
         }
-        if include_database:
-            # Encoded once per job and shared across retries and dedup
-            # re-runs (``ChaseJob.database_snapshot``).
-            payload["database_snapshot"] = job.database_snapshot
         if self.incremental and self.cache is not None:
-            payload["want_snapshot"] = True
+            spec["want_snapshot"] = True
         if self.telemetry:
-            payload["telemetry"] = True
+            spec["telemetry"] = True
         if self.profile:
-            payload["profile"] = True
+            spec["profile"] = True
         if self._checkpoint_capable(job) and key is not None:
-            payload["checkpoint_every_rounds"] = self.checkpoint_every_rounds
-            payload["checkpoint_path"] = str(
+            spec["checkpoint_every_rounds"] = self.checkpoint_every_rounds
+            spec["checkpoint_path"] = str(
                 Path(self.checkpoint_dir)  # type: ignore[arg-type]
                 / (hashlib.sha256(key.encode("utf-8")).hexdigest()[:24] + ".ckpt")
             )
+        return spec
+
+    @staticmethod
+    def _payload(
+        job: ChaseJob, spec: Dict[str, object], delta: Optional[List[str]] = None
+    ) -> Dict[str, object]:
+        """``spec`` plus the plain-data program and database that
+        :func:`execute_payload` decodes in a pool worker."""
+        payload = dict(spec)
+        payload["program_text"] = program_to_text(job.program)
+        payload["program_name"] = job.program.name
+        payload["rule_ids"] = [tgd.rule_id for tgd in job.program]
+        if delta is None:
+            # Encoded once per job; a retry resubmits this same payload.
+            payload["database_snapshot"] = job.database_snapshot
+        else:
+            payload["database_text"] = "\n".join(delta)
         return payload
 
     def _checkpoint_capable(self, job: ChaseJob) -> bool:
@@ -446,27 +494,41 @@ class BatchExecutor:
             return None
         return entry, [line for line in new_lines if line not in base]
 
-    def _resume_payload(
-        self, job: ChaseJob, budget: ChaseBudget, entry: "CacheEntry", delta: List[str]
-    ) -> Dict[str, object]:
-        # The cold payload minus the database, plus the resume fields —
-        # so any future payload knob automatically covers resumed runs.
-        payload = self._payload(job, budget, include_database=False)
-        payload["database_text"] = "\n".join(delta)
-        payload["resume_snapshot"] = entry.snapshot
-        payload["database_size"] = len(job.database)
-        payload["want_snapshot"] = self.cache is not None
-        return payload
-
-    def _build_payload(
+    def _plan(
         self, job: ChaseJob, budget: ChaseBudget, key: Optional[str] = None
-    ) -> Tuple[Dict[str, object], Optional[str]]:
-        """The payload to execute, plus the resumed-from key (if any)."""
+    ) -> Tuple[Dict[str, object], Optional[List[str]], Optional[str]]:
+        """``(spec, delta_lines, resumed_from)`` for one execution.
+
+        ``delta_lines`` and ``resumed_from`` are ``None`` for a cold
+        run; an incremental re-chase carries the sorted fact lines its
+        cached base lacks and the base entry's key.
+        """
         base = self._resume_base(job)
-        if base is not None:
-            entry, delta = base
-            return self._resume_payload(job, budget, entry, delta), entry.key
-        return self._payload(job, budget, key=key), None
+        if base is None:
+            return self._spec(job, budget, key=key), None, None
+        entry, delta = base
+        # The cold spec plus the resume fields — so any future knob
+        # automatically covers resumed runs.  No key: a resumed run
+        # never checkpoints (the engine refuses checkpoint + resume).
+        spec = self._spec(job, budget)
+        spec["resume_snapshot"] = entry.snapshot
+        spec["database_size"] = len(job.database)
+        spec["want_snapshot"] = self.cache is not None
+        return spec, delta, entry.key
+
+    @staticmethod
+    def _seed(job: ChaseJob, delta: Optional[List[str]]):
+        """A fresh database for one in-process attempt of ``job``.
+
+        A cold run gets a new store seeded like the pool's snapshot
+        (:func:`~repro.runtime.jobs.seed_database_store`), so both paths
+        assign the same dense ids; a resumed run gets the delta facts as
+        atoms, in the order of ``delta``'s lines.
+        """
+        if delta is None:
+            return seed_database_store(job.database)
+        by_line = {f"{atom_to_text(atom)}.": atom for atom in job.database}
+        return [by_line[line] for line in delta]
 
     def _wrap(
         self,
@@ -599,17 +661,25 @@ class BatchExecutor:
         )
 
     def _execute_with_retries(
-        self, payload: Dict[str, object]
+        self,
+        job: ChaseJob,
+        spec: Dict[str, object],
+        delta: Optional[List[str]],
+        database,
     ) -> Tuple[Dict[str, object], int]:
-        """Run a payload in-process, retrying transient failures.
+        """Run a job in-process on its own objects, retrying transient
+        failures.
 
         Deterministic failures return immediately; transient ones are
         re-executed up to ``max_retries`` times under the deterministic
-        backoff schedule.  A checkpointed payload resumes from its last
-        checkpoint on each retry (``execute_payload`` reads the file).
-        Returns ``(record, retries_consumed)``.
+        backoff schedule.  The first attempt chases ``database``; every
+        retry chases a freshly seeded one, since an attempt mutates its
+        store in place and a retry must not see a failed attempt's
+        facts.  A checkpointed spec resumes from its last checkpoint on
+        each retry (``execute_job`` reads the file).  Returns
+        ``(record, retries_consumed)``.
         """
-        record = execute_payload(payload)
+        record = execute_job(job.program, database, spec)
         retries = 0
         if not self._transient_error(record) or self.max_retries <= 0:
             return record, retries
@@ -618,7 +688,7 @@ class BatchExecutor:
             self._count("retries")
             if delay > 0:
                 time.sleep(delay)
-            record = execute_payload(payload)
+            record = execute_job(job.program, self._seed(job, delta), spec)
             if not self._transient_error(record):
                 break
         return record, retries
@@ -654,15 +724,14 @@ class BatchExecutor:
                     yield self._hit(job, decision, key, entry, time.perf_counter() - start)
                     continue
             mark = tracer.now() if tracer is not None else 0.0
-            payload, resumed_from = self._build_payload(job, budget, key=key)
+            spec, delta, resumed_from = self._plan(job, budget, key=key)
+            database = self._seed(job, delta)
             if tracer is not None:
-                # Payload building is dominated by the database snapshot
-                # encode (or the text serialisation fallback).
                 tracer.add_span(
-                    "snapshot.encode", mark, tracer.now(), args={"job": job.job_id}
+                    "store.seed", mark, tracer.now(), args={"job": job.job_id}
                 )
                 mark = tracer.now()
-            record, retries = self._execute_with_retries(payload)
+            record, retries = self._execute_with_retries(job, spec, delta, database)
             if tracer is not None:
                 tracer.add_span(
                     "job.execute", mark, tracer.now(),
@@ -726,17 +795,6 @@ class BatchExecutor:
             if tracer is not None:
                 entry["mark"] = tracer.now()
 
-        def error_record(job: ChaseJob, exc: BaseException) -> Dict[str, object]:
-            return {
-                "job_id": job.job_id,
-                "status": "error",
-                "summary": None,
-                "worker_seconds": None,
-                "instance_text": None,
-                "error": f"{type(exc).__name__}: {exc}",
-                "failure_kind": classify_failure(exc),
-            }
-
         try:
             for job in jobs:
                 start = time.perf_counter()
@@ -752,10 +810,11 @@ class BatchExecutor:
                         duplicates.append((job, decision, key))
                         continue
                     submitted_keys.add(key)
-                payload, resumed_from = self._build_payload(job, budget, key=key)
+                spec, delta, resumed_from = self._plan(job, budget, key=key)
                 submit({
                     "job": job, "decision": decision, "key": key, "start": start,
-                    "resumed_from": resumed_from, "payload": payload, "retries": 0,
+                    "resumed_from": resumed_from, "retries": 0,
+                    "payload": self._payload(job, spec, delta),
                 })
             watchdog = self.stuck_timeout_seconds
             tick = None if watchdog is None else max(0.05, min(0.5, watchdog / 4.0))
@@ -789,10 +848,10 @@ class BatchExecutor:
                         record = future.result()
                     except BrokenProcessPool as exc:
                         broken = True
-                        record = error_record(job, exc)
+                        record = _error_record({"job_id": job.job_id}, exc)
                     except Exception as exc:  # noqa: BLE001 - a dead worker
                         # costs a bounded retry, not the rest of the batch.
-                        record = error_record(job, exc)
+                        record = _error_record({"job_id": job.job_id}, exc)
                     if broken:
                         if entry["pool"] is pool:
                             # First casualty of this pool: respawn once;
@@ -840,8 +899,10 @@ class BatchExecutor:
                 yield self._hit(job, decision, key, entry, time.perf_counter() - start)
             else:  # the in-flight twin failed or timed out: run it here
                 decision, budget, key = self._resolve(job)
-                payload, resumed_from = self._build_payload(job, budget, key=key)
-                record, retries = self._execute_with_retries(payload)
+                spec, delta, resumed_from = self._plan(job, budget, key=key)
+                record, retries = self._execute_with_retries(
+                    job, spec, delta, self._seed(job, delta)
+                )
                 yield self._wrap(
                     job, decision, key, record, time.perf_counter() - start,
                     resumed_from=resumed_from, retries=retries,

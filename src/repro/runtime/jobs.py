@@ -59,20 +59,33 @@ def database_fingerprint(database: Instance) -> str:
     return _sha256(canonical_instance_text(database))
 
 
+def seed_database_store(database: Instance) -> FactStore:
+    """A fresh fact store holding ``database``, the start of one chase.
+
+    Facts are interned in the sorted order of :func:`database_to_text`,
+    which :func:`parse_database` yields back in file order, so a run
+    seeded here assigns the same dense ids (and considers triggers in
+    the same order) as a text one.  This is the batch executor's
+    in-process seed, and :func:`encode_database_snapshot` packs exactly
+    this store, so pooled and in-process runs agree too.
+    """
+    store = FactStore()
+    for atom in sorted(database, key=atom_to_text):
+        store.add_atom(atom)
+    # Input nulls get the recipes a snapshot would give them, so the
+    # store reads exactly like its restored snapshot.
+    store.register_foreign_nulls()
+    return store
+
+
 def encode_database_snapshot(database: Instance) -> bytes:
     """Pack a database into fact-store snapshot bytes.
 
     This is what the batch executor ships to worker processes instead
     of database text: the worker restores the store and starts chasing
-    without parsing or re-interning anything.  Facts are interned in the
-    sorted order of :func:`database_to_text`, which :func:`parse_database`
-    yields back in file order, so a snapshot-seeded run assigns the same
-    dense ids (and considers triggers in the same order) as a text one.
+    without parsing or re-interning anything.
     """
-    store = FactStore()
-    for atom in sorted(database, key=atom_to_text):
-        store.add_atom(atom)
-    return store.snapshot()
+    return seed_database_store(database).snapshot()
 
 
 @dataclass
@@ -144,10 +157,9 @@ class ChaseJob:
     def database_snapshot(self) -> bytes:
         """The database as snapshot bytes, encoded once per job.
 
-        Retries and dedup re-runs of the same job reuse the cached
-        encoding, and :meth:`share_database_snapshot` lets a scheduler
-        hand it to an identical job so a whole dedup burst encodes the
-        store exactly once.
+        Only a process pool ships it (in-process runs seed a store from
+        :attr:`database` directly); the cache makes a pooled job encode
+        once however often its payload is rebuilt.
         """
         if self._database_snapshot is None:
             self._database_snapshot = encode_database_snapshot(self.database)
@@ -165,12 +177,6 @@ class ChaseJob:
         if self._database_lines is None:
             self._database_lines = database_fact_lines(self.database)
         return self._database_lines
-
-    def share_database_snapshot(self, other: "ChaseJob") -> None:
-        """Give ``other`` (an identical-content job) this job's cached
-        snapshot encoding, if one exists and ``other`` has none."""
-        if self._database_snapshot is not None and other._database_snapshot is None:
-            other._database_snapshot = self._database_snapshot
 
 
 # --------------------------------------------------------------------------

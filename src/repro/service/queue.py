@@ -345,11 +345,6 @@ class ChaseScheduler:
                     requeue_tracer = self.executor.tracer
                     if requeue_tracer is not None:
                         regroup.enqueued_at = requeue_tracer.now()
-                    # Members carry identical content, so the re-run can
-                    # reuse the primary's encoded database snapshot: an
-                    # N-way identical burst encodes the store once, no
-                    # matter how many timeout/error re-runs it takes.
-                    group.job.share_database_snapshot(regroup.job)
                     self._inflight[group.key] = regroup
                     self._queued += 1
                     self._stats["requeued"] += len(requeued)

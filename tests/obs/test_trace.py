@@ -106,8 +106,10 @@ class TestExecutorSpans:
         )
         executor.run_all([make_job("a"), make_job("b")])
         names = {event["name"] for event in tracer.events()}
-        assert {"job.admission", "cache.lookup", "snapshot.encode",
+        assert {"job.admission", "cache.lookup", "store.seed",
                 "job.execute", "cache.write"} <= names
+        # Serial jobs run on their own objects: nothing is encoded.
+        assert "snapshot.encode" not in names
         executes = [e for e in tracer.events() if e["name"] == "job.execute"]
         assert {e["args"]["job"] for e in executes} == {"a", "b"}
         assert all(e["args"]["status"] == "ok" for e in executes)

@@ -174,7 +174,7 @@ class TestSnapshotPayloads:
             workers=1, checkpoint_every_rounds=1, checkpoint_dir=str(tmp_path)
         )
         job = small_batch()[2]
-        payload = executor._payload(*_resolved(executor, job), key="k")
+        payload = executor._payload(job, executor._spec(*_resolved(executor, job), key="k"))
         assert payload["checkpoint_every_rounds"] == 1
         truncating = ChaseJob(
             program=job.program,
@@ -183,25 +183,28 @@ class TestSnapshotPayloads:
             budget_mode="explicit",
             budget=ChaseBudget(max_depth=2, truncate_at_depth=True),
         )
-        payload = executor._payload(*_resolved(executor, truncating), key="k")
+        payload = executor._payload(
+            truncating, executor._spec(*_resolved(executor, truncating), key="k")
+        )
         assert "checkpoint_every_rounds" not in payload
 
     def test_store_engine_payload_carries_snapshot(self):
         executor = BatchExecutor(workers=1)
         job = small_batch()[0]
-        payload = executor._payload(*_resolved(executor, job))
+        spec = executor._spec(*_resolved(executor, job))
+        payload = executor._payload(job, spec)
         assert "database_snapshot" not in payload or payload["database_snapshot"]
         assert payload.get("database_snapshot") == job.database_snapshot
         # The encoding is cached: a retry reuses the same bytes object.
-        assert executor._payload(*_resolved(executor, job))[
+        assert executor._payload(job, spec)["database_snapshot"] is payload[
             "database_snapshot"
-        ] is payload["database_snapshot"]
+        ]
 
     def test_snapshot_payload_executes_identically(self):
         executor = BatchExecutor(workers=1)
         for job in small_batch():
             _, budget, _ = executor._resolve(job)
-            payload = executor._payload(job, budget)
+            payload = executor._payload(job, executor._spec(job, budget))
             assert "database_text" not in payload
             record = execute_payload(payload)
             assert record["summary"] == _direct_summary(job, budget), job.job_id

@@ -446,6 +446,10 @@ class TestDrainAndStats:
 
 
 class TestSnapshotSharing:
+    """Snapshots cross process boundaries only: the daemon's serial
+    executor chases each job's own objects, and a process pool encodes
+    a job's database once however many attempts it takes."""
+
     def _counting_encoder(self, monkeypatch):
         import repro.runtime.jobs as jobs_module
 
@@ -459,7 +463,7 @@ class TestSnapshotSharing:
         monkeypatch.setattr(jobs_module, "encode_database_snapshot", counting)
         return calls
 
-    def test_identical_burst_encodes_store_once(self, monkeypatch):
+    def test_identical_burst_never_encodes(self, monkeypatch):
         calls = self._counting_encoder(monkeypatch)
         release = threading.Event()
         registry, scheduler = make_scheduler(
@@ -475,11 +479,11 @@ class TestSnapshotSharing:
         release.set()
         assert scheduler.drain(timeout=30.0)
         assert all(registry.job(r.job_id).terminal for r in records)
-        # One encode for the blocker, one for the whole burst.
-        assert sum(calls) == 2
+        # Serial daemon jobs seed a store in-process: no snapshot bytes.
+        assert sum(calls) == 0
         scheduler.shutdown(timeout=10.0)
 
-    def test_timeout_requeues_reuse_the_primary_encoding(self, monkeypatch):
+    def test_timeout_requeues_never_encode(self, monkeypatch):
         calls = self._counting_encoder(monkeypatch)
         release = threading.Event()
         registry, scheduler = make_scheduler(
@@ -510,7 +514,30 @@ class TestSnapshotSharing:
         results = [registry.job(r.job_id).result for r in records]
         assert all(r is not None and r["status"] == "timeout" for r in results)
         # Every dedup member re-ran under its own terms (7 requeues),
-        # but the database was encoded once for the blocker and once,
-        # total, for all eight burst executions.
-        assert sum(calls) == 2
+        # each on a freshly seeded store, and nothing was encoded.
+        assert sum(calls) == 0
         scheduler.shutdown(timeout=10.0)
+
+    def test_pool_encodes_once_per_job_and_reuses_bytes_across_retries(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.runtime.faults import ENV_VAR, FaultPlan, FaultSpec
+
+        calls = self._counting_encoder(monkeypatch)
+        plan = FaultPlan(
+            faults=(
+                FaultSpec(point="worker.round", action="error", at_round=1, match="flaky"),
+            ),
+            seed=5,
+            state_dir=str(tmp_path / "faults"),
+        )
+        monkeypatch.setenv(ENV_VAR, plan.to_env())
+        jobs = [make_job("steady", job_id="steady"), make_job("flaky", job_id="flaky")]
+        results = {
+            r.job_id: r
+            for r in BatchExecutor(workers=2, retry_backoff_base=0.0).run_all(jobs)
+        }
+        assert results["flaky"].status == results["steady"].status == "ok"
+        assert results["flaky"].retries == 1
+        # One encode per job: the retry resubmitted the same bytes.
+        assert sum(calls) == 2
