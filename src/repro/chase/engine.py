@@ -1,9 +1,10 @@
 """Shared chase machinery: budgets, derivation records, results, drivers.
 
 Every chase variant runs through one of two drivers over the same
-skeleton — rounds of semi-naive trigger enumeration, an applied-trigger
-memo, and a budget that bounds the materialised instance so that
-provably non-terminating runs fail fast instead of exhausting memory:
+skeleton — rounds of semi-naive trigger enumeration, a trigger identity
+that fires each trigger key at most once, and a budget that bounds the
+materialised instance so that provably non-terminating runs fail fast
+instead of exhausting memory:
 
 ``engine="store"`` (the default)
     The production driver (:meth:`BaseChaseEngine._run_columnar`) over
@@ -28,6 +29,7 @@ import dataclasses
 import time
 from dataclasses import dataclass
 from functools import partial
+from operator import length_hint
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -577,24 +579,35 @@ class BaseChaseEngine:
         """The store driver: the legacy loop over the columnar fact store.
 
         Semantically identical to :meth:`_run_legacy` — same trigger
-        sets per round, same memoisation points, same budget verdicts,
-        same statistics — restructured around what the columnar store
-        makes free:
+        sets per round, same budget verdicts, same statistics —
+        restructured around what the columnar store makes free:
 
         * a round's delta is the row range past the previous round's
           :meth:`~repro.model.store.FactStore.row_marks`, read back by
           ``delta_pending_rows`` — never an accumulated fact list;
-        * in summary runs the containment variants (semi-oblivious,
-          oblivious) evaluate *add-first*: ``store.add`` already reports
-          whether a fact was new, and "some result fact missing" is
-          exactly "some add returned True", so the separate containment
-          scan disappears — and a rule with one head atom and no
-          existentials (the dominant shape in every benchmark family)
-          is one getter call plus one add, no result list at all;
+        * enumeration hands the round over as per-rule segments of
+          canonical tuples, and the driver picks the apply loop once per
+          segment, not once per trigger;
         * statistics accumulate in locals and fold back once per run.
 
-        Derivation-recording and depth-truncating runs evaluate first
-        (:meth:`store_evaluate`) and then apply the result:
+        Summary runs of the containment variants (semi-oblivious,
+        oblivious) apply *add-first* (:class:`_AddFirst`): such a
+        trigger's result, nulls included, is a function of its key (the
+        frontier image, or the whole canonical tuple), so a trigger whose
+        key fired before finds its result stored, and ``store.add``
+        reporting no new fact is the legacy loop's memo hit and its
+        failed containment test in one.  These runs build no trigger key
+        and hold no applied memo.  A rule with one head atom and no
+        existentials (the dominant shape in every benchmark family) is
+        one getter call and an inlined add per trigger.  Depth is checked
+        where it can change: while every stored fact is within
+        ``max_depth``, only a trigger's nulls can exceed it.
+
+        Derivation-recording, depth-truncating and restricted runs
+        evaluate first (:class:`_EvaluateFirst`, :meth:`store_evaluate`)
+        against the applied memo, keyed ``(rule index, frontier image)``
+        or ``(rule index, canonical)`` for the oblivious chase, and then
+        apply the result:
 
         * truncation drops facts deeper than ``max_depth``; a trigger
           that lost facts is not memoised (it stays pending) and sets
@@ -613,14 +626,13 @@ class BaseChaseEngine:
         delta cost ~5% of the chase instead of 100%.
 
         The whole run holds :func:`~repro.model.store.collector_paused`:
-        everything it allocates (packed facts, trigger keys, pending
-        ``(rule, ids, key)`` tuples, observer totals) is acyclic, so the
-        cyclic collector would walk it and free nothing.
+        everything it allocates (packed facts, canonical tuples, memo
+        keys, observer totals) is acyclic, so the cyclic collector would
+        walk it and free nothing.
         """
         start = time.perf_counter()
         budget = self.budget
-        depth_limit = budget.max_depth
-        truncate = budget.truncate_at_depth and depth_limit is not None
+        truncate = budget.truncate_at_depth and budget.max_depth is not None
         record = self.record_derivation
         resumed = resume_from is not None
         # The first round's frontier: None enumerates every fact (a cold
@@ -665,13 +677,14 @@ class BaseChaseEngine:
                 store.intern_predicate(predicate)
             for atom in database:
                 store.add_atom(atom)
+            # Input nulls get the recipes a snapshot would give them, so
+            # this run reads exactly like one from the restored snapshot.
+            store.register_foreign_nulls()
             database_size = len(database)
         # The driver window starts here: store seeding and interning
         # above are reported to observers as setup seconds.
         driver_start = time.perf_counter()
-        pipeline, compile_seconds = compiled_pipeline(
-            self.tgds, store, self.uses_frontier_identity
-        )
+        pipeline, compile_seconds = compiled_pipeline(self.tgds, store)
         observers = self.observers
         segment_observers = self.segment_observers
         for observer in observers:
@@ -680,36 +693,26 @@ class BaseChaseEngine:
         base_rounds = (store.restored_rounds or 0) if resumed else 0
 
         statistics = ChaseStatistics()
-        derivation: List[DerivationStep] = []
-        depth_truncated = False
-        applied: Set = set()
         outcome = ChaseOutcome.TERMINATED
-        uses_frontier = self.uses_frontier_identity
-        store_evaluate = self.store_evaluate
         # Add-first needs neither per-trigger result lists (recording)
         # nor the evaluate-then-truncate order (truncation).
-        add_first = (
+        if (
             type(self).store_evaluate is BaseChaseEngine._store_evaluate_by_containment
             and not record
             and not truncate
-        )
-        full_labels = not uses_frontier
-        add_fact = store.add
-        fact_depth = store.fact_depth
+        ):
+            apply = _AddFirst(store, budget, start, not self.uses_frontier_identity)
+        else:
+            apply = _EvaluateFirst(self, store, start)
         null_count = store.null_count
-        max_atoms = budget.max_atoms
         max_rounds = budget.max_rounds
-        max_seconds = budget.max_seconds
-        perf_counter = time.perf_counter
-        applied_add = applied.add
         if checkpoint is not None:
             # Same-run restart: the counters continue from the
             # checkpoint so the final statistics equal an uninterrupted
-            # run's.  The applied memo is *not* restored — any trigger
-            # first enumerable after the checkpoint round has a body
-            # fact in that round's delta, so it was never enumerable
-            # before; within-round duplicates re-prune against the
-            # fresh memo.
+            # run's.  An evaluate-first run's applied memo is *not*
+            # restored — any trigger first enumerable after the
+            # checkpoint round has a body fact in that round's delta, so
+            # it was never enumerable before.
             rounds = checkpoint.rounds
             considered = checkpoint.considered
             fired = checkpoint.applied
@@ -729,12 +732,10 @@ class BaseChaseEngine:
             # interned after a resume's marks hold only delta rows.
             marks += [0] * (len(store.row_marks()) - len(marks))
             round_delta = len(store) - sum(marks)
-        # Rule segments: pending lists are rule-major, so the loop sends
-        # a rule_segment event only where the rule changes — the entire
-        # per-trigger cost is one identity comparison, and none at all
-        # unobserved.  Observers derive per-rule deltas from the totals.
+        # Rule segments: observers get a rule_segment event per pass
+        # segment, so the per-trigger cost of observation is nil.
+        # Observers derive per-rule deltas from the totals.
         on_rule = None
-        seg_rule = None
         while True:
             if rounds >= max_rounds:
                 outcome = ChaseOutcome.ROUND_BUDGET_EXCEEDED
@@ -751,124 +752,32 @@ class BaseChaseEngine:
                     segment_observers,
                     (considered, fired, created, null_count()),
                 )
-                seg_rule = None
             if marks is None:
-                pending = pipeline.initial_pending(store, uses_frontier, on_rule)
+                pending = pipeline.initial_pending(store, on_rule)
             else:
-                pending = pipeline.delta_pending_rows(store, marks, uses_frontier, on_rule)
+                pending = pipeline.delta_pending_rows(store, marks, on_rule)
             for observer in observers:
                 observer.enumerated((considered, fired, created, null_count()))
             marks = store.row_marks()
             size_before = len(store)
             over_budget = False
-            for rule, ids, key in pending:
-                if segment_observers and rule is not seg_rule:
-                    seg_rule = rule
+            for rule, canonicals in pending:
+                if segment_observers:
                     _send_segment(
                         segment_observers,
                         (considered, fired, created, null_count()),
                         rule.index,
                     )
-                considered += 1
-                if key in applied:
-                    continue
-                applied_add(key)
-                if add_first:
-                    # Add-first containment: the trigger was active iff
-                    # any add reports a new fact — same verdict, same
-                    # final store, no separate containment scan.
-                    head_only = rule.head_only
-                    if head_only is not None:
-                        pid, getter = head_only
-                        fact_ids = getter(ids)
-                        if not add_fact(pid, fact_ids):
-                            continue
-                        fired += 1
-                        created += 1
-                        if (
-                            depth_limit is not None
-                            and fact_depth(fact_ids) > depth_limit
-                        ):
-                            outcome = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
-                            over_budget = True
-                            break
-                    elif rule.head_single_fresh is not None:
-                        pid, fact_ids = rule.single_fresh_fact(store, ids, full_labels)
-                        if not add_fact(pid, fact_ids):
-                            continue
-                        fired += 1
-                        created += 1
-                        if (
-                            depth_limit is not None
-                            and fact_depth(fact_ids) > depth_limit
-                        ):
-                            outcome = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
-                            over_budget = True
-                            break
-                    else:
-                        added = 0
-                        deep = False
-                        for pid, fact_ids in rule.result_facts(
-                            store, ids, full_labels=full_labels
-                        ):
-                            if add_fact(pid, fact_ids):
-                                added += 1
-                                if (
-                                    depth_limit is not None
-                                    and fact_depth(fact_ids) > depth_limit
-                                ):
-                                    deep = True
-                        if not added:
-                            continue
-                        fired += 1
-                        created += added
-                        if deep:
-                            outcome = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
-                            over_budget = True
-                            break
-                else:
-                    result_facts = store_evaluate(store, rule, ids, key)
-                    if result_facts is None:
-                        continue
-                    if truncate:
-                        kept = [
-                            f for f in result_facts if fact_depth(f[1]) <= depth_limit
-                        ]
-                        if len(kept) < len(result_facts):
-                            depth_truncated = True
-                            # Not memoised: the trigger stays pending.
-                            applied.discard(key)
-                            if not kept:
-                                continue
-                            result_facts = kept
-                    fired += 1
-                    added = [f for f in result_facts if add_fact(f[0], f[1])]
-                    if added:
-                        created += len(added)
-                        if record:
-                            trigger = rule.make_trigger(store, ids)
-                            derivation.append(
-                                DerivationStep(
-                                    trigger=trigger,
-                                    guard_image=trigger.guard_image(),
-                                    new_atoms=tuple(
-                                        store.decode_fact(pid, fids)
-                                        for pid, fids in added
-                                    ),
-                                )
-                            )
-                        if depth_limit is not None and any(
-                            fact_depth(fids) > depth_limit for _, fids in added
-                        ):
-                            outcome = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
-                            over_budget = True
-                            break
-                if len(store) > max_atoms:
-                    outcome = ChaseOutcome.ATOM_BUDGET_EXCEEDED
-                    over_budget = True
-                    break
-                if max_seconds is not None and perf_counter() - start > max_seconds:
-                    outcome = ChaseOutcome.TIME_BUDGET_EXCEEDED
+                considered += len(canonicals)
+                triggers = iter(canonicals)
+                segment_fired, segment_created, stop = apply(rule, triggers)
+                fired += segment_fired
+                created += segment_created
+                if stop is not None:
+                    # The segment's triggers after the one that tripped
+                    # the budget were never considered.
+                    considered -= length_hint(triggers)
+                    outcome = stop
                     over_budget = True
                     break
             rounds += 1
@@ -889,7 +798,7 @@ class BaseChaseEngine:
             if not round_delta:
                 outcome = ChaseOutcome.TERMINATED
                 break
-            # Free this round's pending list before the next one is built.
+            # Free this round's segments before the next ones are built.
             pending = None
 
         statistics.rounds = rounds
@@ -898,7 +807,7 @@ class BaseChaseEngine:
         statistics.atoms_created = created
         statistics.wall_seconds = time.perf_counter() - start
         _send_segment(segment_observers, (considered, fired, created, null_count()), -1)
-        driver_seconds = perf_counter() - driver_start
+        driver_seconds = time.perf_counter() - driver_start
         for observer in observers:
             observer.run_end(store, driver_seconds, driver_start - start)
         payloads = _payloads(observers)
@@ -910,8 +819,8 @@ class BaseChaseEngine:
             statistics=statistics,
             max_depth=store.max_depth(),
             database_size=database_size,
-            derivation=tuple(derivation),
-            depth_truncated=depth_truncated,
+            derivation=tuple(apply.derivation),
+            depth_truncated=apply.depth_truncated,
             telemetry=payloads.get("telemetry"),
             profile=payloads.get("profile"),
             resumed=resumed,
@@ -954,6 +863,263 @@ class BaseChaseEngine:
                             continue
                         seen.add(key)
                         yield trigger
+
+
+#: What an applier returns per segment: (triggers applied, facts
+#: created, the outcome of a budget the segment tripped, else None).
+_SegmentResult = Tuple[int, int, Optional[ChaseOutcome]]
+
+
+class _AddFirst:
+    """Add-first application of rule segments: the containment
+    variants' summary runs (see :meth:`BaseChaseEngine._run_columnar`).
+
+    A trigger is applied iff one of its result facts is new; no key is
+    built and no memo is kept.  Budgets trip where the legacy loop trips
+    them: after an applied trigger, depth first, then atoms, then time.
+
+    Depth can change only where a trigger interns nulls: every other
+    term of a new fact comes from its body image, which is stored.  So
+    while every stored fact is within ``max_depth`` (checked once, on
+    the seeded store), a trigger's nulls alone decide the depth verdict,
+    and a rule without existentials needs no check.  A store seeded
+    deeper than the limit checks each new fact instead.
+    """
+
+    #: Add-first runs record no derivation and truncate nothing.
+    derivation: Tuple[DerivationStep, ...] = ()
+    depth_truncated = False
+
+    def __init__(
+        self, store: FactStore, budget: ChaseBudget, start: float, full_labels: bool
+    ) -> None:
+        self.store = store
+        self.start = start
+        self.full_labels = full_labels
+        self.max_atoms = budget.max_atoms
+        self.max_seconds = budget.max_seconds
+        limit = budget.max_depth
+        self.depth_limit = limit
+        self.check_facts = limit is not None and store.max_depth() > limit
+        self.check_nulls = limit is not None and not self.check_facts
+
+    def __call__(self, rule: StoreCompiledRule, triggers: Iterator) -> _SegmentResult:
+        if rule.head_only is not None:
+            return self._head_only(rule, triggers)
+        if rule.head_single_fresh is not None:
+            return self._single_fresh(rule, triggers)
+        return self._general(rule, triggers)
+
+    def _head_only(self, rule: StoreCompiledRule, triggers: Iterator) -> _SegmentResult:
+        """One head atom, no existentials: ``FactStore.add`` inlined."""
+        store = self.store
+        pid, getter = rule.head_only
+        rows, row_of, columns = store.add_tables(pid)
+        append = rows.append
+        row = len(rows)
+        # New facts this segment may add before the atom budget trips.
+        room = self.max_atoms - len(store)
+        check_facts = self.check_facts
+        max_seconds = self.max_seconds
+        added = 0
+        stop = None
+        for ids in triggers:
+            fact = getter(ids)
+            if fact in row_of:
+                continue
+            row_of[fact] = row
+            row += 1
+            append(fact)
+            for position, column in columns:
+                tid = fact[position]
+                bucket = column.get(tid)
+                if bucket is None:
+                    column[tid] = [fact]
+                else:
+                    bucket.append(fact)
+            added += 1
+            if check_facts and store.fact_depth(fact) > self.depth_limit:
+                stop = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
+                break
+            if added > room:
+                stop = ChaseOutcome.ATOM_BUDGET_EXCEEDED
+                break
+            if max_seconds is not None and time.perf_counter() - self.start > max_seconds:
+                stop = ChaseOutcome.TIME_BUDGET_EXCEEDED
+                break
+        store.count_added(added)
+        return added, added, stop
+
+    def _single_fresh(self, rule: StoreCompiledRule, triggers: Iterator) -> _SegmentResult:
+        """One head atom with existentials: one fact per applied trigger."""
+        store = self.store
+        pid, getter = rule.head_single_fresh
+        existentials, names, label_get = rule.null_recipe(self.full_labels)
+        rule_id = rule.rule_id
+        intern_null = store.intern_null
+        add = store.add
+        fact_depth = store.fact_depth
+        limit = self.depth_limit
+        check_facts = self.check_facts
+        check_nulls = self.check_nulls
+        max_atoms = self.max_atoms
+        max_seconds = self.max_seconds
+        added = 0
+        stop = None
+        for ids in triggers:
+            label_ids = label_get(ids)
+            nulls = tuple([intern_null(rule_id, name, names, label_ids) for name in existentials])
+            fact = getter(ids + nulls)
+            if not add(pid, fact):
+                continue
+            added += 1
+            if (check_nulls and fact_depth(nulls) > limit) or (
+                check_facts and fact_depth(fact) > limit
+            ):
+                stop = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
+                break
+            if len(store) > max_atoms:
+                stop = ChaseOutcome.ATOM_BUDGET_EXCEEDED
+                break
+            if max_seconds is not None and time.perf_counter() - self.start > max_seconds:
+                stop = ChaseOutcome.TIME_BUDGET_EXCEEDED
+                break
+        return added, added, stop
+
+    def _general(self, rule: StoreCompiledRule, triggers: Iterator) -> _SegmentResult:
+        """Several head atoms: a trigger is applied iff any add is new."""
+        store = self.store
+        builders = rule.head_builders
+        existentials, names, label_get = rule.null_recipe(self.full_labels)
+        rule_id = rule.rule_id
+        intern_null = store.intern_null
+        add = store.add
+        fact_depth = store.fact_depth
+        limit = self.depth_limit
+        check_facts = self.check_facts
+        check_nulls = self.check_nulls and bool(existentials)
+        max_atoms = self.max_atoms
+        max_seconds = self.max_seconds
+        fired = 0
+        created = 0
+        stop = None
+        nulls: Tuple[int, ...] = ()
+        for ids in triggers:
+            if existentials:
+                label_ids = label_get(ids)
+                nulls = tuple(
+                    [intern_null(rule_id, name, names, label_ids) for name in existentials]
+                )
+                combined = ids + nulls
+            else:
+                combined = ids
+            new = 0
+            deep = False
+            for pid, getter in builders:
+                fact = getter(combined)
+                if add(pid, fact):
+                    new += 1
+                    if check_facts and fact_depth(fact) > limit:
+                        deep = True
+            if not new:
+                continue
+            fired += 1
+            created += new
+            if deep or (check_nulls and fact_depth(nulls) > limit):
+                stop = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
+                break
+            if len(store) > max_atoms:
+                stop = ChaseOutcome.ATOM_BUDGET_EXCEEDED
+                break
+            if max_seconds is not None and time.perf_counter() - self.start > max_seconds:
+                stop = ChaseOutcome.TIME_BUDGET_EXCEEDED
+                break
+        return fired, created, stop
+
+
+class _EvaluateFirst:
+    """Evaluate-then-apply of rule segments: derivation-recording,
+    depth-truncating and restricted runs (see
+    :meth:`BaseChaseEngine._run_columnar`).
+
+    Each trigger is keyed ``(rule index, frontier image)``, or ``(rule
+    index, canonical)`` for the oblivious chase, against the run's
+    applied memo, then evaluated by the variant's
+    :meth:`~BaseChaseEngine.store_evaluate`.
+    """
+
+    def __init__(self, engine: "BaseChaseEngine", store: FactStore, start: float) -> None:
+        budget = engine.budget
+        self.store = store
+        self.start = start
+        self.evaluate = engine.store_evaluate
+        self.uses_frontier = engine.uses_frontier_identity
+        self.record = engine.record_derivation
+        self.truncate = budget.truncate_at_depth and budget.max_depth is not None
+        self.depth_limit = budget.max_depth
+        self.max_atoms = budget.max_atoms
+        self.max_seconds = budget.max_seconds
+        self.applied: Set[Tuple[int, Tuple[int, ...]]] = set()
+        self.derivation: List[DerivationStep] = []
+        self.depth_truncated = False
+
+    def __call__(self, rule: StoreCompiledRule, triggers: Iterator) -> _SegmentResult:
+        store = self.store
+        store_evaluate = self.evaluate
+        applied = self.applied
+        applied_add = applied.add
+        add_fact = store.add
+        fact_depth = store.fact_depth
+        depth_limit = self.depth_limit
+        truncate = self.truncate
+        record = self.record
+        max_atoms = self.max_atoms
+        max_seconds = self.max_seconds
+        index = rule.index
+        key_of = rule.frontier_get if self.uses_frontier else None
+        fired = 0
+        created = 0
+        for ids in triggers:
+            key = (index, ids if key_of is None else key_of(ids))
+            if key in applied:
+                continue
+            applied_add(key)
+            result_facts = store_evaluate(store, rule, ids, key)
+            if result_facts is None:
+                continue
+            if truncate:
+                kept = [f for f in result_facts if fact_depth(f[1]) <= depth_limit]
+                if len(kept) < len(result_facts):
+                    self.depth_truncated = True
+                    # Not memoised: the trigger stays pending.
+                    applied.discard(key)
+                    if not kept:
+                        continue
+                    result_facts = kept
+            fired += 1
+            added = [f for f in result_facts if add_fact(f[0], f[1])]
+            if added:
+                created += len(added)
+                if record:
+                    trigger = rule.make_trigger(store, ids)
+                    self.derivation.append(
+                        DerivationStep(
+                            trigger=trigger,
+                            guard_image=trigger.guard_image(),
+                            new_atoms=tuple(
+                                store.decode_fact(pid, fids) for pid, fids in added
+                            ),
+                        )
+                    )
+                if depth_limit is not None and any(
+                    fact_depth(fids) > depth_limit for _, fids in added
+                ):
+                    return fired, created, ChaseOutcome.DEPTH_BUDGET_EXCEEDED
+            if len(store) > max_atoms:
+                return fired, created, ChaseOutcome.ATOM_BUDGET_EXCEEDED
+            if max_seconds is not None and time.perf_counter() - self.start > max_seconds:
+                return fired, created, ChaseOutcome.TIME_BUDGET_EXCEEDED
+        return fired, created, None
 
 
 def _send_segment(

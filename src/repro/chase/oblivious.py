@@ -29,10 +29,11 @@ class ObliviousChase(BaseChaseEngine):
         return trigger.full_key()
 
     def is_active(self, trigger: Trigger, instance: Instance) -> bool:
-        # The oblivious chase fires every not-yet-fired trigger; the
-        # applied-trigger memo in the driver provides the "not yet
-        # fired" part, so activeness reduces to result containment with
-        # the oblivious null labelling.
+        # The oblivious chase fires every not-yet-fired trigger.  Its
+        # nulls are labelled by the whole binding, so a fired trigger's
+        # result is stored and stays so: activeness reduces to result
+        # containment with the oblivious null labelling (the legacy
+        # loop's applied memo only skips that test).
         return any(a not in instance for a in self.trigger_result(trigger))
 
     def trigger_result(self, trigger: Trigger) -> List[Atom]:

@@ -20,14 +20,21 @@ The joins run as *generated kernels*: for each delta entry (rule, body
 index), each rule's round-one body join and each multi-atom restricted
 head, the plan's templates are turned into Python source — nested
 ``for`` loops over posting buckets, positions and slots as literals,
-bindings as locals, the canonical tuple, round-local dedup and trigger
-key built inline — and ``compile()``d.  A kernel's *shape* (the
-templates, the canonical permutation, the frontier indices, the dedup
-flag and the key mode) holds only plan-template ints, never a term id,
-predicate id or database value; the predicate ids arrive as an
-argument.  Kernels live in one module-level memo keyed by shape
-(:data:`_KERNELS`), so every rule with the same join shape shares one
-function, and each template keeps its own kernels per key mode.
+bindings as locals, the canonical tuple and the rule's round-local
+dedup built inline — and ``compile()``d.  A kernel's *shape* (the
+templates, the canonical permutation and the dedup flag) holds only
+plan-template ints, never a term id, predicate id or database value;
+the predicate ids arrive as an argument.  Kernels live in one
+module-level memo keyed by shape (:data:`_KERNELS`), so every rule with
+the same join shape shares one function, and each template keeps one
+kernel set, whatever the variant's trigger identity.
+
+A pass (:meth:`StoreTriggerPipeline.initial_pending`,
+:meth:`~StoreTriggerPipeline.delta_pending_rows`) returns per-rule
+*segments* ``(rule, [canonical, …])``.  Kernels build no trigger key:
+the driver derives ``(rule index, frontier image)`` or ``(rule index,
+canonical)`` only where it keeps an applied memo (see
+:meth:`~repro.chase.engine.BaseChaseEngine._run_columnar`).
 
 :func:`iter_ids`, the interpretive backtracking enumerator over the
 templates the kernels are generated from, survives only as the test
@@ -187,7 +194,7 @@ def _kernel_shape(
     first: Tuple[_Template, _Template],
     steps: Sequence[_StoreStep],
     perm: Tuple[int, ...],
-    leaf: Optional[Tuple[Tuple[int, ...], bool, bool]],
+    dedup: Optional[bool],
 ) -> tuple:
     """A kernel's memo key.
 
@@ -195,20 +202,15 @@ def _kernel_shape(
     input row (the forced fact, a row of the body's first atom, or the
     canonical tuple a head seeds from), ``steps`` the joined atoms and
     ``perm`` the slots the canonical tuple is read from (``()`` for a
-    head).  ``leaf`` is ``(frontier indices, dedup, frontier key)`` for
-    a pending-list kernel and ``None`` for a head-witness kernel.
+    head).  ``dedup`` says whether a canonical-list kernel skips
+    canonicals already seen this round; it is ``None`` for a
+    head-witness kernel.
 
     :class:`StoreJoinPlan` numbers slots in binding order, so plans
-    differing only in variable names already agree on their templates;
-    predicate ids are dropped (the kernel takes them as ``pids``) and a
-    frontier key over the whole canonical tuple is the full key.
+    differing only in variable names already agree on their templates,
+    and predicate ids are dropped (the kernel takes them as ``pids``).
     """
-    if leaf is not None:
-        frontier, dedup, frontier_key = leaf
-        # The key's frontier indices, or None for the full canonical.
-        full = not frontier_key or len(frontier) == len(perm)
-        leaf = (None if full else frontier, dedup)
-    return (first, tuple(step[1:] for step in steps), perm, leaf)
+    return (first, tuple(step[1:] for step in steps), perm, dedup)
 
 
 def _tuple_source(items: Sequence[str]) -> str:
@@ -226,13 +228,13 @@ _MAX_NESTED_LOOPS = 20
 def _kernel_source(shape: tuple) -> str:
     """Python source of the kernel for ``shape`` (see :func:`_kernel_shape`).
 
-    A pending-list kernel is ``kernel(store, rule, rows, pids, seen,
-    pending)``: it extends ``pending`` with one ``(rule, canonical,
-    key)`` triple per body image whose first atom maps onto one of
-    ``rows``, in the order the oracle enumerates them (rows in order,
-    then each step's candidates in row order), skipping canonicals
-    already in the round's ``seen`` set when ``dedup`` is on.  A
-    head-witness kernel is ``kernel(store, canonical, pids) -> bool``.
+    A canonical-list kernel is ``kernel(store, rows, pids, seen,
+    out)``: it extends ``out`` with the canonical tuple of every body
+    image whose first atom maps onto one of ``rows``, in the order the
+    oracle enumerates them (rows in order, then each step's candidates
+    in row order), skipping canonicals already in the rule's round-local
+    ``seen`` set when ``dedup`` is on.  A head-witness kernel is
+    ``kernel(store, canonical, pids) -> bool``.
     Posting columns are fetched on a step's first probe, in the
     oracle's order, never prefetched: an empty bucket stops the probe
     before the next column is built, exactly as ``FactStore.candidates``
@@ -243,8 +245,8 @@ def _kernel_source(shape: tuple) -> str:
     most that many loops and sharing the kernel's column caches; a
     witness helper returns a true value once a witness is found.
     """
-    (first_binds, first_checks), steps, perm, leaf = shape
-    witness = leaf is None
+    (first_binds, first_checks), steps, perm, dedup = shape
+    witness = dedup is None
     # The kernel's header and prologue, its loop nest, then one section
     # per helper; helpers are defined before the loop nest runs.
     sections: List[List[str]] = [[]]
@@ -255,9 +257,7 @@ def _kernel_source(shape: tuple) -> str:
     if witness:
         emit(0, "def kernel(store, f, pids):")
     else:
-        frontier, dedup = leaf
-        emit(0, "def kernel(store, rule, rows, pids, seen, pending):")
-        emit(1, "ri = rule.index")
+        emit(0, "def kernel(store, rows, pids, seen, out):")
     first_position = {slot: position for position, slot in first_binds}
     # The first atom's own checks, against the input row's positions.
     first_tests = [f"f[{p}] == f[{first_position[s]}]" for p, s in first_checks]
@@ -266,19 +266,13 @@ def _kernel_source(shape: tuple) -> str:
         # the row, so the whole kernel is one comprehension.
         positions = [first_position[s] for s in perm]
         if positions == list(range(len(first_binds) + len(first_checks))):
-            canonical = "f"
+            # Each position binds its own variable, in canonical order
+            # (so no position repeats one): the rows are the canonicals.
+            emit(1, "out.extend(rows)")
         else:
             canonical = _tuple_source([f"f[{p}]" for p in positions])
-        if frontier is None:
-            if canonical == "f":
-                entry = "(rule, f, (ri, f))"
-            else:
-                entry = f"(rule, c := {canonical}, (ri, c))"
-        else:
-            key = _tuple_source([f"f[{positions[i]}]" for i in frontier])
-            entry = f"(rule, {canonical}, (ri, {key}))"
-        condition = f" if {' and '.join(first_tests)}" if first_tests else ""
-        emit(1, f"pending.extend([{entry} for f in rows{condition}])")
+            condition = f" if {' and '.join(first_tests)}" if first_tests else ""
+            emit(1, f"out.extend([{canonical} for f in rows{condition}])")
         return "\n".join(sections[0]) + "\n"
 
     if steps:
@@ -298,7 +292,7 @@ def _kernel_source(shape: tuple) -> str:
             emit(1, f"{name} = None")
     sections.append([])
     if not witness:
-        emit(1, "append = pending.append")
+        emit(1, "append = out.append")
         if dedup:
             emit(1, "seen_add = seen.add")
         emit(1, "for f in rows:")
@@ -360,14 +354,9 @@ def _kernel_source(shape: tuple) -> str:
     else:
         emit(depth, f"c = {_tuple_source([f's{slot}' for slot in perm])}")
         if dedup:
-            emit(depth, "d = (ri, c)")
-            emit(depth, "if d in seen: continue")
-            emit(depth, "seen_add(d)")
-        if frontier is not None:
-            key = f"(ri, {_tuple_source([f's{perm[i]}' for i in frontier])})"
-        else:
-            key = "d" if dedup else "(ri, c)"
-        emit(depth, f"append((rule, c, {key}))")
+            emit(depth, "if c in seen: continue")
+            emit(depth, "seen_add(c)")
+        emit(depth, "append(c)")
     return "\n".join(sections[0] + [line for helper in sections[2:] for line in helper]
                      + sections[1]) + "\n"
 
@@ -443,8 +432,8 @@ class RuleTemplate:
     ``intern`` assigns: the body plan and one delta plan per body atom
     (steps, slot count, canonical permutation), the frontier indices
     of a canonical tuple, the head's templates, builders and
-    single-atom probe, the head join of a multi-atom head and, per key
-    mode on first use, the generated kernels.  A :data:`CanonicalIds`
+    single-atom probe, the head join of a multi-atom head and, on first
+    use, the generated kernels.  A :data:`CanonicalIds`
     tuple lays out the body variables' term ids in name order;
     ``canonical_ranks`` and ``existential_ranks`` are the ranks (see
     :func:`~repro.model.tgd.rule_shape`) of the body and existential
@@ -472,8 +461,7 @@ class RuleTemplate:
         "head_builders",
         "head_single",
         "head_join",
-        "_frontier_kernels",
-        "_full_kernels",
+        "_kernels",
         "_head_kernel",
     )
 
@@ -580,36 +568,31 @@ class RuleTemplate:
         #: predicates in the same order, so a store assigns the ids a
         #: direct compile would.
         self.intern_order: Tuple[int, ...] = ()
-        self._frontier_kernels: Optional[Tuple[Callable, ...]] = None
-        self._full_kernels: Optional[Tuple[Callable, ...]] = None
+        self._kernels: Optional[Tuple[Callable, ...]] = None
         self._head_kernel: Optional[Tuple[Callable, Tuple[int, ...]]] = None
 
-    def kernels(self, frontier_key: bool) -> Tuple[Tuple[Callable, ...], float]:
-        """The key mode's kernels — round one's, then one per delta entry
+    def kernels(self) -> Tuple[Tuple[Callable, ...], float]:
+        """The template's kernels — round one's, then one per delta entry
         — and the seconds this call spent building them (``0.0`` once
         they are built).  Round one enumerates the first planned atom's
         rows and joins the rest of the body around each of them.
         """
-        kernels = self._frontier_kernels if frontier_key else self._full_kernels
+        kernels = self._kernels
         if kernels is not None:
             return kernels, 0.0
         start = perf_counter()
         (_, _, binds, checks), *rest = self.body_steps
-        leaf = (self.frontier_index, False, frontier_key)
-        initial = _kernel(_kernel_shape((binds, checks), rest, self.body_perm, leaf))
+        initial = _kernel(_kernel_shape((binds, checks), rest, self.body_perm, False))
         # Only multi-atom bodies can reach one canonical twice (from
         # two forced facts, or two entries of the rule).
-        leaf = (self.frontier_index, len(self.delta) > 1, frontier_key)
+        dedup = len(self.delta) > 1
         kernels = (initial,) + tuple(
-            _kernel(_kernel_shape((binds, checks), steps, perm, leaf))
+            _kernel(_kernel_shape((binds, checks), steps, perm, dedup))
             for _, steps, _, perm, binds, checks in self.delta
         )
         # Concurrent first uses may both build; either result is kept,
         # and both hold the same memoised kernels.
-        if frontier_key:
-            self._frontier_kernels = kernels
-        else:
-            self._full_kernels = kernels
+        self._kernels = kernels
         return kernels, perf_counter() - start
 
     def head_kernel(self) -> Tuple[Callable, Tuple[int, ...]]:
@@ -673,8 +656,7 @@ class StoreCompiledRule:
         "_var_names",
         "_names_frontier",
         "_existentials",
-        "_head_builders",
-        "_head_simple",
+        "head_builders",
         "_head_single",
         "_head_kernel",
         "head_only",
@@ -700,26 +682,23 @@ class StoreCompiledRule:
         self._var_names = tuple(variables[r].name for r in template.canonical_ranks)
         self._names_frontier = tuple(self._var_names[i] for i in template.frontier_index)
         self._existentials = tuple(variables[r].name for r in template.existential_ranks)
-        self._head_builders = tuple(
+        self.head_builders = tuple(
             (pids[pid], getter) for pid, getter in template.head_builders
         )
-        # Rules without existentials keep canonical-only builders and
-        # skip null labelling entirely.
-        self._head_simple = self._head_builders if not self._existentials else None
-        # The dominant rule shape — one head atom, no existentials — as
-        # a bare (pid, getter) pair: the columnar driver inlines its
-        # containment evaluation without building a result list.
+        # The driver's add-first apply picks its loop per rule by head
+        # shape.  The dominant one — one head atom, no existentials — as
+        # a bare (pid, getter) pair: that loop inlines the store's add.
         self.head_only = (
-            self._head_simple[0]
-            if self._head_simple is not None and len(self._head_simple) == 1
+            self.head_builders[0]
+            if len(self.head_builders) == 1 and not self._existentials
             else None
         )
         # The other dominant shape: one head atom *with* existentials
-        # (every SL/L rule).  single_fresh_fact builds its one result
-        # fact without list machinery.
+        # (every SL/L rule), as the (pid, getter) pair of its builder
+        # over ``canonical + nulls``.
         self.head_single_fresh = (
-            self._head_builders[0]
-            if len(self._head_builders) == 1 and self._existentials
+            self.head_builders[0]
+            if len(self.head_builders) == 1 and self._existentials
             else None
         )
         single = template.head_single
@@ -730,10 +709,10 @@ class StoreCompiledRule:
 
     def bind_kernels(self, kernels: Sequence[Callable]) -> List["_KernelEntry"]:
         """The template's kernels (see :meth:`RuleTemplate.kernels`) as
-        kernel-table entries of this rule, with the store's pids."""
+        kernel calls of this rule, with the store's pids."""
         pids = self.pids
         return [
-            (self, pids[pid], kernel, tuple(pids[p] for p in step_pids))
+            (pids[pid], kernel, tuple(pids[p] for p in step_pids))
             for kernel, (pid, step_pids) in zip(kernels, self.template.calls)
         ]
 
@@ -745,57 +724,42 @@ class StoreCompiledRule:
 
     # -- results ------------------------------------------------------------
 
+    def null_recipe(
+        self, full_labels: bool = False
+    ) -> Tuple[Tuple[str, ...], Tuple[str, ...], Callable[[CanonicalIds], Tuple[int, ...]]]:
+        """How a trigger of this rule names its nulls: the existential
+        variables' names, the label names, and the getter of the label
+        ids from a canonical tuple (the frontier image, or the whole
+        canonical under ``full_labels``, the oblivious labelling).  The
+        driver's single-head apply inlines :meth:`nulls` from it."""
+        if full_labels:
+            # tuple() returns a tuple argument itself.
+            return self._existentials, self._var_names, tuple
+        return self._existentials, self._names_frontier, self.frontier_get
+
+    def nulls(
+        self, store: FactStore, canonical: CanonicalIds, full_labels: bool = False
+    ) -> Tuple[int, ...]:
+        """The ids of the nulls the trigger invents, interned on first
+        sight, in existential-name order: the tail of the combined row
+        ``canonical + nulls`` that :meth:`head_facts` reads."""
+        existentials, names, label_get = self.null_recipe(full_labels)
+        label_ids = label_get(canonical)
+        rule_id = self.rule_id
+        intern_null = store.intern_null
+        return tuple([intern_null(rule_id, name, names, label_ids) for name in existentials])
+
+    def head_facts(self, combined: Tuple[int, ...]) -> List[Fact]:
+        """The head as packed facts over the row ``canonical + nulls``."""
+        return [(pid, getter(combined)) for pid, getter in self.head_builders]
+
     def result_facts(
         self, store: FactStore, canonical: CanonicalIds, full_labels: bool = False
     ) -> List[Fact]:
         """``result(σ, h)`` as packed facts, no atom materialisation."""
-        simple = self._head_simple
-        if simple is not None:
-            return [(pid, getter(canonical)) for pid, getter in simple]
-        if full_labels:
-            names, label_ids = self._var_names, canonical
-        else:
-            names = self._names_frontier
-            label_ids = self.frontier_get(canonical)
-        return self._build_facts(store, canonical, names, label_ids)
-
-    def single_fresh_fact(
-        self, store: FactStore, canonical: CanonicalIds, full_labels: bool = False
-    ) -> Fact:
-        """The one result fact of a single-head existential rule.
-
-        The flattened twin of :meth:`result_facts` for the
-        ``head_single_fresh`` shape, used by the columnar driver: null
-        interning plus one template fill, no intermediate lists.
-        """
-        if full_labels:
-            names, label_ids = self._var_names, canonical
-        else:
-            names = self._names_frontier
-            label_ids = self.frontier_get(canonical)
-        rule_id = self.rule_id
-        intern_null = store.intern_null
-        combined = canonical + tuple(
-            intern_null(rule_id, name, names, label_ids)
-            for name in self._existentials
-        )
-        pid, getter = self.head_single_fresh
-        return pid, getter(combined)
-
-    def _build_facts(
-        self,
-        store: FactStore,
-        canonical: CanonicalIds,
-        names: Tuple[str, ...],
-        label_ids: Tuple[int, ...],
-    ) -> List[Fact]:
-        rule_id = self.rule_id
-        intern_null = store.intern_null
-        combined = canonical + tuple(
-            intern_null(rule_id, name, names, label_ids)
-            for name in self._existentials
-        )
-        return [(pid, getter(combined)) for pid, getter in self._head_builders]
+        if self._existentials:
+            canonical += self.nulls(store, canonical, full_labels)
+        return self.head_facts(canonical)
 
     # -- restricted activeness ----------------------------------------------
 
@@ -842,53 +806,50 @@ class StoreCompiledRule:
         )
 
 
-#: A pending trigger: (rule, canonical ids, applied-memo key).
-PendingTrigger = Tuple[StoreCompiledRule, CanonicalIds, Tuple[int, CanonicalIds]]
+#: One rule's triggers of a pass: the rule and the canonical tuples of
+#: its body images, in enumeration order.
+Segment = Tuple[StoreCompiledRule, List[CanonicalIds]]
 
-#: One kernel call of a pass: (rule, pid of the input rows, kernel,
-#: pids of the joined steps).
-_KernelEntry = Tuple[StoreCompiledRule, int, Callable, Tuple[int, ...]]
-
-
-class _KernelTable:
-    """One key mode's kernels bound to a pipeline's predicate ids: per
-    rule (round one) and per delta entry, with the seconds each rule
-    spent building its template's kernels."""
-
-    __slots__ = ("initial", "delta", "compile_seconds")
-
-    def __init__(self, pipeline: "StoreTriggerPipeline", frontier_key: bool) -> None:
-        self.compile_seconds: List[float] = []
-        self.initial: List[_KernelEntry] = []
-        self.delta: List[_KernelEntry] = []
-        for rule in pipeline.rules:
-            kernels, seconds = rule.template.kernels(frontier_key)
-            self.compile_seconds.append(seconds)
-            initial, *delta = rule.bind_kernels(kernels)
-            self.initial.append(initial)
-            self.delta.extend(delta)
+#: One kernel call: (pid of the input rows, kernel, pids of the joined
+#: steps).
+_KernelEntry = Tuple[int, Callable, Tuple[int, ...]]
 
 
 class StoreTriggerPipeline:
     """Relevance-routed trigger enumeration over the fact store.
 
-    One :class:`StoreCompiledRule` per TGD, a delta-routing entry per
-    body atom, and per-round dedup of repeated body
-    images by their compact ``(rule index, id tuple)`` key.  The driver
-    gets fully keyed *pending lists* rather than a generator: the
-    round's triggers are materialised before application anyway, and
-    the generated kernels build them in flat loops.  Kernels are
-    fetched per key mode (frontier or full binding) on first use.
+    One :class:`StoreCompiledRule` per TGD, its kernels bound to the
+    store's predicate ids (one for round one, one per body atom for the
+    delta rounds), and per-round dedup of repeated body images within
+    a rule.  A pass returns *segments* rather than a generator: one
+    ``(rule, canonicals)`` pair per rule with triggers, rule-major,
+    because the round's triggers are materialised before application
+    anyway and the generated kernels build them in flat loops.  A
+    segment carries no trigger key: the driver derives one only where
+    it keeps an applied memo (see
+    :meth:`~repro.chase.engine.BaseChaseEngine._run_columnar`).
     """
 
     def __init__(self, tgds: TGDSet, store: FactStore) -> None:
         self.rules: List[StoreCompiledRule] = []
-        #: Per-rule bind wall seconds (template build included on a
-        #: template-memo miss), rule-indexed; the profiler reports them.
+        #: Per-rule bind wall seconds (template and kernel builds
+        #: included on a memo miss), rule-indexed; the profiler reports
+        #: them.
         self.compile_seconds: List[float] = []
+        #: The part of ``compile_seconds`` spent building the template's
+        #: kernels (``0.0`` when the template already held them).
+        self.kernel_seconds: List[float] = []
+        #: Per rule: the rule, its round-one kernel call and its delta
+        #: kernel calls (one per body atom, in body order).
+        self.kernel_calls: List[Tuple[StoreCompiledRule, _KernelEntry, List[_KernelEntry]]] = []
         for index, t in enumerate(tgds):
             compile_start = perf_counter()
-            self.rules.append(StoreCompiledRule(t, store, index))
+            rule = StoreCompiledRule(t, store, index)
+            kernels, kernel_seconds = rule.template.kernels()
+            initial, *delta = rule.bind_kernels(kernels)
+            self.rules.append(rule)
+            self.kernel_calls.append((rule, initial, delta))
+            self.kernel_seconds.append(kernel_seconds)
             self.compile_seconds.append(perf_counter() - compile_start)
         #: Delta routing: one (rule, body index, body pid) entry per
         #: body atom, rule-major.
@@ -897,84 +858,80 @@ class StoreTriggerPipeline:
             for rule in self.rules
             for index, delta in enumerate(rule.template.delta)
         ]
-        self._tables: Dict[bool, _KernelTable] = {}
-
-    def kernels(self, uses_frontier: bool) -> Tuple[_KernelTable, bool]:
-        """The key mode's kernel table, and whether this call built it."""
-        table = self._tables.get(uses_frontier)
-        if table is not None:
-            return table, False
-        built = _KernelTable(self, uses_frontier)
-        table = self._tables.setdefault(uses_frontier, built)
-        return table, table is built
 
     def initial_pending(
-        self,
-        store: FactStore,
-        uses_frontier: bool,
-        on_rule: Optional[Callable[[int], None]] = None,
-    ) -> List[PendingTrigger]:
-        """All body homomorphisms into the store, keyed (round one).
+        self, store: FactStore, on_rule: Optional[Callable[[int], None]] = None
+    ) -> List[Segment]:
+        """Every body homomorphism into the store, as segments (round one).
 
         ``on_rule`` (the driver's rule-segment sender) is called with
-        each rule's index before that rule is enumerated.
+        each rule's index before that rule is enumerated; a rule whose
+        first planned atom has no rows is skipped unannounced.
         """
-        pending: List[PendingTrigger] = []
+        segments: List[Segment] = []
         facts_of = store.facts_of
-        for rule, pid, kernel, pids in self.kernels(uses_frontier)[0].initial:
+        for rule, (pid, kernel, pids), _ in self.kernel_calls:
+            rows = facts_of(pid)
+            if not rows:
+                continue
             if on_rule is not None:
                 on_rule(rule.index)
-            kernel(store, rule, facts_of(pid), pids, None, pending)
-        return pending
+            canonicals: List[CanonicalIds] = []
+            kernel(store, rows, pids, None, canonicals)
+            if canonicals:
+                segments.append((rule, canonicals))
+        return segments
 
     def delta_pending_rows(
         self,
         store: FactStore,
         marks: Sequence[int],
-        uses_frontier: bool,
         on_rule: Optional[Callable[[int], None]] = None,
-    ) -> List[PendingTrigger]:
-        """Keyed triggers whose body image uses at least one delta fact.
+    ) -> List[Segment]:
+        """Segments of the triggers whose body image uses at least one
+        delta fact.
 
         The delta is not a fact list but the row ranges past ``marks``
         (the per-predicate row counts captured before the previous
         round applied): new facts simply occupy the tail of their row
-        table, so no per-round regrouping by predicate is needed.
-        Triggers come out per (rule, body index) in registration order,
-        forced facts in insertion order; multi-atom bodies skip
-        canonicals already in the round-local ``seen`` set.
+        table, so no per-round regrouping by predicate is needed.  A
+        rule's canonicals come out per body index, forced facts in
+        insertion order; a multi-atom body skips canonicals it already
+        reached this round from another forced fact or body index.
 
-        ``on_rule`` is called with a rule's index where the owning rule
-        of the entry walk changes.  The walk is rule-major (every rule's
-        body atoms are consecutive), so that is once per rule, never per
-        forced fact or trigger.
+        ``on_rule`` is called with a rule's index before its first
+        kernel call: once per rule with delta rows, never per forced
+        fact or trigger, and not at all for a rule without delta rows.
         """
-        pending: List[PendingTrigger] = []
-        seen: Set[Tuple[int, CanonicalIds]] = set()
+        segments: List[Segment] = []
         rows_since = store.rows_since
-        seg_index = -1
-        for rule, pid, kernel, pids in self.kernels(uses_frontier)[0].delta:
-            if on_rule is not None and rule.index != seg_index:
-                seg_index = rule.index
-                on_rule(seg_index)
-            forced_facts = rows_since(pid, marks[pid])
-            if forced_facts:
-                kernel(store, rule, forced_facts, pids, seen, pending)
-        return pending
+        for rule, _, delta in self.kernel_calls:
+            canonicals: List[CanonicalIds] = []
+            seen: Optional[Set[CanonicalIds]] = set() if len(delta) > 1 else None
+            announce = on_rule
+            for pid, kernel, pids in delta:
+                forced_facts = rows_since(pid, marks[pid])
+                if forced_facts:
+                    if announce is not None:
+                        announce(rule.index)
+                        announce = None
+                    kernel(store, forced_facts, pids, seen, canonicals)
+            if canonicals:
+                segments.append((rule, canonicals))
+        return segments
 
 
 def compiled_pipeline(
-    tgds: TGDSet, store: FactStore, uses_frontier: bool
+    tgds: TGDSet, store: FactStore
 ) -> Tuple[StoreTriggerPipeline, List[float]]:
-    """``tgds``' pipeline for ``store``'s predicate ids with the key
-    mode's kernels ready, and this call's per-rule compile seconds.
+    """``tgds``' pipeline for ``store``'s predicate ids, and this call's
+    per-rule compile seconds.
 
     The pipeline lives in the program's memo under the vector of ids
     ``store`` assigns to ``sch(Σ)`` (interning any missing predicate),
     the only store-dependent input of a compiled plan.  A call that
     built the pipeline reports its binding seconds (plus any rule
-    template it built) and the seconds spent building any template's
-    kernels for the key mode; a call that hits the pipeline memo
+    template and kernels it built); a call that hits the pipeline memo
     reports zeros.
     """
     pids = tuple(store.intern_predicate(p) for p in tgds.predicates_in_order())
@@ -986,13 +943,8 @@ def compiled_pipeline(
 
     pipeline = tgds.memo(("pipeline", pids), build)
     if built and built[0] is pipeline:
-        seconds = list(pipeline.compile_seconds)
-    else:
-        seconds = [0.0] * len(pipeline.rules)
-    table, fresh = pipeline.kernels(uses_frontier)
-    if fresh:
-        seconds = [a + b for a, b in zip(seconds, table.compile_seconds)]
-    return pipeline, seconds
+        return pipeline, list(pipeline.compile_seconds)
+    return pipeline, [0.0] * len(pipeline.rules)
 
 
 def compile_memo_sizes() -> Dict[str, int]:
@@ -1011,22 +963,28 @@ def compile_memo_sizes() -> Dict[str, int]:
 # -- the interpretive oracle ---------------------------------------------------
 
 
+#: A keyed trigger: (rule, canonical ids, applied-memo key).
+KeyedTrigger = Tuple[StoreCompiledRule, CanonicalIds, Tuple[int, CanonicalIds]]
+
+
 def oracle_pending(
     pipeline: StoreTriggerPipeline,
     store: FactStore,
     marks: Optional[Sequence[int]],
     uses_frontier: bool,
-) -> List[PendingTrigger]:
-    """The pending list a pass must return, enumerated interpretively
-    through :func:`iter_ids` (round one when ``marks`` is
-    ``None``, else the delta past ``marks``).
+) -> List[KeyedTrigger]:
+    """The keyed triggers of a pass, enumerated interpretively through
+    :func:`iter_ids` (round one when ``marks`` is ``None``, else the
+    delta past ``marks``); keys are ``(rule index, frontier image)``,
+    or the whole canonical tuple when ``uses_frontier`` is false.
 
     The kernels' specification: the property suite requires
-    :meth:`StoreTriggerPipeline.initial_pending` and
-    :meth:`~StoreTriggerPipeline.delta_pending_rows` to equal it triple
-    for triple, in order.  Not a production path.
+    :meth:`StoreTriggerPipeline.initial_pending`'s and
+    :meth:`~StoreTriggerPipeline.delta_pending_rows`'s segments, read
+    in order and keyed by the same rule, to equal it triple for triple.
+    Not a production path.
     """
-    pending: List[PendingTrigger] = []
+    pending: List[KeyedTrigger] = []
 
     def keyed(rule: StoreCompiledRule, slots: List[int], perm: Tuple[int, ...]):
         canonical = tuple(slots[slot] for slot in perm)
@@ -1062,6 +1020,17 @@ def oracle_pending(
                     seen.add((rule.index, entry[1]))
                 pending.append(entry)
     return pending
+
+
+def keyed_triggers(segments: Sequence[Segment], uses_frontier: bool) -> List[KeyedTrigger]:
+    """A pass's segments read in order, each trigger keyed as the
+    evaluate-first driver keys it: the form :func:`oracle_pending`
+    returns.  Not a production path."""
+    return [
+        (rule, canonical, (rule.index, rule.frontier_get(canonical) if uses_frontier else canonical))
+        for rule, canonicals in segments
+        for canonical in canonicals
+    ]
 
 
 def oracle_head_satisfied(

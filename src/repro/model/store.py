@@ -490,6 +490,31 @@ class FactStore:
         self._size += 1
         return True
 
+    def add_tables(
+        self, pid: int
+    ) -> Tuple[List[Tuple[int, ...]], Dict[Tuple[int, ...], int], List[Tuple[int, Dict]]]:
+        """What :meth:`add` writes for ``pid``: its row table, its row
+        index, and the ``(position, column)`` pairs of its built posting
+        columns.
+
+        For a hot loop that inlines ``add`` (the chase driver's
+        head-only apply).  It must write a new fact exactly as ``add``
+        does, claim the row in the index, append the row, then append
+        to each column, and report the facts it added through
+        :meth:`count_added` before anything reads ``len(self)``.  The
+        pairs are valid until a probe builds another column of ``pid``.
+        """
+        cols = self._cols[pid]
+        return (
+            self._rows[pid],
+            self._row_of[pid],
+            [(position, cols[position]) for position in self._built[pid]],
+        )
+
+    def count_added(self, count: int) -> None:
+        """Account for ``count`` facts stored through :meth:`add_tables`."""
+        self._size += count
+
     def add_atom(self, atom: Atom) -> Fact:
         """Intern and store a ground atom; returns its ``(pid, ids)``."""
         pid, ids = self.intern_atom(atom)

@@ -175,12 +175,15 @@ class RuleProfiler(RunObserver):
             self._start = now
             anchor = self._anchor
             considered = totals[0] - anchor[0]
-            fired = totals[1] - anchor[1]
-            self.considered[slot] += considered
-            self.fired[slot] += fired
-            self.pruned[slot] += considered - fired
-            self.facts[slot] += totals[2] - anchor[2]
-            self.nulls[slot] += totals[3] - anchor[3]
+            # Facts and nulls come only from considered triggers, so an
+            # enumeration segment moves no counter.
+            if considered:
+                fired = totals[1] - anchor[1]
+                self.considered[slot] += considered
+                self.fired[slot] += fired
+                self.pruned[slot] += considered - fired
+                self.facts[slot] += totals[2] - anchor[2]
+                self.nulls[slot] += totals[3] - anchor[3]
         self._anchor = totals
         self._open = self._slots[rule_index] if rule_index >= 0 else -1
 

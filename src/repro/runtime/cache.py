@@ -34,6 +34,7 @@ between its truncate and write leaves a full copy to restore from.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import threading
 import warnings
@@ -70,6 +71,7 @@ def _flocked(handle):
         fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 from repro.chase.engine import ChaseBudget
+from repro.model.serialization import tgd_to_text
 from repro.runtime.faults import FaultError, get_injector
 from repro.runtime.jobs import ChaseJob
 
@@ -154,8 +156,17 @@ def lineage_cache_key(job: ChaseJob) -> str:
     ``default`` modes, because paper-derived budgets scale with the
     database size and must be re-resolved for the grown job.  Explicit
     budgets stay part of the identity verbatim.
+
+    Unlike the fingerprint, the lineage also keys on how the program
+    *labels* its nulls: the rule-id vector and each rule's text with its
+    variable names.  A resumed run names the nulls it invents by its own
+    rule ids and variables, so resuming from a base labelled otherwise
+    would re-fire, under new labels, triggers the base already applied.
     """
     pfp, _ = job.fingerprint
+    labelling = hashlib.sha256(
+        "\n".join(f"{t.rule_id}\t{tgd_to_text(t)}" for t in job.program).encode("utf-8")
+    ).hexdigest()[:16]
     if job.budget_mode == "explicit" and job.budget is not None:
         budget = job.budget
         depth = "-" if budget.max_depth is None else str(budget.max_depth)
@@ -165,7 +176,7 @@ def lineage_cache_key(job: ChaseJob) -> str:
         )
     else:
         budget_part = job.budget_mode
-    return f"{pfp}:{job.variant}:{budget_part}"
+    return f"{pfp}:{labelling}:{job.variant}:{budget_part}"
 
 
 @dataclass

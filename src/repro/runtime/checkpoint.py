@@ -17,11 +17,14 @@ silently truncated result.  A checkpoint instead freezes the exact
 semi-naive loop state: restore the store, seed ``marks`` from the
 header, and the next iteration's ``delta_pending_rows(store, marks)``
 re-derives precisely the frontier the dead run was about to expand.
-That is sound without the applied-trigger memo because a trigger first
-enumerable after round k has at least one body fact in round k's delta
-— it was never enumerable before the checkpoint, so no cross-
+That is sound although the checkpoint carries no trigger memo.  A
+summary run of the semi-oblivious or oblivious chase keeps none: a
+trigger whose key already fired finds its result facts stored and adds
+nothing.  A restricted run's applied memo restarts empty, and a trigger
+first enumerable after round k has at least one body fact in round k's
+delta — it was never enumerable before the checkpoint, so no cross-
 checkpoint duplicate application is possible (within-round duplicates
-self-prune against the fresh memo).
+prune against the new memo).
 
 The on-disk format is ``MAGIC + <8-byte LE header length> + header
 JSON + store snapshot``; writes go to a temp file then ``os.replace``

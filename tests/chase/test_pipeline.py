@@ -14,7 +14,7 @@ from repro.chase.engine import ChaseBudget
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
 from repro.chase.semi_oblivious import semi_oblivious_chase
-from repro.chase.store_plan import StoreTriggerPipeline
+from repro.chase.store_plan import StoreTriggerPipeline, keyed_triggers, oracle_pending
 from repro.model.store import FactStore
 from repro.generators.families import (
     example_7_1,
@@ -91,7 +91,7 @@ class TestCompiledRule:
         store = _seeded_store(database)
         pipeline = StoreTriggerPipeline(tgds, store)
         rule = pipeline.rules[0]
-        canonicals = [c for r, c, _ in pipeline.initial_pending(store, True) if r is rule]
+        canonicals = [c for r, cs in pipeline.initial_pending(store) if r is rule for c in cs]
         assert canonicals
 
         def decode(ids):
@@ -126,11 +126,16 @@ class TestCompiledRule:
         database, tgds = prop45_family(4)
         store = _seeded_store(database)
         pipeline = StoreTriggerPipeline(tgds, store)
-        initial = pipeline.initial_pending(store, uses_frontier=True)
+        initial = pipeline.initial_pending(store)
         # Treating every stored row as delta (all marks at zero)
         # reproduces the initial enumeration: every body atom can be
         # the forced one.
         marks = [0] * len(store.row_marks())
-        from_delta = pipeline.delta_pending_rows(store, marks, uses_frontier=True)
+        from_delta = pipeline.delta_pending_rows(store, marks)
         assert initial
-        assert set(initial) == set(from_delta)
+        for uses_frontier in (True, False):
+            keyed = keyed_triggers(initial, uses_frontier)
+            assert keyed == oracle_pending(pipeline, store, None, uses_frontier)
+            from_delta_keyed = keyed_triggers(from_delta, uses_frontier)
+            assert from_delta_keyed == oracle_pending(pipeline, store, marks, uses_frontier)
+            assert set(keyed) == set(from_delta_keyed)

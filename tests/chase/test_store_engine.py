@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from repro.chase.engine import BaseChaseEngine, ChaseBudget, EngineCheckpoint
+from repro.chase.engine import BaseChaseEngine, ChaseBudget, ChaseOutcome, EngineCheckpoint
 from repro.chase.oblivious import oblivious_chase
 from repro.chase.restricted import restricted_chase
 from repro.chase.semi_oblivious import SemiObliviousChase, semi_oblivious_chase
@@ -408,6 +408,56 @@ def test_truncated_store_matches_legacy_on_random_programs(seed, make_program):
             )
 
 
+def assert_depth_budget_matches_legacy(runner, database, tgds, max_depth):
+    """A summary run under a depth budget (no truncation) on the store
+    driver stops exactly where the legacy run does: same outcome, same
+    statistics, same instance."""
+    budget = ChaseBudget(max_atoms=20_000, max_rounds=200, max_depth=max_depth)
+    store = runner(database, tgds, budget=budget, record_derivation=False, engine="store")
+    legacy = runner(
+        database, tgds, budget=budget, record_derivation=False, engine="legacy"
+    )
+    assert store.summary() == legacy.summary()
+    assert store.instance == legacy.instance
+    return store
+
+
+@pytest.mark.parametrize("max_depth", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "name,workload", TRUNCATION_FAMILIES, ids=[n for n, _ in TRUNCATION_FAMILIES]
+)
+@pytest.mark.parametrize(
+    "runner", [semi_oblivious_chase, oblivious_chase], ids=["semi", "oblivious"]
+)
+def test_depth_budget_summary_runs_match_legacy(runner, name, workload, max_depth):
+    database, tgds = workload
+    assert_depth_budget_matches_legacy(runner, database, tgds, max_depth)
+
+
+@pytest.mark.parametrize(
+    "runner", [semi_oblivious_chase, oblivious_chase], ids=["semi", "oblivious"]
+)
+@pytest.mark.parametrize("max_depth", [2, 3, 4])
+def test_depth_budget_over_a_database_deeper_than_the_limit(runner, max_depth):
+    """An input already holding nulls deeper than the limit: every new
+    fact is checked, so a rule without existentials that copies a deep
+    null trips the budget, exactly as in the legacy loop."""
+    from repro.model.parser import parse_program
+
+    chain, program = intro_nonterminating_example()
+    deep = semi_oblivious_chase(
+        chain, program, budget=ChaseBudget(max_rounds=6), record_derivation=False
+    ).instance
+    assert deep.max_depth() > max_depth
+    # The rule without existentials comes first, so its copy of a deep
+    # null is the first new fact over the limit.
+    tgds = parse_program("R(x, y) -> Q(y)\nR(x, y) -> exists z . R(y, z)")
+    store = assert_depth_budget_matches_legacy(runner, deep, tgds, max_depth)
+    assert store.outcome is ChaseOutcome.DEPTH_BUDGET_EXCEEDED
+    # Q(b), then Q of the chain's nulls of depths 1 .. max_depth + 1.
+    assert store.statistics.triggers_applied == max_depth + 2
+
+
 class TestCheckpointResume:
     def _checkpointed(self, database, tgds, at_round, runner=semi_oblivious_chase):
         """An uninterrupted summary run plus a checkpoint of its state
@@ -652,3 +702,44 @@ def test_database_may_be_a_fact_store():
     assert seeded.database_size == len(database)
     assert seeded.instance == plain.instance
     assert seeded.summary() == plain.summary()
+
+
+@pytest.mark.parametrize("runner", VARIANTS, ids=VARIANT_IDS)
+def test_an_instance_with_nulls_chases_like_its_restored_snapshot(runner):
+    """A fresh store seeded from an instance that holds labelled nulls
+    gives them their recipes, as a snapshot restore does: a re-invented
+    input null is found, not counted as invented."""
+    from repro.model.parser import parse_database, parse_program
+    from repro.model.store import FactStore
+    from repro.obs.probe import ChaseProbe
+
+    program = parse_program(
+        "R(x, y) -> exists z . S(y, z)\n"
+        "S(x, y) -> exists w . R(y, w)\n"
+        "S(x, y), R(y, u) -> T(x, u)"
+    )
+    instance = semi_oblivious_chase(
+        parse_database("R(a, b).\nR(b, c)."), program,
+        budget=ChaseBudget(max_rounds=3), record_derivation=False,
+    ).instance
+    assert any(t.is_null for atom in instance for t in atom.args)
+    seeded = FactStore()
+    for atom in instance:
+        seeded.add_atom(atom)
+    budget = ChaseBudget(max_rounds=6, max_atoms=5000)
+    direct_probe, restored_probe = ChaseProbe(), ChaseProbe()
+    direct = runner(
+        instance, program, budget=budget, record_derivation=False, observers=[direct_probe]
+    )
+    restored = runner(
+        FactStore.restore(seeded.snapshot()), program, budget=budget,
+        record_derivation=False, observers=[restored_probe],
+    )
+    assert direct_probe.total_nulls_invented == restored_probe.total_nulls_invented
+    assert [s.nulls_invented for s in direct_probe.samples] == [
+        s.nulls_invented for s in restored_probe.samples
+    ]
+    assert direct.statistics.triggers_applied == restored.statistics.triggers_applied
+    assert canonical_instance_text(direct.instance) == canonical_instance_text(
+        restored.instance
+    )

@@ -322,10 +322,14 @@ class TestChaseResume:
 class TestBatchIncremental:
     def test_incremental_resumes_grown_manifest(self, tmp_path, capsys):
         cache = tmp_path / "cache.jsonl"
+        # Both manifests read one rules file, so their rules get the
+        # same ids (inline programs are named after the job id) and
+        # the grown job's lineage is the base job's.
+        (tmp_path / "staff.rules").write_text(RULES_TERMINATING)
         base_manifest = tmp_path / "base.jsonl"
         base_manifest.write_text(
             json.dumps(
-                {"id": "base", "program": RULES_TERMINATING.strip(),
+                {"id": "base", "rules": "staff.rules",
                  "database": "Employee(alice)."}
             )
             + "\n"
@@ -333,7 +337,7 @@ class TestBatchIncremental:
         grown_manifest = tmp_path / "grown.jsonl"
         grown_manifest.write_text(
             json.dumps(
-                {"id": "grown", "program": RULES_TERMINATING.strip(),
+                {"id": "grown", "rules": "staff.rules",
                  "database": FACTS.strip()}
             )
             + "\n"

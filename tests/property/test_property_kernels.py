@@ -7,8 +7,9 @@ their specification.  These tests pin, on random SL/L/G and full programs,
 the pipeline families and ``restricted_heavy``, for all three variants
 on fresh, ``resume_from`` and checkpoint-restarted runs:
 
-(a) every round's pending list equals the oracle's, triple for triple
-    and in the same order;
+(a) every round's segments, read in order and keyed by either key rule
+    (frontier image or whole canonical), equal the oracle's keyed
+    triggers, triple for triple and in the same order;
 (b) restricted head-satisfaction verdicts equal the oracle's;
 (c) a run whose passes are answered by the oracle builds the same lazy
     posting columns (``index_build_profile`` builds,
@@ -32,7 +33,9 @@ from repro.chase.store_plan import (
     RuleTemplate,
     StoreCompiledRule,
     StoreTriggerPipeline,
+    compile_memo_sizes,
     compiled_pipeline,
+    keyed_triggers,
     oracle_head_satisfied,
     oracle_pending,
     rule_template,
@@ -128,16 +131,20 @@ def checked(monkeypatch):
     delta = StoreTriggerPipeline.delta_pending_rows
     head = StoreCompiledRule.head_satisfied
 
-    def checked_initial(self, store, uses_frontier, on_rule=None):
-        pending = initial(self, store, uses_frontier, on_rule)
-        assert pending == oracle_pending(self, store, None, uses_frontier)
+    def check(pipeline, store, marks, pending):
+        for uses_frontier in (True, False):
+            expected = oracle_pending(pipeline, store, marks, uses_frontier)
+            assert keyed_triggers(pending, uses_frontier) == expected
         counts["passes"] += 1
+
+    def checked_initial(self, store, on_rule=None):
+        pending = initial(self, store, on_rule)
+        check(self, store, None, pending)
         return pending
 
-    def checked_delta(self, store, marks, uses_frontier, on_rule=None):
-        pending = delta(self, store, marks, uses_frontier, on_rule)
-        assert pending == oracle_pending(self, store, marks, uses_frontier)
-        counts["passes"] += 1
+    def checked_delta(self, store, marks, on_rule=None):
+        pending = delta(self, store, marks, on_rule)
+        check(self, store, marks, pending)
         return pending
 
     def checked_head(self, store, canonical):
@@ -259,11 +266,19 @@ def oracle_driven(monkeypatch):
     """Passes and multi-atom head verdicts answered by the oracle alone."""
     head = StoreCompiledRule.head_satisfied
 
-    def initial(self, store, uses_frontier, on_rule=None):
-        return oracle_pending(self, store, None, uses_frontier)
+    def segments(triggers):
+        grouped = []
+        for rule, canonical, _ in triggers:
+            if not grouped or grouped[-1][0] is not rule:
+                grouped.append((rule, []))
+            grouped[-1][1].append(canonical)
+        return grouped
 
-    def delta(self, store, marks, uses_frontier, on_rule=None):
-        return oracle_pending(self, store, marks, uses_frontier)
+    def initial(self, store, on_rule=None):
+        return segments(oracle_pending(self, store, None, True))
+
+    def delta(self, store, marks, on_rule=None):
+        return segments(oracle_pending(self, store, marks, True))
 
     def head_satisfied(self, store, canonical):
         if len(self.tgd.head) == 1:
@@ -322,19 +337,18 @@ def _seeded_store(database, tgds) -> FactStore:
 
 
 def _passes(database, tgds):
-    """Round one and an all-rows delta pass, per key mode, as plain
-    (rule index, canonical, key) triples."""
+    """Round one and an all-rows delta pass as plain (rule index,
+    canonicals) segments."""
     store = _seeded_store(database, tgds)
-    out = []
-    for uses_frontier in (True, False):
-        pipeline, _ = compiled_pipeline(tgds, store, uses_frontier)
-        marks = [0] * len(store.row_marks())
+    pipeline, _ = compiled_pipeline(tgds, store)
+    marks = [0] * len(store.row_marks())
+    return [
+        [(rule.index, canonicals) for rule, canonicals in pending]
         for pending in (
-            pipeline.initial_pending(store, uses_frontier),
-            pipeline.delta_pending_rows(store, marks, uses_frontier),
-        ):
-            out.append([(rule.index, canonical, key) for rule, canonical, key in pending])
-    return out
+            pipeline.initial_pending(store),
+            pipeline.delta_pending_rows(store, marks),
+        )
+    ]
 
 
 def test_threads_racing_cold_shapes_get_the_serial_pending_lists(cold_memo):
@@ -401,6 +415,14 @@ def test_memo_keys_hold_only_plan_template_ints():
     for memo in memos:
         assert memo
         assert all(ints_only(key) for key in memo)
+    # One kernel set per template, whatever the variant's key rule:
+    # every compiled kernel is one of a template's round-one and delta
+    # kernels or its head kernel, and the memo holds nothing else.
+    templates = list(store_plan._TEMPLATES.values())
+    owned = {kernel for t in templates if t._kernels for kernel in t._kernels}
+    owned |= {t._head_kernel[0] for t in templates if t._head_kernel}
+    assert set(store_plan._KERNELS.values()) == owned
+    assert compile_memo_sizes()["kernels"] == len(store_plan._KERNELS)
 
 
 def test_head_kernels_compile_for_restricted_runs_only(cold_memo):
@@ -431,17 +453,15 @@ def test_a_warm_program_still_pickles():
 def test_kernel_compile_seconds_are_charged_on_a_miss_only(cold_memo):
     database, tgds = case("g-2")
     store = _seeded_store(database, tgds)
-    pipeline, seconds = compiled_pipeline(tgds, store, True)
-    table, fresh = pipeline.kernels(True)
-    assert not fresh
-    assert sum(table.compile_seconds) > 0.0
-    assert all(s >= k for s, k in zip(seconds, table.compile_seconds))
+    pipeline, seconds = compiled_pipeline(tgds, store)
+    assert sum(pipeline.kernel_seconds) > 0.0
+    assert all(s >= k for s, k in zip(seconds, pipeline.kernel_seconds))
     # Same program: both memos hit.
-    _, again = compiled_pipeline(tgds, store, True)
+    _, again = compiled_pipeline(tgds, store)
     assert again == [0.0] * len(tgds)
     # A fresh copy rebuilds its plans, but every kernel is a memo hit.
-    copy_pipeline, _ = compiled_pipeline(_copy(tgds), _seeded_store(database, tgds), True)
-    assert copy_pipeline.kernels(True)[0].compile_seconds == [0.0] * len(tgds)
+    copy_pipeline, _ = compiled_pipeline(_copy(tgds), _seeded_store(database, tgds))
+    assert copy_pipeline.kernel_seconds == [0.0] * len(tgds)
 
 
 @pytest.mark.parametrize("memo", ["miss", "hit"])
@@ -453,7 +473,7 @@ def test_profiler_attribution_stays_within_driver_time(memo, cold_memo):
     profiler = RuleProfiler()
     _run("semi-oblivious", database, tgds, observers=[profiler])
     (pipeline,) = [v for k, v in tgds._memo.items() if isinstance(k, tuple) and k[0] == "pipeline"]
-    kernel_seconds = sum(pipeline.kernels(True)[0].compile_seconds)
+    kernel_seconds = sum(pipeline.kernel_seconds)
     assert (kernel_seconds > 0.0) is (memo == "miss")
     assert sum(profiler.compile_seconds) >= kernel_seconds
     assert profiler.attributed_seconds() <= profiler.driver_seconds
@@ -474,9 +494,9 @@ def template_case(name):
     return _random_case(kind, int(seed))
 
 
-def _calls(template, pids, frontier_key):
-    """A template's kernel calls for a key mode, in the store's pids."""
-    kernels, _ = template.kernels(frontier_key)
+def _calls(template, pids):
+    """A template's kernel calls, in the store's pids."""
+    kernels, _ = template.kernels()
     return [(pids[pid], kernel, tuple(pids[p] for p in step_pids))
             for kernel, (pid, step_pids) in zip(kernels, template.calls)]
 
@@ -503,7 +523,7 @@ def _view(template, pids, probe):
         "head_builders": [(pids[pid], getter(probe)) for pid, getter in template.head_builders],
         "head_single": single,
         "head_join": head_join,
-        "kernels": (_calls(template, pids, True), _calls(template, pids, False)),
+        "kernels": _calls(template, pids),
     }
 
 
@@ -511,7 +531,7 @@ def _view(template, pids, probe):
 def test_bound_rules_equal_a_direct_compile(name):
     """Every rule bound from its shape's template equals the rule
     compiled directly against the same store: plans, head probes,
-    null-label names and the pipeline's kernel tables."""
+    null-label names and the pipeline's kernel calls."""
     database, tgds = template_case(name)
     store = _seeded_store(database, tgds)
     pipeline = StoreTriggerPipeline(tgds, store)
@@ -528,20 +548,16 @@ def test_bound_rules_equal_a_direct_compile(name):
         assert rule._var_names == tuple(names)
         assert rule._names_frontier == tuple(n for n in names if n in frontier)
         assert rule._existentials == tuple(sorted(v.name for v in tgd.existential_variables()))
-        assert [(pid, g(probe)) for pid, g in rule._head_builders] == [
+        assert [(pid, g(probe)) for pid, g in rule.head_builders] == [
             (pid, g(probe)) for pid, g in direct.head_builders
         ]
         if direct.head_single is not None:
             assert rule._head_single[0] == direct.head_single[0]
-    for frontier_key in (True, False):
-        table, _ = pipeline.kernels(frontier_key)
-        initial, delta = [], []
-        for rule, direct in zip(pipeline.rules, directs):
-            first, *rest = _calls(direct, identity, frontier_key)
-            initial.append((rule, *first))
-            delta.extend((rule, *call) for call in rest)
-        assert table.initial == initial
-        assert table.delta == delta
+    calls = []
+    for rule, direct in zip(pipeline.rules, directs):
+        first, *rest = _calls(direct, identity)
+        calls.append((rule, first, rest))
+    assert pipeline.kernel_calls == calls
 
 
 @pytest.mark.parametrize("name", TEMPLATE_CASES)

@@ -326,6 +326,36 @@ class TestIncrementalRechase:
         )[0]
         assert other.resumed_from is None
 
+    def test_no_resume_across_rule_ids(self):
+        # Manifest jobs name their rules after the job id, so m1 and m2
+        # share the rule text but label nulls as m1_r0 and m2_r0.  The
+        # delta R(a, c) reaches S's trigger for x = a, which the base
+        # already fired under m1_r0: resuming m2 from m1's snapshot
+        # would invent a second null for it (size 7, not 5).
+        from repro.runtime.jobs import job_from_manifest_entry
+
+        program = "R(x, y) -> exists z . S(x, z)\nS(x, z), Q(x) -> T(z)"
+
+        def job(job_id, database):
+            return job_from_manifest_entry(
+                {"id": job_id, "program": program, "database": database}
+            )
+
+        cache = ResultCache()
+        executor = BatchExecutor(workers=1, cache=cache, incremental=True)
+        executor.run_all([job("m1", "R(a, b).\nQ(a).")])
+        grown = executor.run_all([job("m2", "R(a, b).\nQ(a).\nR(a, c).")])[0]
+        cold = BatchExecutor(workers=1).run_all([job("m2", "R(a, b).\nQ(a).\nR(a, c).")])[0]
+        assert grown.status == cold.status == "ok"
+        assert grown.resumed_from is None
+        assert grown.summary == cold.summary
+        assert grown.summary["size"] == 5
+        # The same job id labels nulls the same way: that one resumes,
+        # and its result equals the cold run's.
+        again = executor.run_all([job("m1", "R(a, b).\nQ(a).\nR(a, d).")])[0]
+        assert again.resumed_from is not None
+        assert again.summary["size"] == 5
+
     def test_incremental_off_never_stores_snapshots(self):
         tgds, base_db, _ = self._grown_pair()
         cache = ResultCache()
