@@ -26,6 +26,7 @@ to.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -586,8 +587,7 @@ class BaseChaseEngine:
           :meth:`~repro.model.store.FactStore.row_marks`, read back by
           ``delta_pending_rows`` — never an accumulated fact list;
         * enumeration hands the round over as per-rule segments of
-          canonical tuples, and the driver picks the apply loop once per
-          segment, not once per trigger;
+          canonical tuples, and each segment is applied by one call;
         * statistics accumulate in locals and fold back once per run.
 
         Summary runs of the containment variants (semi-oblivious,
@@ -597,11 +597,13 @@ class BaseChaseEngine:
         key fired before finds its result stored, and ``store.add``
         reporting no new fact is the legacy loop's memo hit and its
         failed containment test in one.  These runs build no trigger key
-        and hold no applied memo.  A rule with one head atom and no
-        existentials (the dominant shape in every benchmark family) is
-        one getter call and an inlined add per trigger.  Depth is checked
-        where it can change: while every stored fact is within
-        ``max_depth``, only a trigger's nulls can exceed it.
+        and hold no applied memo.  Each segment is one call of the
+        rule's generated apply kernel (see
+        :mod:`~repro.chase.store_plan`), with the null probe and the
+        store's add inlined and the head unrolled.  Depth is kept where
+        it can change: the kernels track the deepest null born, which
+        decides the depth budget and settles the result's ``max_depth``
+        without an end-of-run fold.
 
         Derivation-recording, depth-truncating and restricted runs
         evaluate first (:class:`_EvaluateFirst`, :meth:`store_evaluate`)
@@ -704,7 +706,9 @@ class BaseChaseEngine:
             apply = _AddFirst(store, budget, start, not self.uses_frontier_identity)
         else:
             apply = _EvaluateFirst(self, store, start)
-        null_count = store.null_count
+        # The nulls total as a C-level length: the null index is never
+        # replaced during a run.
+        null_count = store.null_tables()[0].__len__
         max_rounds = budget.max_rounds
         if checkpoint is not None:
             # Same-run restart: the counters continue from the
@@ -734,39 +738,48 @@ class BaseChaseEngine:
             round_delta = len(store) - sum(marks)
         # Rule segments: observers get a rule_segment event per pass
         # segment, so the per-trigger cost of observation is nil.
-        # Observers derive per-rule deltas from the totals.
+        # Observers derive per-rule deltas from the totals.  A lone
+        # observer that keeps a segment log gets each boundary appended
+        # to it, with no call (see RunObserver.segment_log).
+        log = segment_observers[0].segment_log() if len(segment_observers) == 1 else None
+        log_segment = None if log is None else log.append
+        clock = time.perf_counter
+        # Round events go only to observers that handle them.
+        starting = _handling(observers, "round_start")
+        enumerating = _handling(observers, "enumerated")
+        ending = _handling(observers, "round_end")
         on_rule = None
         while True:
             if rounds >= max_rounds:
                 outcome = ChaseOutcome.ROUND_BUDGET_EXCEEDED
                 break
-            for observer in observers:
+            for observer in starting:
                 observer.round_start(
                     store, round_delta, (considered, fired, created, null_count())
                 )
             if segment_observers:
                 # Enumeration changes no counter: one totals tuple
                 # serves the whole pass.
-                on_rule = partial(
-                    _send_segment,
-                    segment_observers,
-                    (considered, fired, created, null_count()),
-                )
+                totals = (considered, fired, created, null_count())
+                if log_segment is None:
+                    on_rule = partial(_send_segment, segment_observers, totals)
+                else:
+                    on_rule = partial(_log_segment, log_segment, totals)
             if marks is None:
                 pending = pipeline.initial_pending(store, on_rule)
             else:
                 pending = pipeline.delta_pending_rows(store, marks, on_rule)
-            for observer in observers:
+            for observer in enumerating:
                 observer.enumerated((considered, fired, created, null_count()))
             marks = store.row_marks()
             size_before = len(store)
             over_budget = False
             for rule, canonicals in pending:
-                if segment_observers:
+                if log_segment is not None:
+                    log_segment((rule.index, clock(), (considered, fired, created, null_count())))
+                elif segment_observers:
                     _send_segment(
-                        segment_observers,
-                        (considered, fired, created, null_count()),
-                        rule.index,
+                        segment_observers, (considered, fired, created, null_count()), rule.index
                     )
                 considered += len(canonicals)
                 triggers = iter(canonicals)
@@ -785,7 +798,7 @@ class BaseChaseEngine:
             # appended past its size watermark; marks still delimits
             # them — the exact frontier a checkpoint must freeze.
             round_delta = len(store) - size_before
-            for observer in observers:
+            for observer in ending:
                 observer.round_end(
                     rounds,
                     store,
@@ -801,12 +814,16 @@ class BaseChaseEngine:
             # Free this round's segments before the next ones are built.
             pending = None
 
+        apply.finish()
         statistics.rounds = rounds
         statistics.triggers_considered = considered
         statistics.triggers_applied = fired
         statistics.atoms_created = created
         statistics.wall_seconds = time.perf_counter() - start
-        _send_segment(segment_observers, (considered, fired, created, null_count()), -1)
+        if log_segment is not None:
+            log_segment((-1, clock(), (considered, fired, created, null_count())))
+        elif segment_observers:
+            _send_segment(segment_observers, (considered, fired, created, null_count()), -1)
         driver_seconds = time.perf_counter() - driver_start
         for observer in observers:
             observer.run_end(store, driver_seconds, driver_start - start)
@@ -874,21 +891,32 @@ class _AddFirst:
     """Add-first application of rule segments: the containment
     variants' summary runs (see :meth:`BaseChaseEngine._run_columnar`).
 
-    A trigger is applied iff one of its result facts is new; no key is
-    built and no memo is kept.  Budgets trip where the legacy loop trips
-    them: after an applied trigger, depth first, then atoms, then time.
+    Each segment is one call of the rule's generated apply kernel
+    (:meth:`~repro.chase.store_plan.StoreCompiledRule.apply_kernel`),
+    which holds this object's budgets.  A trigger is applied iff one of
+    its result facts is new; no key is built and no memo is kept.
+    Budgets trip where the legacy loop trips them: after an applied
+    trigger, depth first, then atoms, then time.
 
     Depth can change only where a trigger interns nulls: every other
     term of a new fact comes from its body image, which is stored.  So
-    while every stored fact is within ``max_depth`` (checked once, on
-    the seeded store), a trigger's nulls alone decide the depth verdict,
-    and a rule without existentials needs no check.  A store seeded
-    deeper than the limit checks each new fact instead.
+    the seeded store is folded once, here, and the kernels keep the
+    run's deepest null where nulls are born; :meth:`finish` settles the
+    store's maximum from it, with no end-of-run fold.  While every
+    interned term is within ``max_depth``, a born null alone decides
+    the depth verdict.  A store holding a deeper term checks each new
+    fact instead.  A store holding a null deeper than every fact (one
+    whose facts a truncating run cut away) can reuse it in a new fact,
+    so that run folds at its end instead of settling.
     """
 
     #: Add-first runs record no derivation and truncate nothing.
     derivation: Tuple[DerivationStep, ...] = ()
     depth_truncated = False
+    #: What a kernel returns as ``stop``.
+    depth_exceeded = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
+    atoms_exceeded = ChaseOutcome.ATOM_BUDGET_EXCEEDED
+    time_exceeded = ChaseOutcome.TIME_BUDGET_EXCEEDED
 
     def __init__(
         self, store: FactStore, budget: ChaseBudget, start: float, full_labels: bool
@@ -900,141 +928,24 @@ class _AddFirst:
         self.max_seconds = budget.max_seconds
         limit = budget.max_depth
         self.depth_limit = limit
-        self.check_facts = limit is not None and store.max_depth() > limit
-        self.check_nulls = limit is not None and not self.check_facts
+        # A store of constants alone (a fresh database) needs no fold.
+        interned = max(store.null_tables()[3], default=0)
+        seeded = store.max_depth() if interned else 0
+        #: The deepest term of any stored fact so far; the kernels raise
+        #: it where nulls are born.
+        self.deepest = seeded
+        self.settles = interned <= seeded
+        self.check_facts = limit is not None and interned > limit
+        self.null_limit = sys.maxsize if limit is None or self.check_facts else limit
 
     def __call__(self, rule: StoreCompiledRule, triggers: Iterator) -> _SegmentResult:
-        if rule.head_only is not None:
-            return self._head_only(rule, triggers)
-        if rule.head_single_fresh is not None:
-            return self._single_fresh(rule, triggers)
-        return self._general(rule, triggers)
+        kernel, pids, rule_id, existentials, names = rule.apply_kernel(self.full_labels)
+        return kernel(self, self.store, triggers, pids, rule_id, existentials, names)
 
-    def _head_only(self, rule: StoreCompiledRule, triggers: Iterator) -> _SegmentResult:
-        """One head atom, no existentials: ``FactStore.add`` inlined."""
-        store = self.store
-        pid, getter = rule.head_only
-        rows, row_of, columns = store.add_tables(pid)
-        append = rows.append
-        row = len(rows)
-        # New facts this segment may add before the atom budget trips.
-        room = self.max_atoms - len(store)
-        check_facts = self.check_facts
-        max_seconds = self.max_seconds
-        added = 0
-        stop = None
-        for ids in triggers:
-            fact = getter(ids)
-            if fact in row_of:
-                continue
-            row_of[fact] = row
-            row += 1
-            append(fact)
-            for position, column in columns:
-                tid = fact[position]
-                bucket = column.get(tid)
-                if bucket is None:
-                    column[tid] = [fact]
-                else:
-                    bucket.append(fact)
-            added += 1
-            if check_facts and store.fact_depth(fact) > self.depth_limit:
-                stop = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
-                break
-            if added > room:
-                stop = ChaseOutcome.ATOM_BUDGET_EXCEEDED
-                break
-            if max_seconds is not None and time.perf_counter() - self.start > max_seconds:
-                stop = ChaseOutcome.TIME_BUDGET_EXCEEDED
-                break
-        store.count_added(added)
-        return added, added, stop
-
-    def _single_fresh(self, rule: StoreCompiledRule, triggers: Iterator) -> _SegmentResult:
-        """One head atom with existentials: one fact per applied trigger."""
-        store = self.store
-        pid, getter = rule.head_single_fresh
-        existentials, names, label_get = rule.null_recipe(self.full_labels)
-        rule_id = rule.rule_id
-        intern_null = store.intern_null
-        add = store.add
-        fact_depth = store.fact_depth
-        limit = self.depth_limit
-        check_facts = self.check_facts
-        check_nulls = self.check_nulls
-        max_atoms = self.max_atoms
-        max_seconds = self.max_seconds
-        added = 0
-        stop = None
-        for ids in triggers:
-            label_ids = label_get(ids)
-            nulls = tuple([intern_null(rule_id, name, names, label_ids) for name in existentials])
-            fact = getter(ids + nulls)
-            if not add(pid, fact):
-                continue
-            added += 1
-            if (check_nulls and fact_depth(nulls) > limit) or (
-                check_facts and fact_depth(fact) > limit
-            ):
-                stop = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
-                break
-            if len(store) > max_atoms:
-                stop = ChaseOutcome.ATOM_BUDGET_EXCEEDED
-                break
-            if max_seconds is not None and time.perf_counter() - self.start > max_seconds:
-                stop = ChaseOutcome.TIME_BUDGET_EXCEEDED
-                break
-        return added, added, stop
-
-    def _general(self, rule: StoreCompiledRule, triggers: Iterator) -> _SegmentResult:
-        """Several head atoms: a trigger is applied iff any add is new."""
-        store = self.store
-        builders = rule.head_builders
-        existentials, names, label_get = rule.null_recipe(self.full_labels)
-        rule_id = rule.rule_id
-        intern_null = store.intern_null
-        add = store.add
-        fact_depth = store.fact_depth
-        limit = self.depth_limit
-        check_facts = self.check_facts
-        check_nulls = self.check_nulls and bool(existentials)
-        max_atoms = self.max_atoms
-        max_seconds = self.max_seconds
-        fired = 0
-        created = 0
-        stop = None
-        nulls: Tuple[int, ...] = ()
-        for ids in triggers:
-            if existentials:
-                label_ids = label_get(ids)
-                nulls = tuple(
-                    [intern_null(rule_id, name, names, label_ids) for name in existentials]
-                )
-                combined = ids + nulls
-            else:
-                combined = ids
-            new = 0
-            deep = False
-            for pid, getter in builders:
-                fact = getter(combined)
-                if add(pid, fact):
-                    new += 1
-                    if check_facts and fact_depth(fact) > limit:
-                        deep = True
-            if not new:
-                continue
-            fired += 1
-            created += new
-            if deep or (check_nulls and fact_depth(nulls) > limit):
-                stop = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
-                break
-            if len(store) > max_atoms:
-                stop = ChaseOutcome.ATOM_BUDGET_EXCEEDED
-                break
-            if max_seconds is not None and time.perf_counter() - self.start > max_seconds:
-                stop = ChaseOutcome.TIME_BUDGET_EXCEEDED
-                break
-        return fired, created, stop
+    def finish(self) -> None:
+        """Settle the store's maximum depth from the deepest null."""
+        if self.settles:
+            self.store.settle_max_depth(self.deepest)
 
 
 class _EvaluateFirst:
@@ -1062,6 +973,9 @@ class _EvaluateFirst:
         self.applied: Set[Tuple[int, Tuple[int, ...]]] = set()
         self.derivation: List[DerivationStep] = []
         self.depth_truncated = False
+
+    def finish(self) -> None:
+        """Nothing to settle: the run's end folds the store's depth."""
 
     def __call__(self, rule: StoreCompiledRule, triggers: Iterator) -> _SegmentResult:
         store = self.store
@@ -1127,6 +1041,18 @@ def _send_segment(
 ) -> None:
     for observer in observers:
         observer.rule_segment(rule_index, totals)
+
+
+def _log_segment(
+    append, totals: Tuple[int, int, int, int], rule_index: int, clock=time.perf_counter
+) -> None:
+    append((rule_index, clock(), totals))
+
+
+def _handling(observers: Sequence[RunObserver], event: str) -> Tuple[RunObserver, ...]:
+    """The observers whose class overrides ``event``'s no-op."""
+    default = getattr(RunObserver, event)
+    return tuple(o for o in observers if getattr(type(o), event) is not default)
 
 
 def _payloads(observers: Sequence[RunObserver]) -> Dict[str, Dict[str, object]]:

@@ -36,6 +36,18 @@ the driver derives ``(rule index, frontier image)`` or ``(rule index,
 canonical)`` only where it keeps an applied memo (see
 :meth:`~repro.chase.engine.BaseChaseEngine._run_columnar`).
 
+Kernels cover the apply phase too.  An add-first run applies each
+segment with one call of the rule's *apply kernel*
+(:meth:`RuleTemplate.apply_kernel`, source from :func:`_apply_source`):
+one loop over the canonicals with the null probe and the store's add
+inlined, and the label, existentials and head facts unrolled.  Its
+shape (:meth:`RuleTemplate.apply_shape`: head tables and argument
+specs, existential count, label positions, canonical width) holds only
+plan-template ints too; apply kernels live in their own shape-keyed
+memo (:data:`_APPLY_KERNELS`), built on first use per labelling, and
+:meth:`StoreCompiledRule.apply_kernel` binds one to a rule's head pids,
+rule id and null names.
+
 :func:`iter_ids`, the interpretive backtracking enumerator over the
 templates the kernels are generated from, survives only as the test
 oracle (:func:`oracle_pending`, :func:`oracle_head_satisfied`), as the
@@ -361,20 +373,179 @@ def _kernel_source(shape: tuple) -> str:
                      + sections[1]) + "\n"
 
 
-def _kernel(shape: tuple) -> Callable:
-    """The kernel for ``shape``, generated and compiled on first use.
+def _kernel(
+    shape: tuple,
+    memo: Optional[Dict[tuple, Callable]] = None,
+    source: Callable[[tuple], str] = _kernel_source,
+) -> Callable:
+    """The kernel for ``shape`` in ``memo`` (the join kernels' by
+    default), generated by ``source`` and compiled on first use.
 
     The source is built from the shape's ints and fixed names only,
     never from program or database text.  Concurrent first uses may
     both compile; the memo keeps one, and the two are the same
     function of the same source anyway.
     """
-    kernel = _KERNELS.get(shape)
+    if memo is None:
+        memo = _KERNELS
+    kernel = memo.get(shape)
     if kernel is not None:
         return kernel
-    namespace: Dict[str, Callable] = {}
-    exec(compile(_kernel_source(shape), "<join kernel>", "exec"), namespace)
-    return _KERNELS.setdefault(shape, namespace["kernel"])
+    namespace: Dict[str, Callable] = {"perf_counter": perf_counter}
+    exec(compile(source(shape), "<kernel>", "exec"), namespace)
+    return memo.setdefault(shape, namespace["kernel"])
+
+
+# -- generated apply kernels -----------------------------------------------------
+
+#: Every compiled add-first apply kernel, shared by all programs: shape
+#: -> function.  Shapes hold plan-template ints only (see
+#: :meth:`RuleTemplate.apply_shape`), like :data:`_KERNELS`'.
+_APPLY_KERNELS: Dict[tuple, Callable] = {}
+
+
+def _apply_source(shape: tuple) -> str:
+    """Python source of the add-first apply kernel for ``shape`` (see
+    :meth:`RuleTemplate.apply_shape`).
+
+    The kernel is ``kernel(run, store, triggers, pids, rule_id,
+    existentials, names) -> (fired, created, stop)``.  It applies each
+    canonical tuple of ``triggers`` in turn: it interns the trigger's
+    nulls, builds its head facts and adds them, and counts the trigger
+    applied iff one fact is new.  ``pids`` are the store's ids of the
+    head's distinct predicates, ``existentials`` the existential names
+    and ``names`` the label names of the rule's null keys.  ``run`` (the
+    driver's ``_AddFirst``) holds the budgets, the run's deepest null
+    (``deepest``, read and written back) and the outcomes a stop
+    returns.
+
+    Everything per rule shape is unrolled: the label is a tuple of the
+    canonical's label positions, each existential's null probe is one
+    ``null_ids`` lookup, and a miss appends the id, recipe, term and
+    depth that :meth:`~repro.model.store.FactStore.intern_null`'s fast
+    path appends (its foreign-null slow path stays a call); each head
+    fact is a tuple display over the canonical and the nulls, and each
+    add is :meth:`~repro.model.store.FactStore.add` inlined over
+    :meth:`~repro.model.store.FactStore.add_tables`.  Head atoms over
+    one predicate share one table and row counter.
+
+    Budgets trip after an applied trigger, as in the legacy loop: depth
+    first, then atoms, then time.  Depth trips on a new fact deeper
+    than ``run.depth_limit`` when ``run.check_facts``, else on a null
+    born deeper than ``run.null_limit``.
+    """
+    heads, existential_count, label, width = shape
+    table_count = 1 + max(table for table, _ in heads)
+    lines: List[str] = []
+
+    def emit(depth: int, text: str) -> None:
+        lines.append("    " * depth + text)
+
+    emit(0, "def kernel(run, store, triggers, pids, rule_id, existentials, names):")
+    emit(1, f"{_tuple_source([f'q{t}' for t in range(table_count)])} = pids")
+    for t in range(table_count):
+        emit(1, f"rows{t}, row_of{t}, columns{t} = store.add_tables(q{t})")
+        emit(1, f"append{t} = rows{t}.append")
+        emit(1, f"row{t} = len(rows{t})")
+    if existential_count:
+        emit(1, f"{_tuple_source([f'e{k}' for k in range(existential_count)])} = existentials")
+        emit(1, "null_ids, recipes, terms, depths, foreign = store.null_tables()")
+        emit(1, "get = null_ids.get")
+        emit(1, "intern_null = store.intern_null")
+        emit(1, "new_term = terms.append")
+        emit(1, "new_depth = depths.append")
+        emit(1, "deepest = run.deepest")
+        emit(1, "null_limit = run.null_limit")
+    emit(1, "check_facts = run.check_facts")
+    emit(1, "limit = run.depth_limit")
+    emit(1, "fact_depth = store.fact_depth")
+    # New facts this segment may add before the atom budget trips.
+    emit(1, "room = run.max_atoms - len(store)")
+    emit(1, "max_seconds = run.max_seconds")
+    emit(1, "start = run.start")
+    emit(1, "created = 0" if len(heads) == 1 else "fired = created = 0")
+    emit(1, "stop = None")
+    emit(1, "for c in triggers:")
+    if existential_count:
+        if label == tuple(range(width)):
+            emit(2, "label = c")
+        else:
+            emit(2, f"label = {_tuple_source([f'c[{i}]' for i in label])}")
+        for k in range(existential_count):
+            emit(2, f"key = (rule_id, e{k}, names, label)")
+            emit(2, f"n{k} = get(key)")
+            emit(2, f"if n{k} is None:")
+            emit(3, "if foreign:")
+            emit(4, f"n{k} = intern_null(rule_id, e{k}, names, label)")
+            emit(4, f"depth = depths[n{k}]")
+            emit(3, "else:")
+            emit(4, f"n{k} = len(terms)")
+            emit(4, f"null_ids[key] = n{k}")
+            emit(4, f"recipes[n{k}] = key")
+            emit(4, "new_term(None)")
+            # Definition 4.3: one more than the deepest label term.
+            if not label:
+                emit(4, "depth = 1")
+            else:
+                emit(4, f"depth = depths[c[{label[0]}]]")
+                for i in label[1:]:
+                    emit(4, f"if depths[c[{i}]] > depth: depth = depths[c[{i}]]")
+                emit(4, "depth += 1")
+            emit(4, "new_depth(depth)")
+            emit(3, "if depth > deepest: deepest = depth")
+    single = len(heads) == 1
+    if not single:
+        emit(2, "new = 0")
+        emit(2, "deep = False")
+    for j, (t, specs) in enumerate(heads):
+        if not existential_count and specs == tuple(range(width)):
+            # The head atom reads the canonical tuple as it is.
+            emit(2, f"f{j} = c")
+        else:
+            args = [f"c[{s}]" if s >= 0 else f"n{-1 - s}" for s in specs]
+            emit(2, f"f{j} = {_tuple_source(args) if args else '()'}")
+        if single:
+            emit(2, f"if f{j} in row_of{t}: continue")
+            depth = 2
+        else:
+            emit(2, f"if f{j} not in row_of{t}:")
+            depth = 3
+        emit(depth, f"row_of{t}[f{j}] = row{t}")
+        emit(depth, f"row{t} += 1")
+        emit(depth, f"append{t}(f{j})")
+        emit(depth, f"for position, column in columns{t}:")
+        emit(depth + 1, f"tid = f{j}[position]")
+        emit(depth + 1, "bucket = column.get(tid)")
+        emit(depth + 1, f"if bucket is None: column[tid] = [f{j}]")
+        emit(depth + 1, f"else: bucket.append(f{j})")
+        if single:
+            # One new fact per applied trigger: ``created`` counts both.
+            emit(2, "created += 1")
+            deep = "check_facts and fact_depth(f0) > limit"
+        else:
+            emit(3, "new += 1")
+            emit(3, f"if check_facts and fact_depth(f{j}) > limit: deep = True")
+    if not single:
+        emit(2, "if not new: continue")
+        emit(2, "fired += 1")
+        emit(2, "created += new")
+        deep = "deep"
+    if existential_count:
+        deep += " or deepest > null_limit"
+    emit(2, f"if {deep}:")
+    emit(3, "stop = run.depth_exceeded")
+    emit(3, "break")
+    emit(2, "if created > room:")
+    emit(3, "stop = run.atoms_exceeded")
+    emit(3, "break")
+    emit(2, "if max_seconds is not None and perf_counter() - start > max_seconds:")
+    emit(3, "stop = run.time_exceeded")
+    emit(3, "break")
+    emit(1, "store.count_added(created)")
+    if existential_count:
+        emit(1, "run.deepest = deepest")
+    emit(1, f"return {'created' if single else 'fired'}, created, stop")
+    return "\n".join(lines) + "\n"
 
 
 # -- rule templates --------------------------------------------------------------
@@ -461,8 +632,10 @@ class RuleTemplate:
         "head_builders",
         "head_single",
         "head_join",
+        "head_tables",
         "_kernels",
         "_head_kernel",
+        "_apply_kernels",
     )
 
     def __init__(self, tgd: TGD, intern: Callable[[Predicate], int]) -> None:
@@ -513,6 +686,11 @@ class RuleTemplate:
             )
             for a in tgd.head
         ))
+        #: The head's distinct predicates in first-occurrence order:
+        #: the tables an apply kernel adds to.
+        self.head_tables: Tuple[int, ...] = shared(
+            tuple(dict.fromkeys(pid for pid, _ in self.head_template))
+        )
         # Precompiled head builders: every head atom is one itemgetter
         # over the *combined* row ``canonical + nulls`` — a spec ``-1-k``
         # (the k-th existential) maps past the canonical prefix, so a
@@ -570,6 +748,9 @@ class RuleTemplate:
         self.intern_order: Tuple[int, ...] = ()
         self._kernels: Optional[Tuple[Callable, ...]] = None
         self._head_kernel: Optional[Tuple[Callable, Tuple[int, ...]]] = None
+        #: The apply kernels, per labelling (frontier, full), built on
+        #: first use.
+        self._apply_kernels: List[Optional[Callable]] = [None, None]
 
     def kernels(self) -> Tuple[Tuple[Callable, ...], float]:
         """The template's kernels — round one's, then one per delta entry
@@ -604,6 +785,35 @@ class RuleTemplate:
             kernel = _kernel(_kernel_shape((seed, ()), steps, (), None))
             self._head_kernel = head_kernel = (kernel, tuple(step[0] for step in steps))
         return head_kernel
+
+    def apply_shape(self, full_labels: bool) -> tuple:
+        """The memo key of the rule's add-first apply kernel (see
+        :func:`_apply_source`): per head atom its table (an index into
+        :attr:`head_tables`) and argument specs, the existential count,
+        the canonical positions of the null label (the frontier, or the
+        whole canonical under ``full_labels``; none without
+        existentials) and the canonical's width."""
+        table = {pid: t for t, pid in enumerate(self.head_tables)}
+        heads = tuple((table[pid], specs) for pid, specs in self.head_template)
+        width = len(self.canonical_ranks)
+        existential_count = len(self.existential_ranks)
+        if not existential_count:
+            label: Tuple[int, ...] = ()
+        elif full_labels:
+            label = tuple(range(width))
+        else:
+            label = self.frontier_index
+        return (heads, existential_count, label, width)
+
+    def apply_kernel(self, full_labels: bool) -> Callable:
+        """The rule's add-first apply kernel for one labelling, built on
+        first use, so a run compiles only the kernels it applies with.
+        A rule without existentials has one kernel for both."""
+        kernel = self._apply_kernels[full_labels]
+        if kernel is None:
+            kernel = _kernel(self.apply_shape(full_labels), _APPLY_KERNELS, _apply_source)
+            self._apply_kernels[full_labels] = kernel
+        return kernel
 
 
 def rule_template(shape: RuleShape) -> RuleTemplate:
@@ -659,8 +869,8 @@ class StoreCompiledRule:
         "head_builders",
         "_head_single",
         "_head_kernel",
-        "head_only",
-        "head_single_fresh",
+        "head_pids",
+        "_apply",
     )
 
     def __init__(self, tgd: TGD, store: FactStore, index: int) -> None:
@@ -685,22 +895,10 @@ class StoreCompiledRule:
         self.head_builders = tuple(
             (pids[pid], getter) for pid, getter in template.head_builders
         )
-        # The driver's add-first apply picks its loop per rule by head
-        # shape.  The dominant one — one head atom, no existentials — as
-        # a bare (pid, getter) pair: that loop inlines the store's add.
-        self.head_only = (
-            self.head_builders[0]
-            if len(self.head_builders) == 1 and not self._existentials
-            else None
-        )
-        # The other dominant shape: one head atom *with* existentials
-        # (every SL/L rule), as the (pid, getter) pair of its builder
-        # over ``canonical + nulls``.
-        self.head_single_fresh = (
-            self.head_builders[0]
-            if len(self.head_builders) == 1 and self._existentials
-            else None
-        )
+        #: The store's id of each table an apply kernel adds to.
+        self.head_pids = tuple(pids[pid] for pid in template.head_tables)
+        # The bound apply kernels, per labelling (see apply_kernel).
+        self._apply: List[Optional[_ApplyEntry]] = [None, None]
         single = template.head_single
         self._head_single = None if single is None else (pids[single[0]],) + single[1:]
         # The multi-atom head's witness kernel with the store's pids:
@@ -716,6 +914,24 @@ class StoreCompiledRule:
             for kernel, (pid, step_pids) in zip(kernels, self.template.calls)
         ]
 
+    def apply_kernel(self, full_labels: bool) -> "_ApplyEntry":
+        """The template's add-first apply kernel (see
+        :meth:`RuleTemplate.apply_kernel`) bound to this rule: ``(kernel,
+        head pids, rule id, existential names, label names)``, the
+        arguments after ``run``, ``store`` and ``triggers``."""
+        entry = self._apply[full_labels]
+        if entry is None:
+            existentials, names, _ = self.null_recipe(full_labels)
+            entry = (
+                self.template.apply_kernel(full_labels),
+                self.head_pids,
+                self.rule_id,
+                existentials,
+                names,
+            )
+            self._apply[full_labels] = entry
+        return entry
+
     # -- trigger identity ---------------------------------------------------
 
     def frontier_ids(self, canonical: CanonicalIds) -> CanonicalIds:
@@ -730,8 +946,8 @@ class StoreCompiledRule:
         """How a trigger of this rule names its nulls: the existential
         variables' names, the label names, and the getter of the label
         ids from a canonical tuple (the frontier image, or the whole
-        canonical under ``full_labels``, the oblivious labelling).  The
-        driver's single-head apply inlines :meth:`nulls` from it."""
+        canonical under ``full_labels``, the oblivious labelling); the
+        apply kernels are bound to its names."""
         if full_labels:
             # tuple() returns a tuple argument itself.
             return self._existentials, self._var_names, tuple
@@ -813,6 +1029,10 @@ Segment = Tuple[StoreCompiledRule, List[CanonicalIds]]
 #: One kernel call: (pid of the input rows, kernel, pids of the joined
 #: steps).
 _KernelEntry = Tuple[int, Callable, Tuple[int, ...]]
+
+#: One rule's bound apply kernel: (kernel, head pids, rule id,
+#: existential names, label names).
+_ApplyEntry = Tuple[Callable, Tuple[int, ...], str, Tuple[str, ...], Tuple[str, ...]]
 
 
 class StoreTriggerPipeline:
@@ -951,10 +1171,12 @@ def compile_memo_sizes() -> Dict[str, int]:
     """Entry counts of the process-wide memos of compiled Σ-side work.
 
     None of them evicts: a long-running daemon keeps one entry per
-    distinct join shape, rule shape and labelling key it has seen.
+    distinct join shape, apply shape, rule shape and labelling key it
+    has seen.
     """
     return {
         "kernels": len(_KERNELS),
+        "apply_kernels": len(_APPLY_KERNELS),
         "rule_templates": len(_TEMPLATES),
         "canonical_labels": len(serialization._LABELS),
     }

@@ -515,6 +515,35 @@ class FactStore:
         """Account for ``count`` facts stored through :meth:`add_tables`."""
         self._size += count
 
+    def null_tables(
+        self,
+    ) -> Tuple[
+        Dict[Tuple[str, str, Tuple[str, ...], Tuple[int, ...]], int],
+        Dict[int, Tuple[str, str, Tuple[str, ...], Tuple[int, ...]]],
+        List[Optional[Term]],
+        List[int],
+        bool,
+    ]:
+        """What :meth:`intern_null` reads and writes: the key -> id
+        index, the id -> recipe table, the per-id term and depth
+        columns, and whether foreign nulls are present.
+
+        For a hot loop that inlines ``intern_null`` (the chase's
+        generated apply kernels).  A miss must append exactly what
+        ``intern_null``'s fast path does: the id is the term count, the
+        key and recipe are registered, ``None`` is appended to the term
+        column and ``1 + max(label depths, 0)`` to the depth column.
+        While the flag is true the loop must call ``intern_null`` on a
+        miss instead (the foreign-null slow path).
+        """
+        return (
+            self._null_ids,
+            self._null_recipe,
+            self._term_of_id,
+            self._depth_of_id,
+            self._has_foreign_nulls,
+        )
+
     def add_atom(self, atom: Atom) -> Fact:
         """Intern and store a ground atom; returns its ``(pid, ids)``."""
         pid, ids = self.intern_atom(atom)
@@ -555,6 +584,18 @@ class FactStore:
                 marks[pid] = len(rows)
         self._max_depth = best
         return best
+
+    def settle_max_depth(self, depth: int) -> None:
+        """Record ``depth`` as the maximum over every stored fact and
+        mark every row folded, without scanning any.
+
+        For a caller that tracked the maximum as the facts were added
+        (an add-first chase run keeps it where nulls are born); a
+        wrong ``depth`` makes :meth:`max_depth` and the snapshot header
+        wrong.
+        """
+        self._max_depth = depth
+        self._depth_marks = [len(rows) for rows in self._rows]
 
     def null_count(self) -> int:
         """Number of labelled nulls known to this store (O(1)).

@@ -30,7 +30,7 @@ Stdlib-only, like the rest of :mod:`repro.obs`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["RunObserver", "Totals"]
 
@@ -55,6 +55,14 @@ class RunObserver:
 
     def rule_segment(self, rule_index: int, totals: Totals) -> None:
         pass
+
+    def segment_log(self) -> Optional[List[Tuple[int, float, Totals]]]:
+        """A list the store driver may append this run's
+        ``rule_segment`` events to, as ``(rule_index, perf_counter(),
+        totals)``, in place of calling :meth:`rule_segment`; asked once
+        after ``run_start``.  An observer that returns one folds it at
+        ``run_end``.  ``None`` (the default) asks for the calls."""
+        return None
 
     def enumerated(self, totals: Totals) -> None:
         pass

@@ -15,10 +15,12 @@ compile
 enumerate + apply
     The drivers walk a round's triggers rule-major — enumeration, then
     application — and send ``rule_segment`` where the owning rule
-    changes, never per trigger.  The profiler reads the clock at each
-    segment boundary and charges the closed segment's wall time and
-    counter deltas (from the running totals) to its rule: one
-    ``perf_counter()`` per boundary, which keeps the profiled overhead
+    changes, never per trigger.  Each segment boundary is logged with
+    the clock and the running totals (the store driver appends to the
+    profiler's :meth:`~RuleProfiler.segment_log` itself, with no call),
+    and the run's end charges each closed segment's wall time and
+    counter deltas to its rule: one ``perf_counter()`` per boundary,
+    which keeps the profiled overhead
     under the benchmark's 1.10x gate while attributing ≥ 90% of driver
     wall time.  A segment stays open across round boundaries, so round
     bookkeeping lands on the adjacent rule instead of disappearing.
@@ -60,7 +62,6 @@ class RuleProfiler(RunObserver):
         "compile_seconds",
         "considered",
         "fired",
-        "pruned",
         "facts",
         "nulls",
         "driver_seconds",
@@ -70,9 +71,8 @@ class RuleProfiler(RunObserver):
         "posting_memory_bytes",
         "engine",
         "_slots",
-        "_open",
         "_start",
-        "_anchor",
+        "_log",
     )
 
     def __init__(self) -> None:
@@ -83,9 +83,9 @@ class RuleProfiler(RunObserver):
         #: Plan-compilation wall seconds per rule slot.
         self.compile_seconds: List[float] = []
         self.considered: List[int] = []
+        #: Considered but not fired (already fired or found inactive)
+        #: is ``considered - fired``, reported as ``triggers_pruned``.
         self.fired: List[int] = []
-        #: Applied-memo skips (trigger already fired or found inactive).
-        self.pruned: List[int] = []
         #: Facts actually added to the instance/store per rule.
         self.facts: List[int] = []
         self.nulls: List[int] = []
@@ -102,12 +102,12 @@ class RuleProfiler(RunObserver):
         self.posting_memory_bytes: Dict[str, int] = {}
         #: Engine of the (last) profiled run, for display.
         self.engine: Optional[str] = None
-        # Per-run segment state: rule index -> bucket, the open
-        # segment's bucket (-1: none), its start clock and its totals.
+        # Per-run segment state: rule index -> bucket, the clock the
+        # first segment starts at, and the run's segment boundaries
+        # (rule index, clock, totals), folded at its end.
         self._slots: List[int] = []
-        self._open = -1
         self._start = 0.0
-        self._anchor: Totals = (0, 0, 0, 0)
+        self._log: List[Tuple[int, float, Totals]] = []
 
     # -- registration -------------------------------------------------------
 
@@ -122,7 +122,6 @@ class RuleProfiler(RunObserver):
             self.compile_seconds.append(0.0)
             self.considered.append(0)
             self.fired.append(0)
-            self.pruned.append(0)
             self.facts.append(0)
             self.nulls.append(0)
         return index
@@ -154,40 +153,49 @@ class RuleProfiler(RunObserver):
     # -- observer events ----------------------------------------------------
 
     def run_start(self, rule_ids: Sequence[str], compile_seconds: Sequence[float]) -> None:
-        self._slots = slots = [self.slot(rule_id) for rule_id in rule_ids]
+        slot_of = self._slot_of.get
+        self._slots = slots = [slot_of(rule_id) for rule_id in rule_ids]
+        if None in slots:
+            slots[:] = [self.slot(rule_id) for rule_id in rule_ids]
         for index, elapsed in enumerate(compile_seconds):
             self.compile_seconds[slots[index]] += elapsed
-        self._open = -1
-        # The first segment keeps this anchor, so the gap before the
+        # The first segment keeps this start, so the gap before the
         # first rule opens is charged to that rule.
         self._start = perf_counter()
+        self._log = []
 
     def rule_segment(self, rule_index: int, totals: Totals) -> None:
-        """Close the open segment (if any) and open ``rule_index``'s.
+        """Close the open segment (if any) and open ``rule_index``'s:
+        log the boundary, folded at the run's end."""
+        self._log.append((rule_index, perf_counter(), totals))
 
-        The one per-rule counter flush: the closed segment's wall time
-        and its deltas of the running totals land on its rule.
-        """
-        slot = self._open
-        if slot >= 0:
-            now = perf_counter()
-            self.seconds[slot] += now - self._start
-            self._start = now
-            anchor = self._anchor
-            considered = totals[0] - anchor[0]
-            # Facts and nulls come only from considered triggers, so an
-            # enumeration segment moves no counter.
-            if considered:
-                fired = totals[1] - anchor[1]
-                self.considered[slot] += considered
-                self.fired[slot] += fired
-                self.pruned[slot] += considered - fired
-                self.facts[slot] += totals[2] - anchor[2]
-                self.nulls[slot] += totals[3] - anchor[3]
-        self._anchor = totals
-        self._open = self._slots[rule_index] if rule_index >= 0 else -1
+    def segment_log(self) -> List[Tuple[int, float, Totals]]:
+        return self._log
+
+    def _fold_segments(self) -> None:
+        """The one per-rule counter flush: each closed segment's wall
+        time and its deltas of the running totals land on its rule."""
+        slots, seconds = self._slots, self.seconds
+        considered, fired, facts, nulls = self.considered, self.fired, self.facts, self.nulls
+        slot, start, anchor = -1, self._start, (0, 0, 0, 0)
+        for rule_index, now, totals in self._log:
+            if slot >= 0:
+                seconds[slot] += now - start
+                start = now
+                count = totals[0] - anchor[0]
+                # Facts and nulls come only from considered triggers, so
+                # an enumeration segment moves no counter.
+                if count:
+                    considered[slot] += count
+                    fired[slot] += totals[1] - anchor[1]
+                    facts[slot] += totals[2] - anchor[2]
+                    nulls[slot] += totals[3] - anchor[3]
+            anchor = totals
+            slot = slots[rule_index] if rule_index >= 0 else -1
+        self._log = []
 
     def run_end(self, store: Any, driver_seconds: float, setup_seconds: float) -> None:
+        self._fold_segments()
         # store is None exactly on the legacy engine.
         if store is not None:
             self.observe_store(store)
@@ -211,13 +219,16 @@ class RuleProfiler(RunObserver):
         Rules come out sorted by attributed seconds, descending — the
         top-K table is a prefix of the list.
         """
+        seconds, compile_seconds = self.seconds, self.compile_seconds
         order = sorted(
             range(len(self.rule_ids)),
-            key=lambda i: (self.seconds[i] + self.compile_seconds[i]),
+            key=lambda i: seconds[i] + compile_seconds[i],
             reverse=True,
         )
         attributed = self.attributed_seconds()
         driver = self.driver_seconds
+        rule_ids, considered, fired = self.rule_ids, self.considered, self.fired
+        facts, nulls = self.facts, self.nulls
         payload: Dict[str, Any] = {
             "runs": self.runs,
             "driver_seconds": round(driver, 9),
@@ -228,14 +239,15 @@ class RuleProfiler(RunObserver):
             ),
             "rules": [
                 {
-                    "rule": self.rule_ids[i],
-                    "seconds": round(self.seconds[i], 9),
-                    "compile_seconds": round(self.compile_seconds[i], 9),
-                    "triggers_considered": self.considered[i],
-                    "triggers_fired": self.fired[i],
-                    "triggers_pruned": self.pruned[i],
-                    "facts_produced": self.facts[i],
-                    "nulls_invented": self.nulls[i],
+                    "rule": rule_ids[i],
+                    "seconds": round(seconds[i], 9),
+                    # A warm run compiles nothing: skip rounding its zeros.
+                    "compile_seconds": compile_seconds[i] and round(compile_seconds[i], 9),
+                    "triggers_considered": considered[i],
+                    "triggers_fired": fired[i],
+                    "triggers_pruned": considered[i] - fired[i],
+                    "facts_produced": facts[i],
+                    "nulls_invented": nulls[i],
                 }
                 for i in order
             ],

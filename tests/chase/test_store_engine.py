@@ -743,3 +743,111 @@ def test_an_instance_with_nulls_chases_like_its_restored_snapshot(runner):
     assert canonical_instance_text(direct.instance) == canonical_instance_text(
         restored.instance
     )
+
+
+# ---------------------------------------------------------------------------
+# Add-first runs settle their depth where nulls are born
+# ---------------------------------------------------------------------------
+
+
+def _fresh_fold(store):
+    return max((store.fact_depth(ids) for rows in store._rows for ids in rows), default=0)
+
+
+def assert_settled_depth(result):
+    """The settled maximum equals a fold of the stored facts: in the
+    result, in the snapshot header and in the decoded instance."""
+    from repro.model.store import inspect_snapshot
+
+    store = result._store
+    header = inspect_snapshot(result.store_snapshot())
+    assert header["max_depth"] == _fresh_fold(store)
+    assert result.max_depth == _fresh_fold(store)
+    assert result.max_depth == result.instance.max_depth()
+
+
+SETTLE_RUNNERS = [semi_oblivious_chase, oblivious_chase]
+
+
+@pytest.mark.parametrize("runner", SETTLE_RUNNERS, ids=["semi", "oblivious"])
+@pytest.mark.parametrize(
+    "name,workload", TRUNCATION_FAMILIES, ids=[n for n, _ in TRUNCATION_FAMILIES]
+)
+def test_add_first_runs_settle_the_folded_depth(runner, name, workload):
+    """A fresh run, a resumed run and a checkpoint restart, each stopped
+    by a depth budget or run to its end: the depth an add-first run keeps
+    where nulls are born is the fold's.  A settle that ignored the seeded
+    store's depth, or missed a null's, fails here."""
+    database, tgds = workload
+    for budget in (BUDGET, BUDGET.replace(max_depth=3)):
+        assert_settled_depth(
+            runner(database, tgds, budget=budget, record_derivation=False)
+        )
+        base = runner(_prefix_split(database), tgds, budget=BUDGET, record_derivation=False)
+        if base.terminated:
+            assert_settled_depth(
+                runner(database, tgds, budget=budget, record_derivation=False,
+                       resume_from=base.store_snapshot())
+            )
+    full, checkpoint = TestCheckpointResume()._checkpointed(
+        database, tgds, at_round=2, runner=runner
+    )
+    restarted = runner(
+        database, tgds, budget=BUDGET, record_derivation=False, checkpoint=checkpoint
+    )
+    assert restarted.max_depth == full.max_depth
+    assert_settled_depth(restarted)
+
+
+@pytest.mark.parametrize("runner", SETTLE_RUNNERS, ids=["semi", "oblivious"])
+@pytest.mark.parametrize("max_depth", [None, 2, 8])
+def test_an_instance_with_deep_nulls_settles_its_depth(runner, max_depth):
+    """Input nulls deeper than anything the run invents: the settled
+    depth is the seeded store's, with and without a depth budget below
+    it (every new fact checked)."""
+    from repro.model.parser import parse_program
+
+    chain, program = intro_nonterminating_example()
+    deep = semi_oblivious_chase(
+        chain, program, budget=ChaseBudget(max_rounds=6), record_derivation=False
+    ).instance
+    tgds = parse_program("R(x, y) -> Q(y)\nQ(x) -> exists z . P(x, z)")
+    budget = ChaseBudget(max_atoms=20_000, max_rounds=200, max_depth=max_depth)
+    result = runner(deep, tgds, budget=budget, record_derivation=False)
+    assert_settled_depth(result)
+    if max_depth is not None and max_depth < deep.max_depth():
+        assert result.outcome is ChaseOutcome.DEPTH_BUDGET_EXCEEDED
+    else:
+        assert result.max_depth == deep.max_depth() + 1
+
+
+@pytest.mark.parametrize("max_depth", [None, 1])
+def test_a_store_with_nulls_deeper_than_its_facts_folds_at_the_end(max_depth):
+    """A truncating run interns a null whose fact it cuts away.  An
+    add-first resume that stores that fact reuses the null without
+    bearing it, so it checks every new fact and folds at its end."""
+    from repro.model.atoms import Atom, Predicate
+    from repro.model.instance import Instance
+    from repro.model.parser import parse_database, parse_program
+    from repro.model.terms import Constant
+
+    tgds = parse_program("R(x, y) -> exists z . S(y, z)\nS(x, y) -> exists w . T(y, w)")
+    truncated = semi_oblivious_chase(
+        parse_database("R(a, b)."), tgds,
+        budget=ChaseBudget(max_depth=1, truncate_at_depth=True), record_derivation=False,
+    )
+    assert truncated.depth_truncated and truncated.terminated
+    snapshot = truncated.store_snapshot()
+    (null,) = {t for atom in truncated.instance for t in atom.args if t.is_null}
+    # S(c, n) re-derives the cut T(n, w): w is interned, and deeper
+    # than every stored fact.
+    delta = Instance([Atom(Predicate("S", 2), (Constant("c"), null))])
+    resumed = semi_oblivious_chase(
+        delta, tgds, budget=BUDGET.replace(max_depth=max_depth), record_derivation=False,
+        resume_from=snapshot,
+    )
+    assert_settled_depth(resumed)
+    if max_depth is None:
+        assert resumed.terminated and resumed.max_depth == 2
+    else:
+        assert resumed.outcome is ChaseOutcome.DEPTH_BUDGET_EXCEEDED

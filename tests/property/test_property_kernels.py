@@ -21,14 +21,17 @@ its shape's template equals a direct compile of the rule.
 """
 
 import pickle
+import random
 import sys
 import threading
+from operator import length_hint
+from time import perf_counter
 
 import pytest
 
 import repro.chase.store_plan as store_plan
 from repro.chase import VARIANT_RUNNERS
-from repro.chase.engine import ChaseBudget, EngineCheckpoint
+from repro.chase.engine import ChaseBudget, ChaseOutcome, EngineCheckpoint, _AddFirst
 from repro.chase.store_plan import (
     RuleTemplate,
     StoreCompiledRule,
@@ -410,8 +413,8 @@ def test_memo_keys_hold_only_plan_template_ints():
             return all(ints_only(item) for item in value)
         return value is None or type(value) in (int, bool)
 
-    memos = (store_plan._KERNELS, store_plan._TEMPLATES, store_plan._GETTERS,
-             serialization._LABELS, tgd_module._SHARED)
+    memos = (store_plan._KERNELS, store_plan._APPLY_KERNELS, store_plan._TEMPLATES,
+             store_plan._GETTERS, serialization._LABELS, tgd_module._SHARED)
     for memo in memos:
         assert memo
         assert all(ints_only(key) for key in memo)
@@ -423,6 +426,14 @@ def test_memo_keys_hold_only_plan_template_ints():
     owned |= {t._head_kernel[0] for t in templates if t._head_kernel}
     assert set(store_plan._KERNELS.values()) == owned
     assert compile_memo_sizes()["kernels"] == len(store_plan._KERNELS)
+    # Apply kernels too: keyed by plain shape tuples (no rule id, pid or
+    # name), each one a template's, and counted.
+    applied = {kernel for t in templates for kernel in t._apply_kernels if kernel}
+    assert set(store_plan._APPLY_KERNELS.values()) == applied
+    for heads, existential_count, label, width in store_plan._APPLY_KERNELS:
+        assert all(type(table) is int and ints_only(specs) for table, specs in heads)
+        assert type(existential_count) is int and type(width) is int and ints_only(label)
+    assert compile_memo_sizes()["apply_kernels"] == len(store_plan._APPLY_KERNELS)
 
 
 def test_head_kernels_compile_for_restricted_runs_only(cold_memo):
@@ -616,3 +627,182 @@ def test_variable_order_decides_the_template():
     assert rule_template(rule_shape(first)) is not rule_template(rule_shape(second))
     renamed = parse_program("P(a, b) -> Q(b, a)")[0]
     assert rule_template(rule_shape(renamed)) is rule_template(rule_shape(first))
+
+
+# -- generated apply kernels ------------------------------------------------------
+
+#: Predicates the random apply rules draw from: (name, arity).
+APPLY_PREDICATES = (("R", 2), ("S", 3), ("T", 1), ("U", 2))
+
+
+def _random_apply_rule(rng):
+    """A random rule: 1-2 body atoms, 0-3 existentials, 1-3 head atoms
+    over the body's predicates and others, head variables repeated."""
+    body_pool = ["x", "y", "w"]
+    body = []
+    for _ in range(rng.randint(1, 2)):
+        name, arity = rng.choice(APPLY_PREDICATES)
+        body.append((name, [rng.choice(body_pool) for _ in range(arity)]))
+    body_variables = sorted({v for _, args in body for v in args})
+    existentials = [f"z{k}" for k in range(rng.randint(0, 3))]
+    while True:
+        frontier = rng.sample(body_variables, rng.randint(0, len(body_variables)))
+        pool = frontier + existentials
+        if not pool:
+            continue
+        head = []
+        for _ in range(rng.randint(1, 3)):
+            name, arity = rng.choice(APPLY_PREDICATES)
+            head.append((name, [rng.choice(pool) for _ in range(arity)]))
+        if set(existentials) <= {v for _, args in head for v in args}:
+            break
+
+    def atoms(items):
+        return ", ".join(f"{name}({', '.join(args)})" for name, args in items)
+
+    prefix = f"exists {', '.join(existentials)} . " if existentials else ""
+    return parse_program(f"{atoms(body)} -> {prefix}{atoms(head)}")[0]
+
+
+def _apply_store(tgd, seed, foreign):
+    """A random store over the rule's predicates, a few posting columns
+    built; with ``foreign``, it also holds input nulls, among them the
+    nulls the rule invents for some labels and a deeper one."""
+    from repro.model.terms import Constant, Null
+
+    rng = random.Random(seed)
+    constants = [Constant(f"c{i}") for i in range(4)]
+    store = FactStore()
+    predicates = {name: Predicate(name, arity) for name, arity in APPLY_PREDICATES}
+    for predicate in predicates.values():
+        store.intern_predicate(predicate)
+    terms = list(constants)
+    if foreign:
+        names = sorted(v.name for v in tgd.frontier())
+        for variable in sorted(v.name for v in tgd.existential_variables()):
+            binding = tuple((n, rng.choice(constants)) for n in names)
+            terms.append(Null(rule_id=tgd.rule_id, variable=variable, binding=binding))
+        inner = Null(rule_id="input", variable="a", binding=(("x", constants[0]),))
+        terms.append(Null(rule_id="input", variable="b", binding=(("x", inner),)))
+    # Every term is interned, whether or not a fact holds it: an input
+    # null outside every fact is deeper than the stored facts.
+    for term in terms:
+        store.intern_term(term)
+    for _ in range(rng.randint(0, 12)):
+        predicate = predicates[rng.choice(APPLY_PREDICATES)[0]]
+        store.add_atom(Atom(predicate, tuple(rng.choice(terms) for _ in range(predicate.arity))))
+    store.register_foreign_nulls()
+    for _ in range(rng.randint(0, 3)):
+        name, arity = rng.choice(APPLY_PREDICATES)
+        store.column(store.pid(predicates[name]), rng.randrange(arity))
+    return store
+
+
+def _store_state(store):
+    """Everything an add writes and a null probe interns."""
+    built = [
+        {position: store._cols[pid][position] for position in store._built[pid]}
+        for pid in range(len(store._rows))
+    ]
+    return {
+        "rows": store._rows,
+        "row_of": store._row_of,
+        "columns": built,
+        "size": len(store),
+        "null_ids": store._null_ids,
+        "recipes": store._null_recipe,
+        "depths": store._depth_of_id,
+        "terms": [t is None for t in store._term_of_id],
+    }
+
+
+def _reference_apply(store, rule, canonicals, budget, start, full_labels):
+    """``result_facts`` plus ``FactStore.add`` per trigger, budgets as
+    the legacy loop trips them: ``(fired, created, stop, considered)``."""
+    fired = created = considered = 0
+    stop = None
+    for canonical in canonicals:
+        considered += 1
+        new = [f for f in rule.result_facts(store, canonical, full_labels) if store.add(*f)]
+        if not new:
+            continue
+        fired += 1
+        created += len(new)
+        if budget.max_depth is not None and any(
+            store.fact_depth(ids) > budget.max_depth for _, ids in new
+        ):
+            stop = ChaseOutcome.DEPTH_BUDGET_EXCEEDED
+        elif len(store) > budget.max_atoms:
+            stop = ChaseOutcome.ATOM_BUDGET_EXCEEDED
+        elif budget.max_seconds is not None and perf_counter() - start > budget.max_seconds:
+            stop = ChaseOutcome.TIME_BUDGET_EXCEEDED
+        if stop is not None:
+            break
+    return fired, created, stop, considered
+
+
+def _apply_budgets(store):
+    size = len(store)
+    return [
+        ChaseBudget(),
+        ChaseBudget(max_atoms=size + 1),
+        ChaseBudget(max_atoms=size + 4),
+        ChaseBudget(max_depth=0),
+        ChaseBudget(max_depth=1),
+        ChaseBudget(max_depth=2),
+        # Trips on the first applied trigger: the run started a second ago.
+        ChaseBudget(max_seconds=0.5),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_apply_kernels_equal_result_facts_plus_add(seed):
+    """The bound apply kernel of a random rule shape, on a random store,
+    equals ``result_facts`` + ``FactStore.add`` trigger for trigger:
+    tables, row order, built columns, null ids, recipes and depths, the
+    segment result and the triggers considered, under every budget and
+    labelling, with and without foreign nulls."""
+    rng = random.Random(seed)
+    tgd = _random_apply_rule(rng)
+    width = len(tgd.body_variables())
+    for foreign in (False, True):
+        probe = _apply_store(tgd, seed, foreign)
+        ids = list(range(len(probe._term_of_id)))
+        canonicals = [tuple(rng.choice(ids) for _ in range(width)) for _ in range(30)]
+        canonicals += canonicals[:5]
+        for full_labels in (False, True):
+            for budget in _apply_budgets(probe):
+                start = perf_counter() - 1.0
+                expected_store = _apply_store(tgd, seed, foreign)
+                expected_rule = StoreCompiledRule(tgd, expected_store, 0)
+                expected = _reference_apply(
+                    expected_store, expected_rule, canonicals, budget, start, full_labels
+                )
+                store = _apply_store(tgd, seed, foreign)
+                rule = StoreCompiledRule(tgd, store, 0)
+                run = _AddFirst(store, budget, start, full_labels)
+                kernel, *bound = rule.apply_kernel(full_labels)
+                triggers = iter(canonicals)
+                fired, created, stop = kernel(run, store, triggers, *bound)
+                considered = len(canonicals) - length_hint(triggers)
+                context = (str(tgd), foreign, full_labels, budget)
+                assert (fired, created, stop, considered) == expected, context
+                assert _store_state(store) == _store_state(expected_store), context
+                run.finish()
+                assert store.max_depth() == expected_store.max_depth(), context
+
+
+def test_apply_kernel_memo_keys_are_shapes():
+    """Rules of one shape share their apply kernel; a rule without
+    existentials has one kernel for both labellings."""
+    first, renamed, full = parse_program(
+        "R(x, y) -> exists z . S(y, z, z)\n"
+        "P(a, b) -> exists c . Q(b, c, c)\n"
+        "R(x, y) -> S(y, x, x)"
+    )
+    assert rule_template(rule_shape(first)).apply_kernel(False) is rule_template(
+        rule_shape(renamed)
+    ).apply_kernel(False)
+    template = rule_template(rule_shape(full))
+    assert template.apply_kernel(False) is template.apply_kernel(True)
+    assert template.apply_shape(False) in store_plan._APPLY_KERNELS

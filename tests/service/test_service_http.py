@@ -85,7 +85,7 @@ class TestHealthAndStats:
     def test_compile_memos_stop_growing_on_a_resubmitted_job(self, client):
         client.run_job(make_job("memos", job_id="memos-1"), timeout=60.0)
         memos = client.stats()["compile_memos"]
-        assert set(memos) == {"kernels", "rule_templates", "canonical_labels"}
+        assert set(memos) == {"kernels", "apply_kernels", "rule_templates", "canonical_labels"}
         assert all(count > 0 for count in memos.values())
         client.run_job(make_job("memos", job_id="memos-2"), timeout=60.0)
         assert client.stats()["compile_memos"] == memos
